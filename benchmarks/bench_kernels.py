@@ -4,16 +4,15 @@
 Workloads mirror the hot paths of the verification suite on the largest
 zoo datum (F4 with its rank-4 subgroup).  Run from the repository root:
 
-    python benchmarks/bench_kernels.py
+    PYTHONPATH=src python benchmarks/bench_kernels.py
 """
 
 import random
 import time
 
 from spinduct import _kernels_py as py
-from spinduct.charring import TorusElement, TwistClass, irreducible_restriction, weyl_denominator
-from spinduct.induction import induce_between
-from spinduct.rootdata import RationalWeight, build_root_datum, subgroup_from_roots
+from spinduct.charring import irreducible_restriction, weyl_denominator
+from spinduct.rootdata import RationalWeight, build_root_datum
 from spinduct.weyl import generate_weyl
 from spinduct.zoo import zoo_problem
 
@@ -97,18 +96,6 @@ def main():
         lambda: py.orbit_expand(doms, f4.simple_roots, f4.simple_coroots),
         (lambda: cy.orbit_expand(doms, f4.simple_roots, f4.simple_coroots)) if cy else None,
     )
-
-    # end to end: one stage of twisted induction T -> F4
-    t = subgroup_from_roots(f4, [])
-    a = TorusElement(f4, f4.rho.residue_mod_one(), support)
-
-    import os
-
-    t0 = time.perf_counter()
-    induce_between(f4, t, a)
-    tt = time.perf_counter() - t0
-    backend = "compiled" if cy and not os.environ.get("SPINDUCT_NO_EXT") else "pure"
-    print(f"\nend-to-end induce T -> F4 ({backend} dispatch): {tt*1e3:.1f} ms")
 
 
 if __name__ == "__main__":

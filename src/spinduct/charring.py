@@ -188,11 +188,6 @@ def dualize(a: TorusElement) -> TorusElement:
     return TorusElement(a.datum, canon, coeffs)
 
 
-def translate(a: TorusElement, mu: RationalWeight) -> TorusElement:
-    """Multiply by the monomial e^mu."""
-    return multiply(a, TorusElement.monomial(a.datum, mu))
-
-
 def is_scope_invariant(a: TorusElement, scope: Scope) -> bool:
     """Whether a is fixed by the scope's Weyl group."""
     rank = a.datum.rank
@@ -462,7 +457,7 @@ def irreducible_restriction(scope: Scope, lam: RationalWeight) -> TorusElement:
 
     # everything below is scaled by a common denominator D; inner products
     # are doubled ((alpha,alpha) = len2) so all arithmetic stays integral
-    den = lam.den * rho.den // _gcd(lam.den, rho.den)
+    den = math.lcm(lam.den, rho.den)
     lam_scaled = tuple(v * (den // lam.den) for v in lam.nums)
     rho_scaled = tuple(v * (den // rho.den) for v in rho.nums)
     pos_len2 = [datum.len2(a) for a in positive]
@@ -549,12 +544,6 @@ def irreducible_restriction(scope: Scope, lam: RationalWeight) -> TorusElement:
     out = TorusElement(datum, shift, coeffs)
     _CHAR_CACHE[key] = out
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # --- anti-invariants ------------------------------------------------------------

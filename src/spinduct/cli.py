@@ -156,6 +156,8 @@ def _resolve_input(doc: Dict, problem) -> TorusElement:
             d = int(den)
         except ValueError:
             raise SchemaViolation(f"cannot parse monomial {s!r}", "/input")
+        if d == 0:
+            raise SchemaViolation(f"monomial {s!r} has a zero denominator", "/input")
         if len(nums) != datum.rank:
             raise SchemaViolation(
                 f"monomial needs {datum.rank} coordinates", "/input"
@@ -229,9 +231,11 @@ def _run_command(doc: Dict, command: str) -> Dict:
         kind = doc.get("kind", "twisted")
         if kind == "twisted":
             out = induce_twisted_spinc(problem, a)
-        else:
+        elif isinstance(kind, str) and kind.lower() in ("holomorphic", "spin", "spinc"):
             gamma = doc.get("gamma")
             out = induce_classical(problem, kind, a, gamma=tuple(gamma) if gamma else None)
+        else:
+            raise SchemaViolation(f"unknown induction kind {kind!r}", "/kind")
         return {
             "result": group_to_json(out),
             "dimension": dimension(out),
@@ -344,9 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--gamma", help="character for spinc induction, c1,c2,...")
     ap.add_argument("--tau", default="0", choices=["0", "rhoM"], help="pairing twist")
     ap.add_argument("--twist", help="G-side twist shift, c1,c2,...[/den]")
-    ap.add_argument("--suite", default="all", help="verify suite name")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--trials", type=int, default=20)
+    ap.add_argument("--suite", default=None, help="verify suite name (default all)")
+    ap.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
+    ap.add_argument("--trials", type=int, default=None, help="lefschetz sample count (default 20)")
     ap.add_argument("--problem", help="path to a JSON problem document (- for stdin)")
     ap.add_argument("--max-weyl-order", type=int, default=None)
     ap.add_argument("--timing", action="store_true", help="include wall time (breaks byte determinism)")
@@ -375,7 +379,7 @@ def _doc_from_args(args) -> Dict:
         )
         doc = parse_problem(text)
     else:
-        doc = {"seed": args.seed, "trials": args.trials}
+        doc = {}
     if args.group:
         doc["group"] = args.group
     if args.subgroup and "subgroup" not in doc:
@@ -389,13 +393,13 @@ def _doc_from_args(args) -> Dict:
         doc["input"] = json.loads(s) if s.lstrip().startswith("{") else s
     if args.kind:
         doc["kind"] = args.kind
-    if args.suite:
-        doc.setdefault("suite", args.suite)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.trials is not None:
-        doc["trials"] = args.trials
-    doc["suite"] = args.suite
+    # flags override the document; the defaults fill only what both leave out
+    for key, flag, default in (
+        ("seed", args.seed, 0), ("trials", args.trials, 20), ("suite", args.suite, "all")
+    ):
+        if flag is not None:
+            doc[key] = flag
+        doc.setdefault(key, default)
     if args.max_weyl_order:
         doc["max_weyl_order"] = args.max_weyl_order
     return doc

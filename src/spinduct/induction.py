@@ -6,6 +6,7 @@ fixed-point numeric oracle."""
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -60,9 +61,10 @@ Scope = Union[RootDatum, SubgroupDatum]
 
 
 class InductionProblem:
-    """The standing data of a pair (G, H) with a G-side twist sigma:
-    Weyl group, minimal coset representatives, denominators and the Euler
-    class, all precomputed once and shared."""
+    """The standing data of a pair (G, H) with a G-side twist sigma: the
+    Weyl groups and the minimal coset representatives, built once and
+    shared.  W itself, the denominators and the Euler class are built only
+    when first read."""
 
     def __init__(self, datum: RootDatum, sub: SubgroupDatum, sigma: Optional[TwistClass] = None):
         if sub.parent is not datum and sub.parent.key != datum.key:
@@ -73,14 +75,19 @@ class InductionProblem:
         self.weyl = generate_weyl(datum)
         self.weyl_h = generate_weyl(sub)
         self.reps: CosetReps = coset_representatives(self.weyl, sub)
-        self.d_g = weyl_denominator(datum)
-        self.d_h = weyl_denominator(sub)
-        self.euler = euler_class(sub)
         self.rho_m = sub.rho_m
 
     @property
-    def w_h_order(self) -> int:
-        return self.weyl_h.order
+    def d_g(self) -> TorusElement:
+        return weyl_denominator(self.datum)
+
+    @property
+    def d_h(self) -> TorusElement:
+        return weyl_denominator(self.sub)
+
+    @property
+    def euler(self) -> TorusElement:
+        return euler_class(self.sub)
 
     def twist_rho(self, which: str) -> TwistClass:
         if which == "G":
@@ -135,7 +142,7 @@ def collect_to_chamber(scope: Scope, a: TorusElement) -> GroupElement:
     This is the operator a -> J(a)/d in the highest-weight basis."""
     _check_partial_twist(scope, a)
     rho = scope.rho_vec
-    den = _lcm(a.shift.den, rho.den)
+    den = math.lcm(a.shift.den, rho.den)
     shift_scaled = tuple(v * (den // a.shift.den) for v in a.shift.nums)
     scaled = {
         tuple(sv + den * o for sv, o in zip(shift_scaled, k)): c
@@ -168,14 +175,6 @@ def partial(problem: InductionProblem, scope: str, a: TorusElement) -> GroupElem
     if sc == "H":
         return collect_to_chamber(problem.sub, a)
     raise ValueError(f"partial scope must be G or H, got {scope!r}")
-
-
-def _lcm(a: int, b: int) -> int:
-    g = a
-    x = b
-    while x:
-        g, x = x, g % x
-    return a * b // g
 
 
 # --- twisted Spin^c induction ------------------------------------------------
@@ -352,7 +351,7 @@ def divide_exact(a: TorusElement, b: TorusElement) -> TorusElement:
         raise InexactDivision("division by zero")
     if a.is_zero():
         return TorusElement.zero(a.datum, TwistClass(a.shift) - TwistClass(b.shift))
-    den = _lcm(a.shift.den, b.shift.den)
+    den = math.lcm(a.shift.den, b.shift.den)
 
     def scaled(t: TorusElement) -> Dict[Weight, int]:
         sv = tuple(v * (den // t.shift.den) for v in t.shift.nums)
@@ -486,10 +485,7 @@ def _is_unit_character(datum: RootDatum, det: TorusElement) -> bool:
     if c not in (1, -1):
         return False
     mu = det.weight_of(key)
-    for e in generate_weyl(datum).generators:
-        if e.apply_rational(mu) != mu:
-            return False
-    return True
+    return all(mu.pair(cv) == 0 for cv in datum.simple_coroots)
 
 
 # --- Lefschetz fixed-point oracle ----------------------------------------------

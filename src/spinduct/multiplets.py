@@ -49,14 +49,14 @@ def multiplet(problem: InductionProblem, a: TorusElement) -> Multiplet:
     """The multiplet generated by a: member at w is the H-side boundary
     image of w^{-1}(a)."""
     _check_source_twist(problem, a)
-    reps = problem.reps.reps
+    cosets = problem.reps
     members = []
     signs = []
-    for e in reps:
-        aw = _apply_element(a, e.inverse())
+    for e, inv in zip(cosets.reps, cosets.inverses):
+        aw = _apply_element(a, inv)
         members.append(collect_to_chamber(problem.sub, aw))
         signs.append(e.det)
-    return Multiplet(a, tuple(reps), tuple(members), tuple(signs))
+    return Multiplet(a, cosets.reps, tuple(members), tuple(signs))
 
 
 def alternating_dimension_sum(m: Multiplet) -> int:
@@ -74,11 +74,9 @@ def gkrs_identity_check(problem: InductionProblem, a: TorusElement) -> bool:
     _check_source_twist(problem, a)
     dual_euler = dualize(problem.euler)
     lhs = multiply(dual_euler, collect_to_chamber(problem.datum, a).to_torus())
-    reps = problem.reps.reps
+    inverses = problem.reps.inverses
     jmop = a.replace_coeffs(
-        apply_weyl_sum(
-            [e.inverse() for e in reps], [e.det for e in reps], a.shift, a.coeffs
-        )
+        apply_weyl_sum(inverses, [e.det for e in inverses], a.shift, a.coeffs)
     )
     rhs = collect_to_chamber(problem.sub, jmop).to_torus()
     return lhs == rhs

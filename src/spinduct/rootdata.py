@@ -188,9 +188,6 @@ class Lattice:
             return False
         return intlinalg.solve_integer(self.matrix(), v) is not None
 
-    def contains_rational(self, v: RationalWeight) -> bool:
-        return v.is_integral() and self.contains(v.nums)
-
 
 # --- Cartan data ---------------------------------------------------------
 
@@ -342,6 +339,7 @@ class RootDatum:
         simple_coroots: Sequence[Covector],
         simple_len2: Sequence[int],
         lattice_choice: str,
+        weyl_order: int,
     ):
         self.cartan_label = cartan_label
         self.rank = rank
@@ -349,6 +347,7 @@ class RootDatum:
         self.simple_coroots = tuple(tuple(a) for a in simple_coroots)
         self.simple_len2 = tuple(simple_len2)
         self.lattice_choice = lattice_choice
+        self.weyl_order = weyl_order
         self._generate_roots()
         self.rho = RationalWeight(
             [sum(col) for col in zip(*self.positive_roots)] if self.positive_roots else [0] * self.rank,
@@ -551,7 +550,7 @@ def build_root_datum(label: str, lattice_choice="weight") -> RootDatum:
     new_covs = [intlinalg.matvec(bt, cov) for cov in simple_covs]
 
     datum = RootDatum(
-        canonical_label(blocks), rank, new_simples, new_covs, len2s, choice_name
+        canonical_label(blocks), rank, new_simples, new_covs, len2s, choice_name, order
     )
     count = sum(_ROOT_COUNTS[s](n) for s, n in blocks if s != "T")
     if len(datum.roots) != count:
@@ -594,7 +593,6 @@ class SubgroupDatum:
         self.rho_m = parent.rho - self.rho_h
         self.is_levi = self._levi_test()
         self.key = (parent.key, tuple(sorted(self.positive_h)))
-        self._weyl_order: Optional[int] = None
 
     def _levi_test(self) -> bool:
         """H is a Levi (centralizer of a subtorus) iff its roots are exactly

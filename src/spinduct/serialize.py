@@ -28,14 +28,6 @@ def torus_to_text(a: TorusElement) -> str:
     return "\n".join(lines)
 
 
-def group_to_text(a: GroupElement) -> str:
-    kind = "G" if isinstance(a.scope, RootDatum) else "H"
-    lines = [f"scope {kind}", f"twist {rational_to_text(a.shift)}"]
-    for w, c in a.terms():
-        lines.append(f"{c} @ {rational_to_text(w)}")
-    return "\n".join(lines)
-
-
 def rational_to_json(w: RationalWeight) -> Dict:
     return {"num": list(w.nums), "den": w.den}
 

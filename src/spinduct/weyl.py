@@ -4,6 +4,7 @@ reduction, and the antisymmetrizer operators."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from . import kernels, rootdata
@@ -49,13 +50,13 @@ class WeylElement:
 
     matrix: Matrix
     length: int
-    det: int
+
+    @property
+    def det(self) -> int:
+        return -1 if self.length % 2 else 1
 
     def apply(self, v: Sequence[int]) -> Weight:
         return apply_matrix(self.matrix, v)
-
-    def apply_rational(self, v: RationalWeight) -> RationalWeight:
-        return RationalWeight(apply_matrix(self.matrix, v.nums), v.den)
 
     def inverse(self) -> "WeylElement":
         # length and determinant are invariant under inversion
@@ -77,44 +78,60 @@ class WeylElement:
                     f = a[r][col]
                     a[r] = [x - f * y for x, y in zip(a[r], a[col])]
         inv = tuple(tuple(int(a[i][n + j]) for j in range(n)) for i in range(n))
-        return WeylElement(inv, self.length, self.det)
+        return WeylElement(inv, self.length)
+
+
+def _closure(gens: Sequence[WeylElement], rank: int, keep) -> list:
+    """Breadth-first search from the identity, multiplying by the generators
+    on the left and keeping only the matrices that `keep` accepts.  Returns
+    (matrix, (length, inverse)) pairs sorted by length, then matrix; the
+    inverse comes along for free, as (s w)^{-1} = w^{-1} s."""
+    ident = _identity(rank)
+    found: Dict[Matrix, Tuple[int, Matrix]] = {ident: (0, ident)}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            length, inv = found[m]
+            for g in gens:
+                nm = _matmul(g.matrix, m)
+                if nm not in found and keep(nm):
+                    found[nm] = (length + 1, _matmul(inv, g.matrix))
+                    nxt.append(nm)
+        frontier = nxt
+        if len(found) > rootdata.WEYL_ORDER_CAP:
+            raise OrderCapExceeded("Weyl group enumeration exceeded cap")
+    return sorted(found.items(), key=lambda kv: (kv[1][0], kv[0]))
 
 
 class WeylGroup:
-    """Full enumeration of a (sub)system's Weyl group with deterministic
-    element order: by length, then lexicographic matrix order."""
+    """A (sub)system's Weyl group.  The order of a root datum's group comes
+    from the product formula; the elements are enumerated on first use,
+    ordered by length, then lexicographic matrix order."""
 
     def __init__(self, scope: Scope):
         self.scope = scope
         self.datum = scope.datum
         rank = self.datum.rank
-        gens = [
-            reflection_matrix(rank, a, av)
-            for a, av in zip(scope.basis, scope.basis_coroots)
-        ]
-        ident = _identity(rank)
-        lengths: Dict[Matrix, int] = {ident: 0}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g in gens:
-                    nm = _matmul(m, g)
-                    if nm not in lengths:
-                        lengths[nm] = lengths[m] + 1
-                        nxt.append(nm)
-            frontier = nxt
-            if len(lengths) > rootdata.WEYL_ORDER_CAP:
-                raise OrderCapExceeded("Weyl group enumeration exceeded cap")
-        ordered = sorted(lengths.items(), key=lambda kv: (kv[1], kv[0]))
-        self.elements: Tuple[WeylElement, ...] = tuple(
-            WeylElement(m, l, -1 if l % 2 else 1) for m, l in ordered
-        )
-        self.order = len(self.elements)
-        self.generators = tuple(
-            e for e in self.elements if e.length == 1 and e.matrix in set(gens)
-        )
-        self._index = {e.matrix: i for i, e in enumerate(self.elements)}
+        refs = {reflection_matrix(rank, a, av) for a, av in zip(scope.basis, scope.basis_coroots)}
+        self.generators = tuple(WeylElement(m, 1) for m in sorted(refs))
+
+    @property
+    def order(self) -> int:
+        if isinstance(self.scope, RootDatum):
+            return self.scope.weyl_order
+        return len(self.elements)
+
+    @cached_property
+    def elements(self) -> Tuple[WeylElement, ...]:
+        found = _closure(self.generators, self.datum.rank, lambda m: True)
+        if isinstance(self.scope, RootDatum) and len(found) != self.scope.weyl_order:
+            raise AssertionError("Weyl group enumeration disagrees with the order formula")
+        return tuple(WeylElement(m, l) for m, (l, _) in found)
+
+    @cached_property
+    def _index(self) -> Dict[Matrix, int]:
+        return {e.matrix: i for i, e in enumerate(self.elements)}
 
     def element(self, matrix: Matrix) -> WeylElement:
         return self.elements[self._index[matrix]]
@@ -133,7 +150,8 @@ _WEYL_CACHE: Dict[object, WeylGroup] = {}
 
 
 def generate_weyl(scope: Scope) -> WeylGroup:
-    """Enumerate the Weyl group of a RootDatum or SubgroupDatum (cached)."""
+    """The Weyl group of a RootDatum or SubgroupDatum (cached); its elements
+    are enumerated only when first read."""
     key = scope.scope_key()
     w = _WEYL_CACHE.get(key)
     if w is None:
@@ -144,26 +162,32 @@ def generate_weyl(scope: Scope) -> WeylGroup:
 
 @dataclass(frozen=True)
 class CosetReps:
-    """The minimal representatives W^H = {w : w(R_H^+) in R_G^+}."""
+    """The minimal representatives W^H = {w : w(R_H^+) in R_G^+}, with
+    their inverses in the same order."""
 
     reps: Tuple[WeylElement, ...]
     subgroup: SubgroupDatum
+    inverses: Tuple[WeylElement, ...]
 
 
 def coset_representatives(w: WeylGroup, sub: SubgroupDatum) -> CosetReps:
+    """W^H by a breadth-first search from the identity over the simple
+    reflections of G, keeping the elements that map R_H^+ into R^+.
+
+    W^H is closed under left descents: if l(sw) < l(w) then w^{-1}(alpha_s)
+    < 0, so sw still maps R_H^+ into R^+.  The search therefore reaches all
+    of W^H, and its depth is the length."""
     if sub.parent is not w.datum and sub.parent.key != w.datum.key:
         raise MismatchedDatum("subgroup does not belong to this Weyl group")
     pos = set(w.datum.positive_roots)
-    reps = tuple(
-        e
-        for e in w.elements
-        if all(e.apply(a) in pos for a in sub.basis_h)
+    found = _closure(
+        w.generators, w.datum.rank, lambda m: all(apply_matrix(m, a) in pos for a in sub.basis_h)
     )
-    wh = generate_weyl(sub) if sub.basis_h else None
-    order_h = wh.order if wh else 1
-    if len(reps) * order_h != w.order:
+    reps = tuple(WeylElement(m, l) for m, (l, _) in found)
+    inverses = tuple(WeylElement(inv, l) for _, (l, inv) in found)
+    if len(reps) * generate_weyl(sub).order != w.order:
         raise AssertionError("coset count mismatch")
-    return CosetReps(reps, sub)
+    return CosetReps(reps, sub, inverses)
 
 
 @dataclass(frozen=True)
@@ -221,8 +245,7 @@ def to_dominant_chamber(scope: Scope, mu: RationalWeight):
         if steps > cap * cap + len(scope.positive):
             raise AssertionError("dominant ascent failed to terminate")
     length = _length_of(scope, mat)
-    w = WeylElement(mat, length, -1 if length % 2 else 1)
-    return Regular(w, RationalWeight(x, mu.den))
+    return Regular(WeylElement(mat, length), RationalWeight(x, mu.den))
 
 
 def _length_of(scope: Scope, mat: Matrix) -> int:
@@ -267,27 +290,17 @@ def apply_antisymmetrizer(kind: str, a, sub: Optional[SubgroupDatum] = None):
     applied.
     """
     kind = kind.upper()
-    datum = a.datum
     if kind == "J_G":
-        grp = generate_weyl(datum)
-        elements = grp.elements
-        dets = [e.det for e in elements]
-    elif kind == "J_H":
+        elements = generate_weyl(a.datum).elements
+    elif kind in ("J_H", "J_M", "J_M_OP"):
         if sub is None:
-            raise MismatchedDatum("J_H needs a SubgroupDatum")
-        elements = generate_weyl(sub).elements if sub.basis_h else (WeylElement(_identity(datum.rank), 0, 1),)
-        dets = [e.det for e in elements]
-    elif kind in ("J_M", "J_M_OP"):
-        if sub is None:
-            raise MismatchedDatum("J_M needs a SubgroupDatum")
-        grp = generate_weyl(datum)
-        reps = coset_representatives(grp, sub).reps
-        if kind == "J_M":
-            elements = reps
+            raise MismatchedDatum(f"{kind} needs a SubgroupDatum")
+        if kind == "J_H":
+            elements = generate_weyl(sub).elements
         else:
-            elements = tuple(e.inverse() for e in reps)
-        dets = [e.det for e in elements]
+            cosets = coset_representatives(generate_weyl(a.datum), sub)
+            elements = cosets.reps if kind == "J_M" else cosets.inverses
     else:
         raise ValueError(f"unknown antisymmetrizer kind {kind!r}")
-    out = apply_weyl_sum(elements, dets, a.shift, a.coeffs)
+    out = apply_weyl_sum(elements, [e.det for e in elements], a.shift, a.coeffs)
     return a.replace_coeffs(out)

@@ -233,3 +233,42 @@ def test_weyl_order_cap_flag(capsys):
         assert json.loads(out)["error"]["code"] == "order-cap-exceeded"
     finally:
         rd.WEYL_ORDER_CAP = saved
+
+
+def test_unknown_induction_kind_is_schema_violation(capsys):
+    code, out = run_cli(
+        capsys, "induce", "--group", "A2", "--subgroup", "t",
+        "--kind", "bogus", "--input", "spinor",
+    )
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert (err["code"], err["pointer"]) == ("schema-violation", "/kind")
+
+
+def test_zero_denominators_are_schema_violations(capsys):
+    for argv, pointer in [
+        (("induce", "--group", "A2", "--input", "e^[1,1]/0"), "/input"),
+        (("bwb", "--group", "A2", "--subgroup", "t", "--mu", "1,1/0"), "/mu/den"),
+        (("induce", "--group", "A2", "--twist", "1,1/0", "--input", "1"), "/twist/den"),
+    ]:
+        code, out = run_cli(capsys, *argv)
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert (err["code"], err["pointer"]) == ("schema-violation", pointer)
+
+
+def test_problem_document_keeps_seed_trials_and_suite(tmp_path, capsys, monkeypatch):
+    import io
+
+    doc = {"command": "verify", "suite": "spinc", "seed": 7, "trials": 3}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out = run_cli(capsys, "verify", "--problem", "-")
+    assert code == 0
+    result = json.loads(out)
+    assert result["suite"] == "spinc" and result["seed"] == 7
+    assert {k: result["problem"][k] for k in doc} == doc
+    # explicit flags still win over the document
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "verify", "--problem", str(path), "--seed", "2")
+    assert json.loads(out)["problem"]["seed"] == 2

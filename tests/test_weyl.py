@@ -4,6 +4,7 @@ import pytest
 
 from spinduct.errors import MismatchedDatum, OrderCapExceeded, ShiftNotStable
 from spinduct.charring import TorusElement, weyl_denominator
+from spinduct.induction import make_problem
 from spinduct.rootdata import RationalWeight, build_root_datum, subgroup_from_roots
 from spinduct.weyl import (
     SINGULAR,
@@ -21,7 +22,7 @@ def test_orders():
         ("A1", 2), ("A2", 6), ("G2", 12), ("B2", 8), ("B3", 48),
         ("A1xA1", 4), ("C2", 8), ("B4", 384), ("F4", 1152),
     ]:
-        assert generate_weyl(build_root_datum(label)).order == order
+        assert len(generate_weyl(build_root_datum(label)).elements) == order
 
 
 def test_order_cap():
@@ -160,3 +161,46 @@ def test_shift_stability_error():
     bad = TorusElement(a1, RationalWeight([1], 3), {(0,): 1})
     with pytest.raises(ShiftNotStable):
         apply_antisymmetrizer("J_G", bad)
+
+
+def _filtered_cosets(p):
+    """Oracle for W^H: filter the whole enumerated group."""
+    pos = set(p.datum.positive_roots)
+    return [e for e in p.weyl.elements if all(e.apply(a) in pos for a in p.sub.basis_h)]
+
+
+def _d4_a1_four():
+    # D4 > A1^4: the extended Dynkin diagram minus its centre node
+    d = build_root_datum("D4")
+    gens = [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 2, 1, 1)]
+    return make_problem(d, subgroup_from_roots(d, [d.root_from_simple_coordinates(g) for g in gens]))
+
+
+def test_coset_bfs_matches_filter_oracle():
+    problems = [p for _, p in zoo_problems()] + [_d4_a1_four()]
+    for p in problems:
+        oracle = _filtered_cosets(p)
+        cosets = p.reps
+        assert [(e.matrix, e.length, e.det) for e in cosets.reps] == [
+            (e.matrix, e.length, e.det) for e in oracle
+        ]
+        assert len(cosets.reps) * p.weyl_h.order == len(p.weyl.elements)
+        assert len(cosets.inverses) == len(cosets.reps)
+        for e, inv in zip(cosets.reps, cosets.inverses):
+            assert inv == e.inverse()
+    assert len(problems[-1].reps.reps) == 12
+
+
+def test_e6_problem_does_not_enumerate_w():
+    d = build_root_datum("E6")
+    gens = [
+        (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0),
+        (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1), (1, 2, 2, 3, 2, 1),
+    ]
+    p = make_problem(d, subgroup_from_roots(d, [d.root_from_simple_coordinates(g) for g in gens]))
+    assert p.weyl.order == 51840
+    assert p.weyl_h.order == 216
+    assert len(p.reps.reps) == 240
+    assert len(p.weyl.generators) == 6
+    # the elements are a cached property: absent until first read
+    assert "elements" not in vars(p.weyl)
