@@ -39,6 +39,39 @@ from .weyl import (
 Scope = Union[RootDatum, SubgroupDatum]
 
 
+# --- scaled weights ------------------------------------------------------------
+#
+# Chamber walks and the Freudenthal recursion run on integer keys: the weight
+# shift + offset multiplied through by a common denominator `den` (a multiple
+# of every denominator involved), which commutes with all reflections.
+
+
+def scaled(w: RationalWeight, den: int) -> Weight:
+    """den * w as an integer vector."""
+    return tuple(v * (den // w.den) for v in w.nums)
+
+
+def to_scaled(shift: RationalWeight, coeffs: Dict[Weight, int], den: int) -> Dict[Weight, int]:
+    """Offsets from `shift` to keys den * (shift + offset)."""
+    s = scaled(shift, den)
+    return {tuple(x + den * o for x, o in zip(s, k)): c for k, c in coeffs.items()}
+
+
+def from_scaled(keys: Dict[Weight, int], shift: RationalWeight, den: int) -> Dict[Weight, int]:
+    """Inverse of to_scaled; every key must lie in den * (shift + X(T))."""
+    s = scaled(shift, den)
+    out: Dict[Weight, int] = {}
+    for x, c in keys.items():
+        off = []
+        for u, v in zip(x, s):
+            q, r = divmod(u - v, den)
+            if r:
+                raise AssertionError("scaled weight left its coset")
+            off.append(q)
+        out[tuple(off)] = c
+    return out
+
+
 @dataclass(frozen=True)
 class TwistClass:
     """A central-extension class, represented by its torus level shift
@@ -458,8 +491,8 @@ def irreducible_restriction(scope: Scope, lam: RationalWeight) -> TorusElement:
     # everything below is scaled by a common denominator D; inner products
     # are doubled ((alpha,alpha) = len2) so all arithmetic stays integral
     den = math.lcm(lam.den, rho.den)
-    lam_scaled = tuple(v * (den // lam.den) for v in lam.nums)
-    rho_scaled = tuple(v * (den // rho.den) for v in rho.nums)
+    lam_scaled = scaled(lam, den)
+    rho_scaled = scaled(rho, den)
     pos_len2 = [datum.len2(a) for a in positive]
 
     hvec = [0] * rank
@@ -529,19 +562,8 @@ def irreducible_restriction(scope: Scope, lam: RationalWeight) -> TorusElement:
         mult[x] = q
 
     expanded = kernels.orbit_expand(list(mult.items()), basis, coroots)
-
     shift = lam.residue_mod_one()
-    shift_scaled = tuple(v * (den // shift.den) for v in shift.nums)
-    coeffs: Dict[Weight, int] = {}
-    for x, m in expanded.items():
-        off = []
-        for u, sv in zip(x, shift_scaled):
-            q, r = divmod(u - sv, den)
-            if r:
-                raise AssertionError("weight left its coset during expansion")
-            off.append(q)
-        coeffs[tuple(off)] = m
-    out = TorusElement(datum, shift, coeffs)
+    out = TorusElement(datum, shift, from_scaled(expanded, shift, den))
     _CHAR_CACHE[key] = out
     return out
 
@@ -561,28 +583,19 @@ def anti_invariant_decompose(
         raise NotAntiInvariant("twist class must be [rho] for decomposition")
     w_order = generate_weyl(scope).order if scope.basis else 1
     den = a.shift.den
-    shift_scaled = a.shift.nums
     collected = kernels.dominant_collect(
-        {
-            tuple(sv + den * o for sv, o in zip(shift_scaled, k)): c
-            for k, c in a.coeffs.items()
-        },
+        to_scaled(a.shift, a.coeffs, den),
         scope.basis,
         scope.basis_coroots,
         4 * max(1, len(scope.positive)) ** 2,
     )
     # in an anti-invariant element every monomial is regular and each orbit
     # contributes |W| monomials collecting to |W| * c_lambda
-    result: Dict[RationalWeight, int] = {}
     key_coeffs: Dict[Weight, int] = {}
-    for x, c in sorted(collected.items()):
+    for k, c in sorted(from_scaled(collected, a.shift, den).items()):
         if c % w_order:
             raise NotAntiInvariant("orbit coefficients are inconsistent")
-        clam = c // w_order
-        if clam:
-            lam = RationalWeight(x, den)
-            result[lam] = clam
-            key_coeffs[(lam - a.shift).ints()] = clam
+        key_coeffs[k] = c // w_order
     # complete verification: rebuild sum of c_lam J(e^lam) and compare
     grp = generate_weyl(scope)
     mats = [e.matrix for e in grp.elements]
@@ -591,7 +604,7 @@ def anti_invariant_decompose(
     rebuilt = kernels.weyl_sum(mats, dets, adjusts, key_coeffs)
     if rebuilt != a.coeffs:
         raise NotAntiInvariant("element is not in the span of J(e^lambda)")
-    return result
+    return {a.weight_of(k): c for k, c in key_coeffs.items()}
 
 
 # --- numeric evaluation -----------------------------------------------------------

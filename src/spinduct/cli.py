@@ -96,6 +96,12 @@ def parse_problem(text: str) -> Dict:
         not isinstance(doc["trials"], int) or doc["trials"] < 1
     ):
         raise SchemaViolation("trials must be a positive integer", pointer="/trials")
+    if "max_weyl_order" in doc and (
+        not isinstance(doc["max_weyl_order"], int) or doc["max_weyl_order"] < 1
+    ):
+        raise SchemaViolation(
+            "max_weyl_order must be a positive integer", pointer="/max_weyl_order"
+        )
     doc.setdefault("seed", 0)
     doc.setdefault("trials", 20)
     return doc
@@ -409,10 +415,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     started = time.monotonic()
+    saved_cap = rootdata.WEYL_ORDER_CAP
     try:
         doc = _doc_from_args(args)
-        if args.max_weyl_order:
-            rootdata.WEYL_ORDER_CAP = args.max_weyl_order
+        # the document's cap (or the flag's) holds for this call only
+        if "max_weyl_order" in doc:
+            rootdata.WEYL_ORDER_CAP = doc["max_weyl_order"]
         # late flag parsing that needs the rank
         if args.mu or args.gamma or args.twist:
             datum = _resolve_datum(doc)
@@ -437,6 +445,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         record = {"error": {"code": exc.code, "message": str(exc)}}
         print(json.dumps(record, sort_keys=True), flush=True)
         return 1
+    finally:
+        rootdata.WEYL_ORDER_CAP = saved_cap
     out = {"command": args.command, "problem": _echo(doc), **payload}
     if args.timing:
         out["timing_seconds"] = round(time.monotonic() - started, 6)

@@ -17,10 +17,11 @@ from .charring import (
     TorusElement,
     TwistClass,
     euler_class,
-    irreducible_restriction,
+    from_scaled,
     is_scope_invariant,
     multiply,
     numeric_evaluate,
+    to_scaled,
     weyl_denominator,
 )
 from .errors import (
@@ -43,7 +44,6 @@ from .rootdata import (
     RootDatum,
     SubgroupDatum,
     Weight,
-    dot,
     vneg,
 )
 from .weyl import (
@@ -143,27 +143,12 @@ def collect_to_chamber(scope: Scope, a: TorusElement) -> GroupElement:
     _check_partial_twist(scope, a)
     rho = scope.rho_vec
     den = math.lcm(a.shift.den, rho.den)
-    shift_scaled = tuple(v * (den // a.shift.den) for v in a.shift.nums)
-    scaled = {
-        tuple(sv + den * o for sv, o in zip(shift_scaled, k)): c
-        for k, c in a.coeffs.items()
-    }
     collected = kernels.dominant_collect(
-        scaled, scope.basis, scope.basis_coroots, 4 * max(1, len(scope.positive)) ** 2
+        to_scaled(a.shift, a.coeffs, den), scope.basis, scope.basis_coroots,
+        4 * max(1, len(scope.positive)) ** 2,
     )
-    rho_scaled = tuple(v * (den // rho.den) for v in rho.nums)
     out_shift = (a.shift - rho).residue_mod_one()
-    out_scaled = tuple(v * (den // out_shift.den) for v in out_shift.nums)
-    coeffs: Dict[Weight, int] = {}
-    for x, c in collected.items():
-        off = []
-        for u, rv, sv in zip(x, rho_scaled, out_scaled):
-            q, r = divmod(u - rv - sv, den)
-            if r:
-                raise AssertionError("collected weight left its coset")
-            off.append(q)
-        coeffs[tuple(off)] = c
-    return GroupElement(scope, out_shift, coeffs)
+    return GroupElement(scope, out_shift, from_scaled(collected, rho + out_shift, den))
 
 
 def partial(problem: InductionProblem, scope: str, a: TorusElement) -> GroupElement:
@@ -181,39 +166,24 @@ def partial(problem: InductionProblem, scope: str, a: TorusElement) -> GroupElem
 
 
 def induce_between(big: Scope, small: Scope, a: TorusElement) -> GroupElement:
-    """Twisted Spin^c induction from the small scope to the big one,
-    computed as chamber collection of d_small * a divided by |W_small|.
+    """Twisted Spin^c induction from the small scope to the big one:
+    i_*(a) = collect_big(e^{rho_small} a), for W_small-invariant a.
 
-    The exactness of the final division is asserted; a failure indicates
-    inconsistent input (wrong twist, or not invariant)."""
-    d_small = weyl_denominator(small)
-    b = multiply(d_small, a)
-    ge = collect_to_chamber(big, b)
-    order = generate_weyl(small).order
-    if order == 1:
-        return ge
-    coeffs = {}
-    for k, c in ge.coeffs.items():
-        q, r = divmod(c, order)
-        if r:
-            raise InexactDivision(
-                "collected multiplicities are not divisible by |W_H|"
-            )
-        coeffs[k] = q
-    return GroupElement(big, ge.shift, coeffs)
+    This is collect_big(d_small a) / |W_small| without the product: d_small
+    a is the sum of det(w) w(e^{rho_small} a) over W_small, and each of
+    those terms collects to the same class."""
+    if not is_scope_invariant(a, small):
+        raise NotWHInvariant("input is not W_H-invariant")
+    return collect_to_chamber(big, multiply(TorusElement.monomial(a.datum, small.rho_vec), a))
 
 
-def induce_twisted_spinc(
-    problem: InductionProblem, a: TorusElement, check_invariant: bool = True
-) -> GroupElement:
+def induce_twisted_spinc(problem: InductionProblem, a: TorusElement) -> GroupElement:
     """i_*: R(H, sigma + omega_M) -> R(G, sigma)."""
     expected = problem.sigma + problem.twist_rho("M")
     if TwistClass(a.shift) != expected:
         raise BadTwist(
             f"input twist {a.shift.nums}/{a.shift.den} is not sigma + [rho_M]"
         )
-    if check_invariant and not is_scope_invariant(a, problem.sub):
-        raise NotWHInvariant("input is not W_H-invariant")
     return induce_between(problem.datum, problem.sub, a)
 
 
@@ -251,7 +221,7 @@ def induce_classical(
         m = TorusElement.monomial(datum, half)
     else:
         raise ValueError(f"unknown classical induction kind {kind!r}")
-    return induce_twisted_spinc(problem, multiply(m, a), check_invariant=False)
+    return induce_twisted_spinc(problem, multiply(m, a))
 
 
 def bwb_irreducible(problem: InductionProblem, mu: RationalWeight) -> GroupElement:
@@ -282,45 +252,18 @@ def extract_highest_weights(
     scope: Scope, t: TorusElement, allow_negative: bool = True
 ) -> GroupElement:
     """Decompose a scope-invariant torus element into highest-weight
-    classes by repeatedly peeling the maximal dominant weight.
+    classes by Brauer-Klimyk: collect(e^rho t) = t in the highest-weight
+    basis, as J(e^rho chi_lam) = d chi_lam = J(e^{lam + rho}).
 
     Virtual elements extract with signed coefficients; pass
     allow_negative=False when the input is an honest module, where a
-    negative intermediate proves an inconsistency."""
-    datum = scope.datum
-    hcov = [0] * datum.rank
-    for a in scope.positive:
-        cv = datum.coroot(a)
-        for j in range(datum.rank):
-            hcov[j] += cv[j]
-    remaining = dict(t.coeffs)
-    out: Dict[Weight, int] = {}
-    prev = None
-    while remaining:
-        key = max(remaining, key=lambda k: (dot(hcov, k), k))
-        # every subtraction only introduces strictly lower monomials, so the
-        # peeled key must strictly decrease; anything else is a bug
-        if prev is not None and (dot(hcov, key), key) >= prev:
-            raise InternalInconsistency("extraction failed to make progress")
-        prev = (dot(hcov, key), key)
-        c = remaining[key]
-        mu = t.weight_of(key)
-        for cv in scope.basis_coroots:
-            if mu.pair(cv) < 0:
-                raise InternalInconsistency(
-                    "maximal weight is not dominant; input not invariant"
-                )
-        if c < 0 and not allow_negative:
-            raise InternalInconsistency("negative extraction multiplicity")
-        ch = irreducible_restriction(scope, mu)
-        for k, cc in ch.coeffs.items():
-            v = remaining.get(k, 0) - c * cc
-            if v:
-                remaining[k] = v
-            elif k in remaining:
-                del remaining[k]
-        out[key] = out.get(key, 0) + c
-    return GroupElement(scope, t.shift, out)
+    negative multiplicity proves an inconsistency."""
+    if not is_scope_invariant(t, scope):
+        raise InternalInconsistency("extraction input is not scope-invariant")
+    out = collect_to_chamber(scope, multiply(TorusElement.monomial(t.datum, scope.rho_vec), t))
+    if not allow_negative and any(c < 0 for c in out.coeffs.values()):
+        raise InternalInconsistency("negative extraction multiplicity")
+    return out
 
 
 def branch(problem: InductionProblem, a: GroupElement) -> GroupElement:
@@ -352,15 +295,8 @@ def divide_exact(a: TorusElement, b: TorusElement) -> TorusElement:
     if a.is_zero():
         return TorusElement.zero(a.datum, TwistClass(a.shift) - TwistClass(b.shift))
     den = math.lcm(a.shift.den, b.shift.den)
-
-    def scaled(t: TorusElement) -> Dict[Weight, int]:
-        sv = tuple(v * (den // t.shift.den) for v in t.shift.nums)
-        return {
-            tuple(s + den * o for s, o in zip(sv, k)): c for k, c in t.coeffs.items()
-        }
-
-    ra = scaled(a)
-    rb = scaled(b)
+    ra = to_scaled(a.shift, a.coeffs, den)
+    rb = to_scaled(b.shift, b.coeffs, den)
     ltb = max(rb)
     cb = rb[ltb]
     q: Dict[Weight, int] = {}
@@ -386,18 +322,8 @@ def divide_exact(a: TorusElement, b: TorusElement) -> TorusElement:
                 ra[nk] = v
             elif nk in ra:
                 del ra[nk]
-    out_twist = TwistClass(a.shift) - TwistClass(b.shift)
-    out_scaled = tuple(v * (den // out_twist.shift.den) for v in out_twist.shift.nums)
-    coeffs: Dict[Weight, int] = {}
-    for k, c in q.items():
-        off = []
-        for u, sv in zip(k, out_scaled):
-            qq, rr = divmod(u - sv, den)
-            if rr:
-                raise InexactDivision("quotient left the twist coset")
-            off.append(qq)
-        coeffs[tuple(off)] = c
-    return TorusElement(a.datum, out_twist.shift, coeffs)
+    out_shift = (TwistClass(a.shift) - TwistClass(b.shift)).shift
+    return TorusElement(a.datum, out_shift, from_scaled(q, out_shift, den))
 
 
 # --- duality pairing -----------------------------------------------------------
@@ -436,10 +362,7 @@ def pairing_report(
         if not is_scope_invariant(x, problem.sub):
             raise NotWHInvariant("pairing basis elements must be W_H-invariant")
     gram = tuple(
-        tuple(
-            induce_twisted_spinc(problem, multiply(x, y), check_invariant=False)
-            for y in basis_b
-        )
+        tuple(induce_twisted_spinc(problem, multiply(x, y)) for y in basis_b)
         for x in basis_a
     )
     tor = [[entry.to_torus() for entry in row] for row in gram]
@@ -515,7 +438,7 @@ def lefschetz_check(
     datum = problem.datum
     a_d = divide_exact(euler, problem.euler)
     payload = multiply(a_d, a)
-    ind = induce_twisted_spinc(problem, payload, check_invariant=False)
+    ind = induce_twisted_spinc(problem, payload)
     lhs_torus = ind.to_torus()
 
     # the fixed-point numerator e(D) a = e(Dirac) (a_D a); the Dirac factor

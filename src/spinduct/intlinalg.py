@@ -37,6 +37,26 @@ def transpose(a: Sequence[Sequence[int]]) -> IntMatrix:
     return tuple(zip(*a)) if a else ()
 
 
+def determinant(a: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix by fraction-free
+    (Bareiss) elimination: every division below is exact."""
+    m = [list(row) for row in a]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if piv is None:
+                return 0
+            _swap_rows(m, k, piv)
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
 def _swap_rows(m: List[List[int]], i: int, j: int) -> None:
     m[i], m[j] = m[j], m[i]
 

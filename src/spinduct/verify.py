@@ -42,6 +42,7 @@ from .induction import (
     pairing_report,
     partial,
 )
+from .intlinalg import determinant
 from .multiplets import alternating_dimension_sum, gkrs_identity_check, multiplet
 from .rootdata import (
     RationalWeight,
@@ -91,7 +92,7 @@ def check_euler_characteristic(seed: int = 0) -> List[CheckResult]:
     for (g, h) in ZOO_PAIRS:
         p = zoo_problem(g, h)
         n = len(p.reps.reps)
-        got = induce_twisted_spinc(p, dualize(p.euler), check_invariant=True)
+        got = induce_twisted_spinc(p, dualize(p.euler))
         want = GroupElement.from_weights(
             p.datum, {RationalWeight.zero(p.datum.rank): n}
         )
@@ -556,6 +557,12 @@ def check_rootdata_invariants(seed: int = 0) -> List[CheckResult]:
     return out
 
 
+def determinants_consistent(elements) -> bool:
+    """Whether each element's det, read off its length, is the determinant
+    of its matrix."""
+    return all(e.det == determinant(e.matrix) for e in elements)
+
+
 def check_weyl_invariants(seed: int = 0) -> List[CheckResult]:
     out = []
     orders = {"A1": 2, "A2": 6, "A1xA1": 4, "B2": 8, "G2": 12, "B3": 48, "C2": 8, "F4": 1152}
@@ -588,14 +595,12 @@ def check_weyl_invariants(seed: int = 0) -> List[CheckResult]:
             ):
                 ok = False
     out.append(_result("weyl-chamber-uniqueness", ok, "exhaustive, rank <= 3"))
-    # determinants multiply and match length parity
+    # determinants multiply and are the determinants of the matrices
     ok = True
     for label in ("A2", "G2", "B3"):
         w = generate_weyl(build_root_datum(label))
         elems = list(w.elements)
-        for e in elems:
-            if e.det != (-1) ** (e.length % 2):
-                ok = False
+        ok = determinants_consistent(elems) and ok
         for _ in range(40):
             e1, e2 = rng.choice(elems), rng.choice(elems)
             m = tuple(
@@ -607,7 +612,7 @@ def check_weyl_invariants(seed: int = 0) -> List[CheckResult]:
             )
             if w.element(m).det != e1.det * e2.det:
                 ok = False
-    out.append(_result("weyl-determinants", ok, "det multiplicative, parity = length"))
+    out.append(_result("weyl-determinants", ok, "det multiplicative, det = det(matrix)"))
     # coset representatives are the minimal-length elements; unique factorization
     ok = True
     for (g, h) in ZOO_PAIRS:
@@ -720,8 +725,8 @@ def check_induction_invariants(seed: int = 0) -> List[CheckResult]:
                 p.datum, {random_dominant_weight(p.datum, rng, dim_cap=60): rng.randint(1, 3)}
             )
             a = random_wh_invariant(p, rng, twist=twist, max_support=2, dim_cap=60)
-            lhs = induce_twisted_spinc(p, multiply(b.to_torus(), a), check_invariant=False)
-            rhs = group_multiply(b, induce_twisted_spinc(p, a, check_invariant=False))
+            lhs = induce_twisted_spinc(p, multiply(b.to_torus(), a))
+            rhs = group_multiply(b, induce_twisted_spinc(p, a))
             if lhs != rhs:
                 ok = False
     out.append(_result("induction-rg-linearity", ok, "i_*(j^*(b) a) = b i_*(a)"))

@@ -170,15 +170,23 @@ class CosetReps:
     inverses: Tuple[WeylElement, ...]
 
 
+_COSET_CACHE: Dict[object, CosetReps] = {}
+
+
 def coset_representatives(w: WeylGroup, sub: SubgroupDatum) -> CosetReps:
     """W^H by a breadth-first search from the identity over the simple
-    reflections of G, keeping the elements that map R_H^+ into R^+.
+    reflections of G, keeping the elements that map R_H^+ into R^+ (cached
+    per pair).
 
     W^H is closed under left descents: if l(sw) < l(w) then w^{-1}(alpha_s)
     < 0, so sw still maps R_H^+ into R^+.  The search therefore reaches all
     of W^H, and its depth is the length."""
     if sub.parent is not w.datum and sub.parent.key != w.datum.key:
         raise MismatchedDatum("subgroup does not belong to this Weyl group")
+    key = (w.scope.scope_key(), sub.key)
+    cached = _COSET_CACHE.get(key)
+    if cached is not None:
+        return cached
     pos = set(w.datum.positive_roots)
     found = _closure(
         w.generators, w.datum.rank, lambda m: all(apply_matrix(m, a) in pos for a in sub.basis_h)
@@ -187,7 +195,8 @@ def coset_representatives(w: WeylGroup, sub: SubgroupDatum) -> CosetReps:
     inverses = tuple(WeylElement(inv, l) for _, (l, inv) in found)
     if len(reps) * generate_weyl(sub).order != w.order:
         raise AssertionError("coset count mismatch")
-    return CosetReps(reps, sub, inverses)
+    out = _COSET_CACHE[key] = CosetReps(reps, sub, inverses)
+    return out
 
 
 @dataclass(frozen=True)

@@ -235,6 +235,33 @@ def test_weyl_order_cap_flag(capsys):
         rd.WEYL_ORDER_CAP = saved
 
 
+def test_weyl_order_cap_flag_holds_for_one_call(capsys):
+    import spinduct.rootdata as rd
+
+    saved = rd.WEYL_ORDER_CAP
+    code, _ = run_cli(capsys, "info", "--group", "A1", "--max-weyl-order", "2")
+    assert code == 0
+    assert rd.WEYL_ORDER_CAP == saved
+    code, out = run_cli(capsys, "info", "--group", "A2")
+    assert code == 0, out
+
+
+def test_problem_document_weyl_order_cap_is_applied(capsys, monkeypatch):
+    import io
+    import spinduct.rootdata as rd
+
+    saved = rd.WEYL_ORDER_CAP
+    doc = {"command": "info", "group": "A2", "max_weyl_order": 2}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out = run_cli(capsys, "info", "--problem", "-")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "order-cap-exceeded"
+    assert rd.WEYL_ORDER_CAP == saved
+    with pytest.raises(SchemaViolation) as exc:
+        parse_problem(json.dumps({"max_weyl_order": "2"}))
+    assert exc.value.pointer == "/max_weyl_order"
+
+
 def test_unknown_induction_kind_is_schema_violation(capsys):
     code, out = run_cli(
         capsys, "induce", "--group", "A2", "--subgroup", "t",

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinduct.charring import (
     GroupElement,
@@ -25,6 +26,7 @@ from spinduct.errors import (
 from spinduct.induction import (
     branch,
     bwb_irreducible,
+    collect_to_chamber,
     divide_exact,
     group_multiply,
     induce_between,
@@ -37,7 +39,9 @@ from spinduct.induction import (
 )
 from spinduct.rootdata import RationalWeight, build_root_datum, subgroup_from_roots
 from spinduct.spinc import classify
+from spinduct.weyl import generate_weyl
 from spinduct.zoo import (
+    ZOO_PAIRS,
     chain_triples,
     random_dominant_weight,
     random_torus_element,
@@ -92,7 +96,31 @@ def test_twist_and_invariance_errors():
     # right twist class but moved by the Levi reflection
     bad = TorusElement.monomial(p.datum, p.rho_m + RationalWeight([1, 0]))
     with pytest.raises(NotWHInvariant):
-        induce_twisted_spinc(p, bad, check_invariant=True)
+        induce_twisted_spinc(p, bad)
+
+
+def test_classical_induction_checks_invariance():
+    p = zoo_problem("A2", "levi1")
+    moved = TorusElement.monomial(p.datum, RationalWeight([1, 0]))
+    with pytest.raises(NotWHInvariant):
+        induce_classical(p, "holomorphic", moved)
+
+
+def _induce_by_denominator(big, small, a):
+    """The former formula, kept as an oracle: collect_big(d_small a) / |W_small|."""
+    ge = collect_to_chamber(big, multiply(weyl_denominator(small), a))
+    order = generate_weyl(small).order
+    assert all(c % order == 0 for c in ge.coeffs.values())
+    return GroupElement(big, ge.shift, {k: c // order for k, c in ge.coeffs.items()})
+
+
+def test_induction_matches_denominator_oracle():
+    rng = random.Random(43)
+    for name, p in zoo_problems():
+        twist = TwistClass((p.sigma + p.twist_rho("M")).shift)
+        for _ in range(6):
+            a = random_wh_invariant(p, rng, twist=twist, max_support=3, dim_cap=80)
+            assert induce_twisted_spinc(p, a) == _induce_by_denominator(p.datum, p.sub, a), name
 
 
 def test_bwb_agreement_random():
@@ -184,8 +212,8 @@ def test_rg_linearity():
                 {random_dominant_weight(p.datum, rng, dim_cap=40): rng.randint(1, 3)},
             )
             a = random_wh_invariant(p, rng, twist=twist, max_support=2, dim_cap=40)
-            lhs = induce_twisted_spinc(p, multiply(b.to_torus(), a), check_invariant=False)
-            rhs = group_multiply(b, induce_twisted_spinc(p, a, check_invariant=False))
+            lhs = induce_twisted_spinc(p, multiply(b.to_torus(), a))
+            rhs = group_multiply(b, induce_twisted_spinc(p, a))
             assert lhs == rhs, name
 
 
@@ -207,6 +235,23 @@ def test_branch():
         lam = random_dominant_weight(q.datum, rng, dim_cap=150)
         a = GroupElement.from_weights(q.datum, {lam: 2})
         assert dimension(branch(q, a)) == dimension(a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(ZOO_PAIRS), st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_branching_honest_modules(pair, seed, mult):
+    p = zoo_problem(*pair)
+    rng = random.Random(seed)
+    cap = 150 if p.datum.rank <= 3 else 60
+    a = GroupElement.from_weights(
+        p.datum,
+        {random_dominant_weight(p.datum, rng, dim_cap=cap): mult,
+         random_dominant_weight(p.datum, rng, dim_cap=cap): 1},
+    )
+    br = branch(p, a)
+    assert all(c > 0 for c in br.coeffs.values())
+    assert dimension(br) == dimension(a)
+    assert br.to_torus() == a.to_torus()
 
 
 def test_problem_caches_consistent():

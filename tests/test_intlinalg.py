@@ -1,6 +1,8 @@
+import itertools
 import random
 
 from spinduct.intlinalg import (
+    determinant,
     hermite_column_form,
     kernel_basis,
     lattice_contains,
@@ -16,6 +18,29 @@ from spinduct.intlinalg import (
 
 def random_matrix(rng, m, n, lo=-6, hi=6):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
+
+
+def test_determinant_against_leibniz():
+    def leibniz(a):
+        n = len(a)
+        total = 0
+        for perm in itertools.permutations(range(n)):
+            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            term = (-1) ** inversions
+            for i in range(n):
+                term *= a[i][perm[i]]
+            total += term
+        return total
+
+    rng = random.Random(11)
+    assert determinant([]) == 1
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        # small entries with many zeros exercise the pivot swaps
+        a = random_matrix(rng, n, n, -2, 2)
+        assert determinant(a) == leibniz(a)
+        b = random_matrix(rng, n, n, -2, 2)
+        assert determinant(matmul(a, b)) == determinant(a) * determinant(b)
 
 
 def test_smith_normal_form_properties():

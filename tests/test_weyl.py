@@ -5,10 +5,13 @@ import pytest
 from spinduct.errors import MismatchedDatum, OrderCapExceeded, ShiftNotStable
 from spinduct.charring import TorusElement, weyl_denominator
 from spinduct.induction import make_problem
+from spinduct.intlinalg import determinant
 from spinduct.rootdata import RationalWeight, build_root_datum, subgroup_from_roots
+from spinduct.verify import determinants_consistent
 from spinduct.weyl import (
     SINGULAR,
     Regular,
+    WeylElement,
     apply_antisymmetrizer,
     coset_representatives,
     generate_weyl,
@@ -36,9 +39,21 @@ def test_element_invariants():
         w = generate_weyl(d)
         roots = d.root_set
         for e in w.elements:
-            assert e.det == (-1) ** (e.length % 2)
+            assert e.det == determinant(e.matrix)
             for a in d.roots:
                 assert e.apply(a) in roots
+
+
+def test_determinant_check_catches_wrong_matrix():
+    w = generate_weyl(build_root_datum("A2"))
+    assert determinants_consistent(w.elements)
+    # a rotation passed off as a reflection: the length parity still says
+    # det = -1, so only the matrix determinant exposes it
+    rotation = next(e for e in w.elements if e.length == 2)
+    bad = WeylElement(rotation.matrix, 1)
+    assert bad.det == (-1) ** (bad.length % 2) == -1
+    assert determinant(bad.matrix) == 1
+    assert not determinants_consistent(list(w.elements) + [bad])
 
 
 def test_deterministic_ordering():
@@ -204,3 +219,24 @@ def test_e6_problem_does_not_enumerate_w():
     assert len(p.weyl.generators) == 6
     # the elements are a cached property: absent until first read
     assert "elements" not in vars(p.weyl)
+
+
+def test_antisymmetrizer_check_searches_each_pair_once(monkeypatch):
+    from spinduct import weyl
+    from spinduct.verify import check_antisymmetrizers
+    from spinduct.zoo import ZOO_PAIRS
+
+    class Recording(dict):
+        def __init__(self):
+            super().__init__()
+            self.stored = []
+
+        def __setitem__(self, key, value):
+            self.stored.append(key)
+            super().__setitem__(key, value)
+
+    cache = Recording()
+    monkeypatch.setattr(weyl, "_COSET_CACHE", cache)
+    # every trial applies J_M and J_M_op; a few trials per pair suffice
+    assert all(r.passed for r in check_antisymmetrizers(0, trials=3))
+    assert len(cache.stored) == len(set(cache.stored)) == len(ZOO_PAIRS)
