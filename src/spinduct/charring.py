@@ -22,6 +22,7 @@ from .errors import (
     NotDominant,
 )
 from .rootdata import (
+    Covector,
     RationalWeight,
     RootDatum,
     SubgroupDatum,
@@ -398,12 +399,12 @@ class GroupElement:
 
     def to_torus(self) -> TorusElement:
         """Restriction to T: expand every class through its full character."""
-        datum = self.scope.datum
-        out = TorusElement.zero(datum, TwistClass(self.shift))
+        acc: Dict[Weight, int] = {}
         for k, c in sorted(self.coeffs.items()):
             ch = irreducible_restriction(self.scope, self.weight_of(k))
-            out = out + ch.scale(c)
-        return out
+            for key, m in ch.coeffs.items():
+                acc[key] = acc.get(key, 0) + c * m
+        return TorusElement(self.scope.datum, self.shift, acc)
 
     def dimension(self) -> int:
         return dimension(self)
@@ -468,9 +469,88 @@ def _dominant_rep_scaled(
             return tuple(y)
 
 
+def _dominant_weights(
+    scope: Scope, lam: Weight, den: int
+) -> Dict[Weight, Covector]:
+    """The dominant weights below the dominant weight lam (both scaled by
+    den), each with the covector sum of len2(beta) * beta^vee over the
+    positive roots beta taken off lam to reach it.
+
+    Every dominant mu < lam is reached from lam by subtracting positive
+    roots through dominant weights (Stembridge, The partial order of
+    dominant weights, 1998), so a breadth-first search that keeps only
+    dominant results finds them all.  The covector is linear in lam - mu,
+    so the path taken does not matter."""
+    datum = scope.datum
+    coroots = scope.basis_coroots
+    steps = [
+        (tuple(den * v for v in a), tuple(datum.len2(a) * v for v in datum.coroot(a)))
+        for a in scope.positive
+    ]
+    found: Dict[Weight, Covector] = {lam: (0,) * datum.rank}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            cx = found[x]
+            for a, c in steps:
+                y = tuple(u - v for u, v in zip(x, a))
+                if y not in found and all(dot(cv, y) >= 0 for cv in coroots):
+                    found[y] = tuple(u + v for u, v in zip(cx, c))
+                    nxt.append(y)
+        frontier = nxt
+    return found
+
+
+def _freudenthal(
+    scope: Scope, dominants: Dict[Weight, Covector], den: int
+) -> Dict[Weight, int]:
+    """Multiplicities of the dominant weights of an irreducible, scaled by
+    den, by the Freudenthal recursion downward by height from the highest
+    weight lam:
+
+        ((lam+rho)^2 - (mu+rho)^2) m(mu) = 2 sum_{alpha>0, k>=1} (mu+k alpha, alpha) m(mu+k alpha)
+
+    Inner products are doubled ((alpha,alpha) = len2), so the left factor is
+    the carried covector of `dominants` paired with lam + mu + 2 rho."""
+    datum = scope.datum
+    basis = scope.basis
+    coroots = scope.basis_coroots
+    steps = [
+        (tuple(den * v for v in a), datum.coroot(a), datum.len2(a)) for a in scope.positive
+    ]
+    hvec = [0] * datum.rank
+    for _, cv, l2 in steps:
+        for j in range(datum.rank):
+            hvec[j] += l2 * cv[j]
+    order = sorted(dominants, key=lambda x: (-dot(hvec, x), x))
+    mult: Dict[Weight, int] = {order[0]: 1}
+    rho = scaled(scope.rho_vec, den)
+    lam_rho = [a + b for a, b in zip(order[0], rho)]
+    for x in order[1:]:
+        s = [a + b + c for a, b, c in zip(lam_rho, x, rho)]  # D*(lam + mu + 2 rho)
+        denom = dot(dominants[x], s)
+        num = 0
+        for a_scaled, cv, l2 in steps:
+            k = 1
+            while True:
+                y = tuple(u + k * v for u, v in zip(x, a_scaled))
+                m = mult.get(_dominant_rep_scaled(y, basis, coroots))
+                if m is None:
+                    break
+                num += m * l2 * dot(cv, y)
+                k += 1
+        q, r = divmod(2 * num, denom)
+        if r:
+            raise AssertionError("Freudenthal produced a non-integer multiplicity")
+        mult[x] = q
+    return mult
+
+
 def irreducible_restriction(scope: Scope, lam: RationalWeight) -> TorusElement:
-    """Full T-character of the irreducible with highest weight lam, by the
-    Freudenthal multiplicity recursion; exact multiplicities.
+    """Full T-character of the irreducible with highest weight lam: the
+    dominant weights by positive-root search, their multiplicities by the
+    Freudenthal recursion, then the Weyl orbits; exact multiplicities.
 
     The result is Weyl-invariant for the scope and has coefficient 1 at
     lam.  Results are cached per (scope, weight).
@@ -480,90 +560,12 @@ def irreducible_restriction(scope: Scope, lam: RationalWeight) -> TorusElement:
     if cached is not None:
         return cached
     _scope_pairings_ok(scope, lam)
-    datum = scope.datum
-    rank = datum.rank
-    basis = scope.basis
-    coroots = scope.basis_coroots
-    positive = scope.positive
-    pos_coroots = [datum.coroot(a) for a in positive]
-    rho = scope.rho_vec
-
-    # everything below is scaled by a common denominator D; inner products
-    # are doubled ((alpha,alpha) = len2) so all arithmetic stays integral
-    den = math.lcm(lam.den, rho.den)
-    lam_scaled = scaled(lam, den)
-    rho_scaled = scaled(rho, den)
-    pos_len2 = [datum.len2(a) for a in positive]
-
-    hvec = [0] * rank
-    for cv, l2 in zip(pos_coroots, pos_len2):
-        for j in range(rank):
-            hvec[j] += l2 * cv[j]
-
-    def height(x: Sequence[int]) -> int:
-        return sum(h * v for h, v in zip(hvec, x))
-
-    # enumerate dominant weights lam - sum(c_i * basis_i), c_i >= 0 ints;
-    # the height budget prunes since height >= 0 on dominant weights
-    dominants: Dict[Weight, Tuple[int, ...]] = {}
-    nb = len(basis)
-    basis_scaled = [tuple(den * v for v in a) for a in basis]
-    bheights = [height(a) for a in basis_scaled]
-
-    def rec(i: int, x: List[int], budget: int, cvec: Tuple[int, ...]) -> None:
-        if i == nb:
-            if all(dot(cv, x) >= 0 for cv in coroots):
-                dominants[tuple(x)] = cvec
-            return
-        step = basis_scaled[i]
-        h = bheights[i]
-        c = 0
-        cur = list(x)
-        b = budget
-        while b >= 0:
-            rec(i + 1, cur, b, cvec + (c,))
-            c += 1
-            b -= h
-            cur = [u - v for u, v in zip(cur, step)]
-
-    if nb:
-        rec(0, list(lam_scaled), height(lam_scaled), ())
-    else:
-        dominants[lam_scaled] = ()
-
-    # Freudenthal recursion downward by height:
-    #   ((lam+rho)^2 - (mu+rho)^2) m(mu) = 2 sum_{alpha>0, k>=1} (mu+k alpha, alpha) m(mu+k alpha)
-    order = sorted(dominants, key=lambda x: (-height(x), x))
-    mult: Dict[Weight, int] = {order[0]: 1}
-    lam_rho = [a + b for a, b in zip(lam_scaled, rho_scaled)]
-    for x in order[1:]:
-        x_rho = [a + b for a, b in zip(x, rho_scaled)]
-        s = [a + b for a, b in zip(lam_rho, x_rho)]  # D*(lam + mu + 2 rho)
-        cvec = dominants[x]
-        denom = 0
-        for ci, a in zip(cvec, basis):
-            if ci:
-                denom += ci * datum.len2(a) * dot(datum.coroot(a), s)
-        num = 0
-        for a, cv, l2 in zip(positive, pos_coroots, pos_len2):
-            a_scaled = tuple(den * v for v in a)
-            k = 1
-            while True:
-                y = tuple(u + k * v for u, v in zip(x, a_scaled))
-                rep = _dominant_rep_scaled(y, basis, coroots)
-                m = mult.get(rep)
-                if m is None:
-                    break
-                num += m * l2 * dot(cv, y)
-                k += 1
-        q, r = divmod(2 * num, denom)
-        if r:
-            raise AssertionError("Freudenthal produced a non-integer multiplicity")
-        mult[x] = q
-
-    expanded = kernels.orbit_expand(list(mult.items()), basis, coroots)
+    # everything is scaled by a common denominator D, so weights are integral
+    den = math.lcm(lam.den, scope.rho_vec.den)
+    mult = _freudenthal(scope, _dominant_weights(scope, scaled(lam, den), den), den)
+    expanded = kernels.orbit_expand(list(mult.items()), scope.basis, scope.basis_coroots)
     shift = lam.residue_mod_one()
-    out = TorusElement(datum, shift, from_scaled(expanded, shift, den))
+    out = TorusElement(scope.datum, shift, from_scaled(expanded, shift, den))
     _CHAR_CACHE[key] = out
     return out
 

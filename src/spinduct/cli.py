@@ -69,6 +69,15 @@ def parse_problem(text: str) -> Dict:
         raise SchemaViolation(f"invalid JSON: {exc}", pointer="")
     if not isinstance(doc, dict):
         raise SchemaViolation("problem document must be an object", pointer="")
+    _check_fields(doc)
+    doc.setdefault("seed", 0)
+    doc.setdefault("trials", 20)
+    return doc
+
+
+def _check_fields(doc: Dict) -> None:
+    """The field rules of a problem document, applied alike to a parsed
+    document and to one merged from command-line flags."""
     known = {
         "command",
         "group",
@@ -102,9 +111,6 @@ def parse_problem(text: str) -> Dict:
         raise SchemaViolation(
             "max_weyl_order must be a positive integer", pointer="/max_weyl_order"
         )
-    doc.setdefault("seed", 0)
-    doc.setdefault("trials", 20)
-    return doc
 
 
 def _resolve_datum(doc: Dict) -> RootDatum:
@@ -406,8 +412,9 @@ def _doc_from_args(args) -> Dict:
         if flag is not None:
             doc[key] = flag
         doc.setdefault(key, default)
-    if args.max_weyl_order:
+    if args.max_weyl_order is not None:
         doc["max_weyl_order"] = args.max_weyl_order
+    _check_fields(doc)
     return doc
 
 

@@ -9,7 +9,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from . import kernels
 from .charring import (
@@ -119,9 +119,16 @@ def make_problem(datum: RootDatum, sub: SubgroupDatum, sigma: Optional[TwistClas
 # --- chamber collection (the partial / boundary operators) -----------------
 
 
+_TWIST_OK: Set[object] = set()
+
+
 def _check_partial_twist(scope: Scope, a: TorusElement) -> None:
     """The shifted-module typing: the shift must be stable under the scope
-    group and pair integrally with scope coroots."""
+    group and pair integrally with scope coroots.  Passing (scope, shift)
+    pairs are remembered; a failing pair raises on every call."""
+    key = (scope.scope_key(), a.shift)
+    if key in _TWIST_OK:
+        return
     for root, cv in zip(scope.basis, scope.basis_coroots):
         m = reflection_matrix(a.datum.rank, root, cv)
         try:
@@ -133,6 +140,7 @@ def _check_partial_twist(scope: Scope, a: TorusElement) -> None:
                 "shift pairs non-integrally with a scope coroot; "
                 "the module has no chamber structure"
             )
+    _TWIST_OK.add(key)
 
 
 def collect_to_chamber(scope: Scope, a: TorusElement) -> GroupElement:

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
     DimensionMismatch,
@@ -392,7 +392,7 @@ class RootDatum:
             vneg(b) for b in self.positive_roots
         )
         self._records = records
-        self.root_set: Set[Weight] = set(records)
+        self.root_set: FrozenSet[Weight] = frozenset(records)
         if len(records) != 2 * len(self.positive_roots):
             raise AssertionError("root system not symmetric")
 
@@ -467,12 +467,17 @@ class RootDatum:
         return f"RootDatum({self.cartan_label}, lattice={self.lattice_choice})"
 
 
+_DATUM_CACHE: Dict[Tuple[str, str], RootDatum] = {}
+
+
 def build_root_datum(label: str, lattice_choice="weight") -> RootDatum:
     """Construct a RootDatum for a product of simple series and central tori.
 
     `lattice_choice` is "weight", "root", or an explicit list of lattice
     generators (integer vectors in fundamental-weight coordinates) spanning
-    an intermediate lattice between the root and weight lattices.
+    an intermediate lattice between the root and weight lattices.  Data for
+    the named choices are cached; the rank and Weyl order caps are checked
+    on every call, cache hits included.
     """
     blocks = parse_label(label)
     rank = sum(n for _, n in blocks)
@@ -486,7 +491,16 @@ def build_root_datum(label: str, lattice_choice="weight") -> RootDatum:
         raise OrderCapExceeded(
             f"projected Weyl order {order} exceeds cap {WEYL_ORDER_CAP}"
         )
+    if not isinstance(lattice_choice, str):
+        return _build_root_datum(blocks, rank, order, lattice_choice)
+    key = (canonical_label(blocks), lattice_choice.lower())
+    datum = _DATUM_CACHE.get(key)
+    if datum is None:
+        datum = _DATUM_CACHE[key] = _build_root_datum(blocks, rank, order, lattice_choice)
+    return datum
 
+
+def _build_root_datum(blocks, rank: int, order: int, lattice_choice) -> RootDatum:
     # simple roots in fundamental-weight coordinates, block by block
     simple_cols: List[List[int]] = []
     simple_covs: List[List[int]] = []
@@ -555,7 +569,7 @@ def build_root_datum(label: str, lattice_choice="weight") -> RootDatum:
     count = sum(_ROOT_COUNTS[s](n) for s, n in blocks if s != "T")
     if len(datum.roots) != count:
         raise AssertionError(
-            f"generated {len(datum.roots)} roots for {label}, expected {count}"
+            f"generated {len(datum.roots)} roots for {datum.cartan_label}, expected {count}"
         )
     return datum
 
@@ -663,10 +677,28 @@ def _in_rational_span(rows: List[List[int]], v: Weight) -> bool:
     return not any(w)
 
 
+_SUBGROUP_CACHE: Dict[object, SubgroupDatum] = {}
+SUBGROUP_CACHE_SIZE = 256
+
+
 def subgroup_from_roots(datum: RootDatum, generators: Iterable[Weight]) -> SubgroupDatum:
     """The smallest symmetric, additively and reflection closed subsystem
-    containing the generators (Borel-de Siebenthal subgroups included)."""
-    gens = [tuple(a) for a in generators]
+    containing the generators (Borel-de Siebenthal subgroups included).
+
+    Cached per (datum, generators); the oldest entry goes once the cache
+    holds SUBGROUP_CACHE_SIZE subgroups."""
+    gens = tuple(tuple(a) for a in generators)
+    key = (datum.key, gens)
+    sub = _SUBGROUP_CACHE.get(key)
+    if sub is None:
+        sub = _subgroup_closure(datum, gens)
+        if len(_SUBGROUP_CACHE) >= SUBGROUP_CACHE_SIZE:
+            _SUBGROUP_CACHE.pop(next(iter(_SUBGROUP_CACHE)), None)
+        _SUBGROUP_CACHE[key] = sub
+    return sub
+
+
+def _subgroup_closure(datum: RootDatum, gens: Tuple[Weight, ...]) -> SubgroupDatum:
     for a in gens:
         if not datum.is_root(a):
             raise NotASubsetOfRoots(f"{a} is not a root of the ambient datum")

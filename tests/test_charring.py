@@ -1,8 +1,11 @@
 import cmath
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from spinduct import charring, kernels
 from spinduct.charring import (
     GroupElement,
     TorusElement,
@@ -11,18 +14,28 @@ from spinduct.charring import (
     dimension,
     dualize,
     euler_class,
+    from_scaled,
     irreducible_restriction,
     is_scope_anti_invariant,
     is_scope_invariant,
     multiply,
     numeric_evaluate,
+    scaled,
     weyl_denominator,
 )
 from spinduct.errors import DatumMismatch, NotAntiInvariant, NotDominant
-from spinduct.rootdata import RationalWeight, build_root_datum, subgroup_from_roots, vneg
+from spinduct.rootdata import (
+    RationalWeight,
+    build_root_datum,
+    dot,
+    subgroup_from_roots,
+    vadd,
+    vneg,
+    vsub,
+)
 from spinduct.serialize import torus_to_text
 from spinduct.weyl import apply_antisymmetrizer
-from spinduct.zoo import random_dominant_weight, zoo_problems
+from spinduct.zoo import random_dominant_weight, zoo_problem, zoo_problems
 
 
 def mono(datum, coords, den=1, coeff=1):
@@ -227,3 +240,99 @@ def test_golden_serialization():
     text = torus_to_text(euler_class(sub))
     assert text.splitlines()[0] == "twist 1/2,0,0"
     assert "1 @ -5/2,0,1" in text
+
+
+# --- Freudenthal: the dominant weights by positive-root search -----------------
+
+
+def _box_dominants(scope, top, den):
+    """The former enumeration, kept as an oracle: every top - sum c_i alpha_i
+    over the simple roots with height >= 0, kept when dominant, carrying
+    sum c_i len2(alpha_i) alpha_i^vee."""
+    datum = scope.datum
+    hvec = [sum(datum.len2(a) * datum.coroot(a)[j] for a in scope.positive)
+            for j in range(datum.rank)]
+    simple = [(tuple(den * v for v in a), tuple(datum.len2(a) * v for v in datum.coroot(a)))
+              for a in scope.basis]
+    out = {}
+
+    def rec(i, x, carried):
+        if i == len(simple):
+            if all(dot(cv, x) >= 0 for cv in scope.basis_coroots):
+                out[x] = carried
+            return
+        a, c = simple[i]
+        while dot(hvec, x) >= 0:
+            rec(i + 1, x, carried)
+            x, carried = vsub(x, a), vadd(carried, c)
+
+    rec(0, top, (0,) * datum.rank)
+    return out
+
+
+def _assert_matches_box_oracle(scope, lam):
+    den = math.lcm(lam.den, scope.rho_vec.den)
+    top = scaled(lam, den)
+    box = _box_dominants(scope, top, den)
+    assert charring._dominant_weights(scope, top, den) == box
+    mult = charring._freudenthal(scope, box, den)
+    expanded = kernels.orbit_expand(list(mult.items()), scope.basis, scope.basis_coroots)
+    shift = lam.residue_mod_one()
+    chi = irreducible_restriction(scope, lam)
+    assert chi.shift == shift
+    assert chi.coeffs == from_scaled(expanded, shift, den)
+
+
+def test_dominant_weights_match_box_oracle_on_zoo_groups():
+    rng = random.Random(5)
+    for name, p in zoo_problems():
+        d = p.datum
+        weights = {d.rho} | {random_dominant_weight(d, rng, dim_cap=300) for _ in range(3)}
+        for lam in weights:
+            _assert_matches_box_oracle(d, lam)
+
+
+def test_dominant_weights_match_box_oracle_on_subgroup_scopes():
+    rng = random.Random(6)
+    for pair in (("F4", "b4"), ("B3", "so3xso4"), ("G2", "a2long")):
+        sub = zoo_problem(*pair).sub
+        for _ in range(4):
+            _assert_matches_box_oracle(sub, random_dominant_weight(sub, rng, dim_cap=300))
+
+
+def test_dominant_weights_match_box_oracle_at_rational_weight():
+    p = zoo_problem("B3", "so3xso4")
+    lam = p.rho_m + RationalWeight([1, 0, 0])
+    assert lam.den == 2
+    _assert_matches_box_oracle(p.sub, lam)
+    assert dimension(GroupElement.from_weights(p.sub, {lam: 1})) == sum(
+        irreducible_restriction(p.sub, lam).coeffs.values()
+    )
+
+
+def test_dominant_weights_match_box_oracle_on_e6_1728():
+    e6 = build_root_datum("E6")
+    lam = RationalWeight([1, 1, 0, 0, 0, 0])
+    _assert_matches_box_oracle(e6, lam)
+    assert sum(irreducible_restriction(e6, lam).coeffs.values()) == 1728
+
+
+_CHARACTER_SCOPES = [("G", g) for g in ("A1", "A2", "A1xA1", "B2", "G2", "B3", "C2")] + [
+    ("H", pair) for pair in (("G2", "a2long"), ("B3", "so3xso4"), ("C2", "a1xa1"))
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_CHARACTER_SCOPES), st.integers(0, 2**32 - 1), st.booleans())
+def test_character_dimension_top_coefficient_and_invariance(which, seed, twisted):
+    kind, spec = which
+    if kind == "G":
+        scope, twist = build_root_datum(spec), None
+    else:
+        p = zoo_problem(*spec)
+        scope, twist = p.sub, (p.twist_rho("M") if twisted else None)
+    lam = random_dominant_weight(scope, random.Random(seed), twist=twist, dim_cap=400)
+    chi = irreducible_restriction(scope, lam)
+    assert sum(chi.coeffs.values()) == dimension(GroupElement.from_weights(scope, {lam: 1}))
+    assert chi.coeffs[(lam - chi.shift).ints()] == 1
+    assert is_scope_invariant(chi, scope)

@@ -299,3 +299,51 @@ def test_problem_document_keeps_seed_trials_and_suite(tmp_path, capsys, monkeypa
     path.write_text(json.dumps(doc))
     code, out = run_cli(capsys, "verify", "--problem", str(path), "--seed", "2")
     assert json.loads(out)["problem"]["seed"] == 2
+
+
+@pytest.mark.parametrize("argv, field, pointer", [
+    (("info", "--group", "A2", "--max-weyl-order", "0"), {"max_weyl_order": 0}, "/max_weyl_order"),
+    (("info", "--group", "A2", "--max-weyl-order", "-1"), {"max_weyl_order": -1}, "/max_weyl_order"),
+    (("lefschetz", "--group", "A2", "--trials", "0"), {"trials": 0}, "/trials"),
+    (("lefschetz", "--group", "A2", "--trials", "-3"), {"trials": -3}, "/trials"),
+])
+def test_flags_follow_the_document_field_rules(capsys, monkeypatch, argv, field, pointer):
+    import io
+
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert (err["code"], err["pointer"]) == ("schema-violation", pointer)
+    doc = {"command": argv[0], "group": "A2", **field}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out = run_cli(capsys, argv[0], "--problem", "-")
+    assert code == 1
+    assert json.loads(out)["error"] == err
+
+
+def test_e6_queries_build_the_root_datum_once(capsys, monkeypatch):
+    import spinduct.rootdata as rd
+
+    built = []
+    init = rd.RootDatum.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(rd.RootDatum, "__init__", counting_init)
+    monkeypatch.setattr(rd, "_DATUM_CACHE", {})
+    monkeypatch.setattr(rd, "_SUBGROUP_CACHE", {})
+    a2_cubed = json.dumps([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
+                           [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1], [1, 2, 2, 3, 2, 1]])
+    for argv in (("info",), ("bwb", "--mu", "1,0,0,0,0,1")):
+        code, out = run_cli(capsys, *argv, "--group", "E6", "--subgroup", a2_cubed)
+        assert code == 0, out
+    assert built == ["E6"]
+    # the cached E6 is still refused by a lower per-call cap
+    code, out = run_cli(
+        capsys, "info", "--group", "E6", "--subgroup", a2_cubed, "--max-weyl-order", "100"
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "order-cap-exceeded"
+    assert built == ["E6"]

@@ -353,3 +353,15 @@ def test_lefschetz_reports():
         pg, pg.euler, irreducible_restriction(a2, a2.rho), trials=4, seed=3
     )
     assert rep.max_rel_error <= 1e-10
+
+
+def test_bad_twist_raises_on_every_call():
+    a2 = build_root_datum("A2")
+    half = TorusElement.monomial(a2, RationalWeight([1, 0], 2))
+    for _ in range(2):
+        with pytest.raises(BadTwist):
+            collect_to_chamber(a2, half)
+    # a passing pair is remembered and still collects correctly
+    rho = TorusElement.monomial(a2, a2.rho)
+    assert collect_to_chamber(a2, rho) == collect_to_chamber(a2, rho)
+    assert collect_to_chamber(a2, rho).terms() == [(RationalWeight([0, 0]), 1)]

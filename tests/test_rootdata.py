@@ -6,6 +6,7 @@ from spinduct.errors import (
     LatticeNotIntermediate,
     NotARoot,
     NotASubsetOfRoots,
+    OrderCapExceeded,
     RankCapExceeded,
     UnknownSeries,
 )
@@ -345,3 +346,46 @@ def test_lattice_canonical_idempotent():
         lat = Lattice.from_columns(r, cols)
         again = Lattice.from_columns(r, lat.columns)
         assert lat == again
+
+
+def test_root_datum_cache_rechecks_caps(monkeypatch):
+    import spinduct.rootdata as rd
+
+    assert build_root_datum("E6") is build_root_datum("E6")
+    monkeypatch.setattr(rd, "WEYL_ORDER_CAP", 100)
+    with pytest.raises(OrderCapExceeded):
+        build_root_datum("E6")
+    monkeypatch.setattr(rd, "WEYL_ORDER_CAP", 1 << 21)
+    monkeypatch.setattr(rd, "RANK_CAP", 5)
+    with pytest.raises(RankCapExceeded):
+        build_root_datum("E6")
+
+
+def test_explicit_lattices_are_built_afresh():
+    gens = [[1, 0], [0, 1]]
+    assert build_root_datum("A2", gens) is not build_root_datum("A2", gens)
+
+
+def test_cached_data_are_immutable():
+    d = build_root_datum("A2")
+    with pytest.raises(AttributeError):
+        d.root_set.add((9, 9))
+    assert d.is_root(d.simple_roots[0]) and not d.is_root((9, 9))
+
+
+def test_subgroup_cache_is_keyed_and_bounded(monkeypatch):
+    import spinduct.rootdata as rd
+
+    d = build_root_datum("B3")
+    a, b = d.positive_roots[0], d.positive_roots[1]
+    assert subgroup_from_roots(d, [a]) is subgroup_from_roots(d, (a,))
+    assert subgroup_from_roots(d, [a]) is not subgroup_from_roots(d, [a, b])
+    monkeypatch.setattr(rd, "_SUBGROUP_CACHE", {})
+    monkeypatch.setattr(rd, "SUBGROUP_CACHE_SIZE", 3)
+    for r in d.positive_roots[:5]:
+        subgroup_from_roots(d, [r])
+    assert len(rd._SUBGROUP_CACHE) == 3
+    assert (d.key, (d.positive_roots[4],)) in rd._SUBGROUP_CACHE
+    with pytest.raises(NotASubsetOfRoots):
+        subgroup_from_roots(d, [(9, 9, 9)])
+    assert len(rd._SUBGROUP_CACHE) == 3
