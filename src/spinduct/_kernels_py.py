@@ -52,6 +52,46 @@ def weyl_sum(
     return out
 
 
+def dominant_walk(
+    x: Sequence[int],
+    basis: Sequence[Key],
+    coroots: Sequence[Key],
+    max_steps: int,
+) -> Tuple[Key, List[int], bool]:
+    """Walk a weight into the closed dominant chamber by simple reflections.
+
+    Returns (image, path, regular): the dominant image, the indices of the
+    reflections taken in order (the first one applied first), and whether
+    the image is off every wall.  Keys may be scaled weights (a common
+    positive denominator multiplied through commutes with all reflections).
+
+    Each reflection s_i with <alpha_i^vee, x> < 0 lowers by one the number
+    of positive roots pairing negatively with x, so the walk takes at most
+    |R^+| steps; for a regular weight it takes exactly l(w) steps, where
+    w(x) is strictly dominant.
+    """
+    y = list(x)
+    n = len(y)
+    path: List[int] = []
+    while True:
+        moved = False
+        regular = True
+        for i, cv in enumerate(coroots):
+            p = sum(cv[j] * y[j] for j in range(n))
+            if p < 0:
+                al = basis[i]
+                for j in range(n):
+                    y[j] -= p * al[j]
+                path.append(i)
+                moved = True
+            elif p == 0:
+                regular = False
+        if not moved:
+            return tuple(y), path, regular
+        if len(path) > max_steps:
+            raise AssertionError("chamber walk exceeded its step bound")
+
+
 def dominant_collect(
     coeffs: Support,
     basis: Sequence[Key],
@@ -60,41 +100,15 @@ def dominant_collect(
 ) -> Support:
     """Reduce every monomial to the (strictly) dominant chamber with sign.
 
-    Keys are scaled weights (a common positive denominator has been
-    multiplied through, which commutes with all reflections).  Monomials
-    hitting a wall are dropped; regular ones accumulate det(w) times their
-    coefficient at the dominant image.
+    Keys are scaled weights.  Monomials on a wall are dropped; regular ones
+    accumulate det(w) times their coefficient at the dominant image.
     """
     out: Support = {}
-    nb = len(basis)
     for key, c in coeffs.items():
-        x = list(key)
-        sign = 1
-        steps = 0
-        singular = False
-        while True:
-            moved = False
-            for i in range(nb):
-                cv = coroots[i]
-                p = sum(cv[j] * x[j] for j in range(len(x)))
-                if p == 0:
-                    singular = True
-                    break
-                if p < 0:
-                    al = basis[i]
-                    for j in range(len(x)):
-                        x[j] -= p * al[j]
-                    sign = -sign
-                    moved = True
-                    steps += 1
-            if singular or not moved:
-                break
-            if steps > max_steps:
-                raise AssertionError("chamber ascent failed to terminate")
-        if singular:
+        k, path, regular = dominant_walk(key, basis, coroots, max_steps)
+        if not regular:
             continue
-        k = tuple(x)
-        v = out.get(k, 0) + sign * c
+        v = out.get(k, 0) + (-c if len(path) % 2 else c)
         if v:
             out[k] = v
         elif k in out:

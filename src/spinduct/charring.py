@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import kernels
@@ -32,6 +31,7 @@ from .rootdata import (
     vneg,
 )
 from .weyl import (
+    apply_weyl_sum,
     generate_weyl,
     reflection_matrix,
     shift_adjustment,
@@ -153,9 +153,6 @@ class TorusElement:
     def terms(self) -> List[Tuple[RationalWeight, int]]:
         return [(self.weight_of(k), c) for k, c in sorted(self.coeffs.items())]
 
-    def support_size(self) -> int:
-        return len(self.coeffs)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -229,17 +226,6 @@ def is_scope_invariant(a: TorusElement, scope: Scope) -> bool:
         m = reflection_matrix(rank, root, cv)
         adj = shift_adjustment(m, a.shift)
         img = kernels.weyl_sum([m], [1], [adj], a.coeffs)
-        if img != a.coeffs:
-            return False
-    return True
-
-
-def is_scope_anti_invariant(a: TorusElement, scope: Scope) -> bool:
-    rank = a.datum.rank
-    for root, cv in zip(scope.basis, scope.basis_coroots):
-        m = reflection_matrix(rank, root, cv)
-        adj = shift_adjustment(m, a.shift)
-        img = kernels.weyl_sum([m], [-1], [adj], a.coeffs)
         if img != a.coeffs:
             return False
     return True
@@ -361,9 +347,6 @@ class GroupElement:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def support_size(self) -> int:
-        return len(self.coeffs)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GroupElement)
@@ -414,16 +397,22 @@ class GroupElement:
 
 
 def _weight_dimension(scope: Scope, lam: RationalWeight) -> int:
+    """Weyl dimension formula, the product over positive roots a of
+    <lam + rho, a^vee> / <rho, a^vee>: one integer product for each side
+    (both scaled by a common denominator) and one exact division."""
     datum = scope.datum
-    rho = scope.rho_vec
-    num = Fraction(1)
-    lam_rho = lam + rho
+    den = math.lcm(lam.den, scope.rho_vec.den)
+    rho = scaled(scope.rho_vec, den)
+    lam_rho = [u + v for u, v in zip(scaled(lam, den), rho)]
+    num = div = 1
     for a in scope.positive:
         cv = datum.coroot(a)
-        num *= lam_rho.pair(cv) / rho.pair(cv)
-    if num.denominator != 1 or num <= 0:
-        raise NotDominant(f"dimension formula gave {num} for weight {lam}")
-    return int(num)
+        num *= dot(cv, lam_rho)
+        div *= dot(cv, rho)
+    q, r = divmod(num, div)
+    if r or q <= 0:
+        raise NotDominant(f"dimension formula gave {num}/{div} for weight {lam}")
+    return q
 
 
 def dimension(a: GroupElement) -> int:
@@ -450,23 +439,6 @@ def _scope_pairings_ok(scope: Scope, lam: RationalWeight) -> None:
             )
         if p < 0:
             raise NotDominant(f"weight {lam} is not dominant for the scope")
-
-
-def _dominant_rep_scaled(
-    x: Sequence[int], basis: Sequence[Weight], coroots: Sequence[Weight]
-) -> Weight:
-    """Dominant representative of a scaled weight (walls allowed)."""
-    y = list(x)
-    while True:
-        moved = False
-        for a, cv in zip(basis, coroots):
-            p = dot(cv, y)
-            if p < 0:
-                for j in range(len(y)):
-                    y[j] -= p * a[j]
-                moved = True
-        if not moved:
-            return tuple(y)
 
 
 def _dominant_weights(
@@ -516,6 +488,7 @@ def _freudenthal(
     datum = scope.datum
     basis = scope.basis
     coroots = scope.basis_coroots
+    cap = len(scope.positive)
     steps = [
         (tuple(den * v for v in a), datum.coroot(a), datum.len2(a)) for a in scope.positive
     ]
@@ -535,7 +508,7 @@ def _freudenthal(
             k = 1
             while True:
                 y = tuple(u + k * v for u, v in zip(x, a_scaled))
-                m = mult.get(_dominant_rep_scaled(y, basis, coroots))
+                m = mult.get(kernels.dominant_walk(y, basis, coroots, cap)[0])
                 if m is None:
                     break
                 num += m * l2 * dot(cv, y)
@@ -589,7 +562,7 @@ def anti_invariant_decompose(
         to_scaled(a.shift, a.coeffs, den),
         scope.basis,
         scope.basis_coroots,
-        4 * max(1, len(scope.positive)) ** 2,
+        len(scope.positive),
     )
     # in an anti-invariant element every monomial is regular and each orbit
     # contributes |W| monomials collecting to |W| * c_lambda
@@ -599,11 +572,8 @@ def anti_invariant_decompose(
             raise NotAntiInvariant("orbit coefficients are inconsistent")
         key_coeffs[k] = c // w_order
     # complete verification: rebuild sum of c_lam J(e^lam) and compare
-    grp = generate_weyl(scope)
-    mats = [e.matrix for e in grp.elements]
-    dets = [e.det for e in grp.elements]
-    adjusts = [shift_adjustment(m, a.shift) for m in mats]
-    rebuilt = kernels.weyl_sum(mats, dets, adjusts, key_coeffs)
+    elements = generate_weyl(scope).elements
+    rebuilt = apply_weyl_sum(elements, [e.det for e in elements], a.shift, key_coeffs)
     if rebuilt != a.coeffs:
         raise NotAntiInvariant("element is not in the span of J(e^lambda)")
     return {a.weight_of(k): c for k, c in key_coeffs.items()}

@@ -38,6 +38,7 @@ from .multiplets import alternating_dimension_sum, multiplet
 from .rootdata import RationalWeight, RootDatum, subgroup_character_lattice
 from .serialize import (
     group_to_json,
+    is_int_vector,
     rational_from_json,
     rational_to_json,
     torus_from_json,
@@ -124,19 +125,6 @@ def _resolve_datum(doc: Dict) -> RootDatum:
     raise SchemaViolation("group must be a string or {label, lattice}", pointer="/group")
 
 
-def _resolve_subgroup(doc: Dict, datum: RootDatum):
-    spec = doc.get("subgroup", "t")
-    if isinstance(spec, list):
-        for i, item in enumerate(spec):
-            if isinstance(item, int):
-                if not 0 <= item < len(datum.positive_roots):
-                    raise SchemaViolation(
-                        f"root index {item} out of range",
-                        pointer=f"/subgroup/roots/{i}",
-                    )
-    return subgroup_from_spec(datum, spec)
-
-
 def _resolve_input(doc: Dict, problem) -> TorusElement:
     spec = doc.get("input", "1")
     datum = problem.datum
@@ -220,7 +208,7 @@ def _run_command(doc: Dict, command: str) -> Dict:
         }
 
     datum = _resolve_datum(doc)
-    sub = _resolve_subgroup(doc, datum)
+    sub = subgroup_from_spec(datum, doc.get("subgroup", "t"))
     sigma = None
     if "twist" in doc:
         sigma = TwistClass.of(rational_from_json(doc["twist"], datum.rank, "/twist"))
@@ -245,6 +233,8 @@ def _run_command(doc: Dict, command: str) -> Dict:
             out = induce_twisted_spinc(problem, a)
         elif isinstance(kind, str) and kind.lower() in ("holomorphic", "spin", "spinc"):
             gamma = doc.get("gamma")
+            if gamma is not None and not is_int_vector(gamma, datum.rank):
+                raise SchemaViolation(f"gamma must be {datum.rank} integers", "/gamma")
             out = induce_classical(problem, kind, a, gamma=tuple(gamma) if gamma else None)
         else:
             raise SchemaViolation(f"unknown induction kind {kind!r}", "/kind")
@@ -283,7 +273,7 @@ def _run_command(doc: Dict, command: str) -> Dict:
             "source": torus_to_json(m.source),
             "members": [group_to_json(g) for g in m.members],
             "signs": list(m.signs),
-            "dimensions": [dimension(g) for g in m.members],
+            "dimensions": list(m.dimensions),
             "alternating_dimension_sum": alternating_dimension_sum(m),
             "diagnostics": _diagnostics(problem),
         }
@@ -337,8 +327,17 @@ def _run_command(doc: Dict, command: str) -> Dict:
 def _group_from_doc(problem, obj) -> GroupElement:
     scope = problem.datum if obj.get("scope", "G") == "G" else problem.sub
     weights: Dict[RationalWeight, int] = {}
-    for i, term in enumerate(obj.get("terms", [])):
+    terms = obj.get("terms", [])
+    if not isinstance(terms, list):
+        raise SchemaViolation("terms must be a list", "/input/terms")
+    for i, term in enumerate(terms):
+        if not isinstance(term, dict):
+            raise SchemaViolation("a term is an object", f"/input/terms/{i}")
         w = rational_from_json(term.get("weight"), problem.datum.rank, f"/input/terms/{i}/weight")
+        if weights and w.residue_mod_one() != next(iter(weights)).residue_mod_one():
+            raise SchemaViolation(
+                "term weights lie in different cosets of X(T)", f"/input/terms/{i}/weight"
+            )
         c = term.get("coeff")
         if not isinstance(c, int):
             raise SchemaViolation("coeff must be an integer", f"/input/terms/{i}/coeff")
@@ -382,27 +381,33 @@ def _parse_weight_flag(text: str, rank: int, pointer: str) -> Dict:
     return {"num": nums, "den": d}
 
 
+def _json_flag(text: str, pointer: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaViolation(f"invalid JSON: {exc}", pointer)
+
+
+def _read_problem(path: str) -> str:
+    if path == "-":
+        return sys.stdin.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaViolation(f"cannot read problem document {path!r}: {exc}", pointer="")
+
+
 def _doc_from_args(args) -> Dict:
-    if args.problem:
-        text = (
-            sys.stdin.read()
-            if args.problem == "-"
-            else open(args.problem, "r", encoding="utf-8").read()
-        )
-        doc = parse_problem(text)
-    else:
-        doc = {}
+    doc = parse_problem(_read_problem(args.problem)) if args.problem else {}
     if args.group:
         doc["group"] = args.group
     if args.subgroup and "subgroup" not in doc:
         sg = args.subgroup
-        if sg.startswith("["):
-            doc["subgroup"] = json.loads(sg)
-        else:
-            doc["subgroup"] = sg
+        doc["subgroup"] = _json_flag(sg, "/subgroup") if sg.startswith("[") else sg
     if args.input:
         s = args.input
-        doc["input"] = json.loads(s) if s.lstrip().startswith("{") else s
+        doc["input"] = _json_flag(s, "/input") if s.lstrip().startswith("{") else s
     if args.kind:
         doc["kind"] = args.kind
     # flags override the document; the defaults fill only what both leave out
@@ -433,12 +438,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             datum = _resolve_datum(doc)
             if args.mu:
                 doc["mu"] = (
-                    json.loads(args.mu)
+                    _json_flag(args.mu, "/mu")
                     if args.mu.lstrip().startswith("{")
                     else _parse_weight_flag(args.mu, datum.rank, "/mu")
                 )
             if args.gamma:
-                doc["gamma"] = [int(x) for x in args.gamma.split(",")]
+                try:
+                    doc["gamma"] = [int(x) for x in args.gamma.split(",")]
+                except ValueError:
+                    raise SchemaViolation(f"cannot parse gamma {args.gamma!r}", "/gamma")
             if args.twist:
                 doc["twist"] = _parse_weight_flag(args.twist, datum.rank, "/twist")
         payload = _run_command(doc, args.command)

@@ -153,7 +153,7 @@ def collect_to_chamber(scope: Scope, a: TorusElement) -> GroupElement:
     den = math.lcm(a.shift.den, rho.den)
     collected = kernels.dominant_collect(
         to_scaled(a.shift, a.coeffs, den), scope.basis, scope.basis_coroots,
-        4 * max(1, len(scope.positive)) ** 2,
+        len(scope.positive),
     )
     out_shift = (a.shift - rho).residue_mod_one()
     return GroupElement(scope, out_shift, from_scaled(collected, rho + out_shift, den))

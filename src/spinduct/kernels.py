@@ -49,3 +49,7 @@ def dominant_collect(coeffs, basis, coroots, max_steps):
 
 def orbit_expand(items, basis, coroots):
     return _dispatch("orbit_expand", items, basis, coroots)
+
+
+# the one chamber walk; it has no compiled twin
+dominant_walk = _py.dominant_walk

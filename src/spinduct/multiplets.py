@@ -5,6 +5,7 @@ operator identity behind it."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 from .charring import (
@@ -32,6 +33,11 @@ class Multiplet:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def dimensions(self) -> Tuple[int, ...]:
+        """dim(a_w) for each member, computed once."""
+        return tuple(dimension(g) for g in self.members)
 
 
 def _check_source_twist(problem: InductionProblem, a: TorusElement) -> None:
@@ -63,7 +69,7 @@ def alternating_dimension_sum(m: Multiplet) -> int:
     """Sum of det(w) * dim(a_w); zero whenever H is a proper subgroup.
 
     Returned rather than asserted so harnesses can report the value."""
-    return sum(s * dimension(g) for s, g in zip(m.signs, m.members))
+    return sum(s * d for s, d in zip(m.signs, m.dimensions))
 
 
 def gkrs_identity_check(problem: InductionProblem, a: TorusElement) -> bool:

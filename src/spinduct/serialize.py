@@ -32,6 +32,11 @@ def rational_to_json(w: RationalWeight) -> Dict:
     return {"num": list(w.nums), "den": w.den}
 
 
+def is_int_vector(obj, rank: int) -> bool:
+    """Whether a JSON value is a list of exactly `rank` integers."""
+    return isinstance(obj, list) and len(obj) == rank and all(isinstance(x, int) for x in obj)
+
+
 def rational_from_json(obj, rank: int, pointer: str = "") -> RationalWeight:
     if isinstance(obj, list):
         obj = {"num": obj, "den": 1}
@@ -39,11 +44,7 @@ def rational_from_json(obj, rank: int, pointer: str = "") -> RationalWeight:
         raise SchemaViolation("expected {num: [...], den: n}", pointer)
     num = obj["num"]
     den = obj.get("den", 1)
-    if (
-        not isinstance(num, list)
-        or len(num) != rank
-        or not all(isinstance(x, int) for x in num)
-    ):
+    if not is_int_vector(num, rank):
         raise SchemaViolation(f"num must be {rank} integers", pointer + "/num")
     if not isinstance(den, int) or den < 1:
         raise SchemaViolation("den must be a positive integer", pointer + "/den")
@@ -62,6 +63,8 @@ def torus_to_json(a: TorusElement) -> Dict:
 def torus_from_json(datum: RootDatum, obj, pointer: str = "") -> TorusElement:
     if not isinstance(obj, dict) or "terms" not in obj:
         raise SchemaViolation("expected a torus element object", pointer)
+    if not isinstance(obj["terms"], list):
+        raise SchemaViolation("terms must be a list", pointer + "/terms")
     out: Optional[TorusElement] = None
     for i, term in enumerate(obj["terms"]):
         tp = f"{pointer}/terms/{i}"

@@ -14,7 +14,6 @@ from .rootdata import (
     RootDatum,
     SubgroupDatum,
     Weight,
-    dot,
 )
 
 Matrix = Tuple[Tuple[int, ...], ...]
@@ -225,45 +224,21 @@ def to_dominant_chamber(scope: Scope, mu: RationalWeight):
     """Unique strictly dominant representative of a regular weight.
 
     Returns Regular(w, w(mu)) with w in the scope's Weyl group, or the
-    Singular marker when mu lies on a wall of the scope system.  Uses
-    iterated simple-reflection ascent; no group enumeration.
+    Singular marker when mu lies on a wall of the scope system.  One chamber
+    walk, no group enumeration: w is the product of the reflections on the
+    path, and its length is the number of steps.
     """
+    image, path, regular = kernels.dominant_walk(
+        mu.nums, scope.basis, scope.basis_coroots, len(scope.positive)
+    )
+    if not regular:
+        return SINGULAR
     rank = scope.datum.rank
-    basis = scope.basis
-    coroots = scope.basis_coroots
-    x = list(mu.nums)
+    refs = [reflection_matrix(rank, a, av) for a, av in zip(scope.basis, scope.basis_coroots)]
     mat = _identity(rank)
-    refs = [reflection_matrix(rank, a, av) for a, av in zip(basis, coroots)]
-    steps = 0
-    cap = max(1, len(scope.positive)) + 1
-    while True:
-        moved = False
-        for i, cv in enumerate(coroots):
-            p = dot(cv, x)
-            if p == 0:
-                return SINGULAR
-            if p < 0:
-                a = basis[i]
-                for j in range(rank):
-                    x[j] -= p * a[j]
-                mat = _matmul(refs[i], mat)
-                moved = True
-                steps += 1
-        if not moved:
-            break
-        if steps > cap * cap + len(scope.positive):
-            raise AssertionError("dominant ascent failed to terminate")
-    length = _length_of(scope, mat)
-    return Regular(WeylElement(mat, length), RationalWeight(x, mu.den))
-
-
-def _length_of(scope: Scope, mat: Matrix) -> int:
-    pos = set(scope.positive)
-    n = 0
-    for a in scope.positive:
-        if apply_matrix(mat, a) not in pos:
-            n += 1
-    return n
+    for i in path:
+        mat = _matmul(refs[i], mat)
+    return Regular(WeylElement(mat, len(path)), RationalWeight(image, mu.den))
 
 
 def shift_adjustment(w_matrix: Matrix, shift: RationalWeight) -> Weight:

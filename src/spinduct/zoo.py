@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
+from . import kernels
 from .charring import TorusElement, TwistClass, _weight_dimension
 from .errors import SchemaViolation, UnknownSeries
 from .induction import InductionProblem, make_problem
@@ -22,6 +23,7 @@ from .rootdata import (
     build_root_datum,
     subgroup_from_roots,
 )
+from .serialize import is_int_vector
 from .weyl import generate_weyl
 
 # subgroup presets: name -> (simple-root coordinates of generators)
@@ -62,16 +64,23 @@ def subgroup_from_spec(datum: RootDatum, spec) -> SubgroupDatum:
     vectors, or a list of indices into the positive-root enumeration."""
     if isinstance(spec, str):
         return subgroup_by_name(datum, spec)
+    if not isinstance(spec, list):
+        raise SchemaViolation("subgroup must be a name or a list", pointer="/subgroup")
     gens = []
-    for item in spec:
+    for i, item in enumerate(spec):
         if isinstance(item, int):
             if not 0 <= item < len(datum.positive_roots):
                 raise SchemaViolation(
-                    f"root index {item} out of range", pointer="/subgroup/roots"
+                    f"root index {item} out of range", pointer=f"/subgroup/roots/{i}"
                 )
             gens.append(datum.positive_roots[item])
-        else:
+        elif is_int_vector(item, datum.rank):
             gens.append(datum.root_from_simple_coordinates(tuple(item)))
+        else:
+            raise SchemaViolation(
+                f"a subgroup item is a root index or {datum.rank} simple-root coordinates",
+                pointer=f"/subgroup/{i}",
+            )
     return subgroup_from_roots(datum, gens)
 
 
@@ -167,14 +176,12 @@ def random_dominant_weight(
     shift = (twist or TwistClass.zero(rank)).shift
     bound = _coord_bound(rank)
     cap = dim_cap or _dim_cap(rank)
-    from .charring import _dominant_rep_scaled
-
     best = None
     for _ in range(tries):
         off = tuple(rng.randint(-bound, bound) for _ in range(rank))
         mu = shift + RationalWeight.from_ints(off)
-        x = _dominant_rep_scaled(
-            [v for v in mu.nums], scope.basis, scope.basis_coroots
+        x, _, _ = kernels.dominant_walk(
+            mu.nums, scope.basis, scope.basis_coroots, len(scope.positive)
         )
         mu = RationalWeight(x, mu.den)
         try:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,6 @@ from spinduct.charring import (
     euler_class,
     from_scaled,
     irreducible_restriction,
-    is_scope_anti_invariant,
     is_scope_invariant,
     multiply,
     numeric_evaluate,
@@ -94,7 +94,7 @@ def test_weyl_denominator_is_antisymmetrized_rho():
         assert weyl_denominator(d) == apply_antisymmetrizer(
             "J_G", TorusElement.monomial(d, d.rho)
         )
-        assert is_scope_anti_invariant(weyl_denominator(d), d)
+        assert anti_invariant_decompose(weyl_denominator(d), d) == {d.rho: 1}
 
 
 def test_euler_class_examples():
@@ -163,6 +163,36 @@ def test_dimension():
     # linearity
     both = GroupElement.from_weights(a2, {RationalWeight.zero(2): 2, a2.rho: -1})
     assert dimension(both) == 2 - 8
+
+
+def _fraction_dimension(scope, lam):
+    """The Weyl dimension formula in Fraction arithmetic, kept as an oracle;
+    None where the integer formula must refuse the weight."""
+    rho = scope.rho_vec
+    num = Fraction(1)
+    for a in scope.positive:
+        cv = scope.datum.coroot(a)
+        num *= (lam + rho).pair(cv) / rho.pair(cv)
+    return int(num) if num.denominator == 1 and num > 0 else None
+
+
+def test_weight_dimension_matches_fraction_oracle():
+    rng = random.Random(8)
+    for name, p in zoo_problems():
+        for scope, twist in ((p.datum, None), (p.sub, None), (p.sub, p.twist_rho("M"))):
+            weights = [random_dominant_weight(scope, rng, twist=twist, dim_cap=300)
+                       for _ in range(3)]
+            # arbitrary weights too: on walls, not dominant, fractional pairings
+            for shift in (RationalWeight.zero(p.datum.rank), p.rho_m):
+                weights += [shift + RationalWeight([rng.randint(-3, 3) for _ in range(p.datum.rank)])
+                            for _ in range(4)]
+            for lam in weights:
+                expect = _fraction_dimension(scope, lam)
+                if expect is None:
+                    with pytest.raises(NotDominant):
+                        charring._weight_dimension(scope, lam)
+                else:
+                    assert charring._weight_dimension(scope, lam) == expect, (name, lam)
 
 
 def test_anti_invariant_decompose():

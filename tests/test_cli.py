@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinduct.cli import main, parse_problem
 from spinduct.errors import SchemaViolation
@@ -347,3 +348,83 @@ def test_e6_queries_build_the_root_datum_once(capsys, monkeypatch):
     assert code == 1
     assert json.loads(out)["error"]["code"] == "order-cap-exceeded"
     assert built == ["E6"]
+
+
+@pytest.mark.parametrize("argv, pointer", [
+    (("induce", "--group", "A2", "--kind", "spinc", "--gamma", "1,x"), "/gamma"),
+    (("induce", "--group", "A2", "--kind", "spinc", "--gamma", "1,1,1"), "/gamma"),
+    (("info", "--problem", "/nonexistent.json"), ""),
+    (("induce", "--group", "A2", "--input", '{"terms":3}'), "/input/terms"),
+    (("branch", "--group", "A2", "--input", '{"terms":3}'), "/input/terms"),
+    (("branch", "--group", "A2", "--input",
+      '{"terms":[{"coeff":1,"weight":[1,0]},{"coeff":1,"weight":{"num":[1,0],"den":2}}]}'),
+     "/input/terms/1/weight"),
+    (("info", "--group", "A2", "--subgroup", '["x"]'), "/subgroup/0"),
+    (("info", "--group", "A2", "--subgroup", "[1.5]"), "/subgroup/0"),
+    (("info", "--group", "A2", "--subgroup", "[null]"), "/subgroup/0"),
+    (("info", "--group", "A2", "--subgroup", "[0, [1]]"), "/subgroup/1"),
+    (("info", "--group", "A2", "--subgroup", "[x"), "/subgroup"),
+    (("bwb", "--group", "A2", "--mu", "{x"), "/mu"),
+])
+def test_malformed_flags_are_schema_violations(capsys, argv, pointer):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert (err["code"], err["pointer"]) == ("schema-violation", pointer)
+
+
+_SMALL = st.integers(-3, 3)
+_JSON_ITEM = st.one_of(_SMALL, st.none(), st.floats(allow_nan=False), st.text(max_size=3),
+                       st.lists(_SMALL, max_size=3))
+_WEIGHT_TEXT = st.builds(
+    lambda v, den: ",".join(map(str, v)) + (f"/{den}" if den is not None else ""),
+    st.lists(_SMALL, max_size=3), st.one_of(st.none(), st.integers(-2, 2)),
+)
+_TERMS = st.one_of(
+    st.lists(st.fixed_dictionaries({"coeff": _SMALL, "weight": st.one_of(
+        st.lists(_SMALL, min_size=2, max_size=2),
+        st.fixed_dictionaries({"num": st.lists(_SMALL, max_size=3), "den": st.integers(-1, 2)}),
+    )}), max_size=3),
+    _JSON_ITEM,
+)
+_FLAG_VALUES = {
+    "gamma": st.one_of(st.text(max_size=8), _WEIGHT_TEXT),
+    "subgroup": st.one_of(
+        st.text(max_size=8),
+        st.sampled_from(["t", "g", "levi1", "levi2"]),
+        st.lists(_JSON_ITEM, max_size=3).map(json.dumps),
+    ),
+    "input": st.one_of(
+        st.text(max_size=8),
+        st.sampled_from(["1", "e^rhoG", "e^rhoM", "spinor", "euler", "e^[1,-1]", "e^[1,1]/2"]),
+        st.builds(lambda t: "e^[" + t + "]", _WEIGHT_TEXT),
+        st.fixed_dictionaries({"terms": _TERMS}, optional={"scope": st.sampled_from(["G", "H"])})
+        .map(json.dumps),
+    ),
+    "mu": st.one_of(
+        st.text(max_size=8),
+        _WEIGHT_TEXT,
+        st.fixed_dictionaries({"num": _JSON_ITEM}, optional={"den": _JSON_ITEM}).map(json.dumps),
+    ),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["info", "induce", "branch", "bwb", "multiplet"]),
+    st.sampled_from([None, "twisted", "spinc", "spin"]),
+    st.fixed_dictionaries({}, optional=_FLAG_VALUES),
+)
+def test_cli_contract_on_drawn_flags(command, kind, flags):
+    import contextlib
+    import io
+
+    argv = [command, "--group", "A2"] + (["--kind", kind] if kind else [])
+    argv += [f"--{name}={value}" for name, value in flags.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1)
+    json.loads(out.getvalue())
+    assert len(out.getvalue().splitlines()) == 1
+    assert "Traceback" not in err.getvalue()

@@ -32,6 +32,18 @@ def test_f4_trivial_multiplet():
         assert sum(g.to_torus().coeffs.values()) == d
 
 
+def test_member_dimensions_are_computed_once(monkeypatch):
+    import spinduct.multiplets as mp
+
+    p = zoo_problem("F4", "b4")
+    m = multiplet(p, TorusElement.monomial(p.datum, p.datum.rho))
+    calls = []
+    monkeypatch.setattr(mp, "dimension", lambda g: calls.append(g) or dimension(g))
+    assert alternating_dimension_sum(m) == 0
+    assert m.dimensions == tuple(dimension(g) for g in m.members)
+    assert len(calls) == len(m.members)
+
+
 def test_h_equals_g_multiplet():
     a2 = build_root_datum("A2")
     full = subgroup_from_roots(a2, list(a2.roots))

@@ -6,7 +6,8 @@ from spinduct.errors import MismatchedDatum, OrderCapExceeded, ShiftNotStable
 from spinduct.charring import TorusElement, weyl_denominator
 from spinduct.induction import make_problem
 from spinduct.intlinalg import determinant
-from spinduct.rootdata import RationalWeight, build_root_datum, subgroup_from_roots
+from spinduct import kernels
+from spinduct.rootdata import RationalWeight, build_root_datum, dot, subgroup_from_roots
 from spinduct.verify import determinants_consistent
 from spinduct.weyl import (
     SINGULAR,
@@ -119,28 +120,49 @@ def test_chamber_examples():
     assert r.w.length == 0 and r.image == a2.rho
 
 
-def test_chamber_uniqueness_exhaustive():
-    rng = random.Random(11)
+def _walk_scopes():
     for label in ("A2", "B2", "G2", "B3"):
-        d = build_root_datum(label)
-        w = generate_weyl(d)
-        for _ in range(25):
-            mu = RationalWeight([rng.randint(-5, 5) for _ in range(d.rank)])
-            strict = [
-                e
-                for e in w.elements
-                if all(
-                    RationalWeight(e.apply(mu.nums), mu.den).pair(cv) > 0
-                    for cv in d.simple_coroots
-                )
-            ]
-            res = to_dominant_chamber(d, mu)
+        yield label, build_root_datum(label)
+    for pair in (("G2", "a2long"), ("B3", "so3xso4")):
+        yield "/".join(pair), zoo_problem(*pair).sub
+
+
+def test_chamber_uniqueness_exhaustive():
+    """The chamber walk and to_dominant_chamber against the whole orbit:
+    the walls-allowed image is the orbit's one dominant member, the walk
+    takes at most |R^+| steps, and for a regular weight the matrix and the
+    length are those of the unique w with w(mu) strictly dominant."""
+    rng = random.Random(11)
+    for name, scope in _walk_scopes():
+        d = scope.datum
+        coroots = scope.basis_coroots
+        elements = generate_weyl(scope).elements
+        for trial in range(40):
+            x = [rng.randint(-5, 5) for _ in range(d.rank)]
+            if trial % 3 == 0:
+                # onto the wall of a random positive root beta: 2x - <beta^vee, x> beta
+                beta = rng.choice(scope.positive)
+                p = dot(d.coroot(beta), x)
+                x = [2 * u - p * b for u, b in zip(x, beta)]
+            image, path, regular = kernels.dominant_walk(
+                x, scope.basis, coroots, len(scope.positive)
+            )
+            orbit = {e.apply(x) for e in elements}
+            dominant = [y for y in orbit if all(dot(cv, y) >= 0 for cv in coroots)]
+            assert dominant == [image], name
+            assert len(path) <= len(scope.positive)
+            strict = [e for e in elements if all(dot(cv, e.apply(x)) > 0 for cv in coroots)]
+            assert regular == bool(strict)
+            den = rng.choice((1, 2))
+            res = to_dominant_chamber(scope, RationalWeight(x, den))
             if not strict:
                 assert res == SINGULAR
             else:
                 assert len(strict) == 1
-                assert res.image == RationalWeight(strict[0].apply(mu.nums), mu.den)
-                assert res.w.det == strict[0].det
+                w = strict[0]
+                assert res.image == RationalWeight(w.apply(x), den)
+                assert (res.w.matrix, res.w.length, res.w.det) == (w.matrix, w.length, w.det)
+                assert len(path) == w.length
 
 
 def test_antisymmetrizer_small_examples():
