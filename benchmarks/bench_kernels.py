@@ -11,9 +11,10 @@ import random
 import time
 
 from spinduct import _kernels_py as py
+from spinduct import kernels
 from spinduct.charring import irreducible_restriction, weyl_denominator
 from spinduct.rootdata import RationalWeight, build_root_datum
-from spinduct.weyl import generate_weyl
+from spinduct.weyl import WeylElement, apply_weyl_sum, generate_weyl
 from spinduct.zoo import zoo_problem
 
 try:
@@ -61,7 +62,8 @@ def main():
     }
     d_h = dict(weyl_denominator(p.sub).coeffs)
     collect_input = py.convolve(d_h, support)
-    cap = 4 * len(f4.positive_roots) ** 2
+    # a chamber walk takes at most |R^+| steps
+    cap = len(f4.positive_roots)
     doms = [
         (tuple(rng.randint(0, 3) for _ in range(4)), rng.randint(1, 4))
         for _ in range(8)
@@ -95,6 +97,19 @@ def main():
         "orbit_expand, 8 orbits",
         lambda: py.orbit_expand(doms, f4.simple_roots, f4.simple_coroots),
         (lambda: cy.orbit_expand(doms, f4.simple_roots, f4.simple_coroots)) if cy else None,
+    )
+
+    # J_G through apply_weyl_sum: cold elements compute every w(delta) - delta,
+    # warm ones read the adjustments they keep per shift
+    zero = RationalWeight.zero(4)
+    fresh = [[WeylElement(e.matrix, e.length) for e in w.elements] for _ in range(3)]
+    t_cold, out_cold = timed(lambda: apply_weyl_sum(fresh.pop(), dets, zero, support))
+    apply_weyl_sum(w.elements, dets, zero, support)
+    t_warm, out_warm = timed(lambda: apply_weyl_sum(w.elements, dets, zero, support))
+    assert out_cold == out_warm
+    print(
+        f"{'apply_weyl_sum J_G':24s} cold {t_cold*1e3:9.2f} ms   warm {t_warm*1e3:9.2f} ms"
+        f"   ({kernels.backend_name()} kernels)"
     )
 
 

@@ -8,6 +8,7 @@ checked 64-bit arithmetic.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 Key = Tuple[int, ...]
@@ -38,12 +39,11 @@ def weyl_sum(
 ) -> Support:
     """Sum over group elements w of det_w * sum_k c_k e^(M_w k + t_w)."""
     out: Support = {}
+    items = list(coeffs.items())
     for mat, det, t in zip(mats, dets, shifts):
-        for k, c in coeffs.items():
-            nk = tuple(
-                sum(row[j] * k[j] for j in range(len(k))) + t[i]
-                for i, row in enumerate(mat)
-            )
+        rows = list(zip(mat, t))
+        for k, c in items:
+            nk = tuple([sum(map(mul, row, k), t_i) for row, t_i in rows])
             v = out.get(nk, 0) + det * c
             if v:
                 out[nk] = v

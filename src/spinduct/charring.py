@@ -33,8 +33,6 @@ from .rootdata import (
 from .weyl import (
     apply_weyl_sum,
     generate_weyl,
-    reflection_matrix,
-    shift_adjustment,
 )
 
 Scope = Union[RootDatum, SubgroupDatum]
@@ -221,14 +219,10 @@ def dualize(a: TorusElement) -> TorusElement:
 
 def is_scope_invariant(a: TorusElement, scope: Scope) -> bool:
     """Whether a is fixed by the scope's Weyl group."""
-    rank = a.datum.rank
-    for root, cv in zip(scope.basis, scope.basis_coroots):
-        m = reflection_matrix(rank, root, cv)
-        adj = shift_adjustment(m, a.shift)
-        img = kernels.weyl_sum([m], [1], [adj], a.coeffs)
-        if img != a.coeffs:
-            return False
-    return True
+    return all(
+        kernels.weyl_sum([g.matrix], [1], [g.adjustment(a.shift)], a.coeffs) == a.coeffs
+        for g in generate_weyl(scope).generators
+    )
 
 
 # --- denominators and Euler classes ----------------------------------------
@@ -553,24 +547,17 @@ def anti_invariant_decompose(
     dominant lam; exact and unique.  Raises NotAntiInvariant when a is not
     anti-invariant (or has the wrong twist class)."""
     scope = scope or a.datum
-    rho = scope.rho_vec
-    if a.shift != rho.residue_mod_one():
+    if a.shift != scope.rho_vec.residue_mod_one():
         raise NotAntiInvariant("twist class must be [rho] for decomposition")
-    w_order = generate_weyl(scope).order if scope.basis else 1
+    # only w = 1 keeps a strictly dominant lam strictly dominant, so c_lam is
+    # the coefficient at e^lam; <cv, shift + k> > 0 for every scope coroot
     den = a.shift.den
-    collected = kernels.dominant_collect(
-        to_scaled(a.shift, a.coeffs, den),
-        scope.basis,
-        scope.basis_coroots,
-        len(scope.positive),
-    )
-    # in an anti-invariant element every monomial is regular and each orbit
-    # contributes |W| monomials collecting to |W| * c_lambda
-    key_coeffs: Dict[Weight, int] = {}
-    for k, c in sorted(from_scaled(collected, a.shift, den).items()):
-        if c % w_order:
-            raise NotAntiInvariant("orbit coefficients are inconsistent")
-        key_coeffs[k] = c // w_order
+    walls = [(cv, -dot(cv, a.shift.nums)) for cv in scope.basis_coroots]
+    key_coeffs = {
+        k: c
+        for k, c in sorted(a.coeffs.items())
+        if all(den * dot(cv, k) > b for cv, b in walls)
+    }
     # complete verification: rebuild sum of c_lam J(e^lam) and compare
     elements = generate_weyl(scope).elements
     rebuilt = apply_weyl_sum(elements, [e.det for e in elements], a.shift, key_coeffs)

@@ -52,8 +52,6 @@ from .weyl import (
     WeylElement,
     coset_representatives,
     generate_weyl,
-    reflection_matrix,
-    shift_adjustment,
     to_dominant_chamber,
 )
 
@@ -129,10 +127,9 @@ def _check_partial_twist(scope: Scope, a: TorusElement) -> None:
     key = (scope.scope_key(), a.shift)
     if key in _TWIST_OK:
         return
-    for root, cv in zip(scope.basis, scope.basis_coroots):
-        m = reflection_matrix(a.datum.rank, root, cv)
+    for g, cv in zip(generate_weyl(scope).generators, scope.basis_coroots):
         try:
-            shift_adjustment(m, a.shift)
+            g.adjustment(a.shift)
         except ShiftNotStable as exc:
             raise BadTwist(str(exc))
         if a.shift.pair(cv).denominator != 1:

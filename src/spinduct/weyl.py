@@ -57,6 +57,19 @@ class WeylElement:
     def apply(self, v: Sequence[int]) -> Weight:
         return apply_matrix(self.matrix, v)
 
+    @cached_property
+    def _adjust(self) -> Dict[Tuple[Weight, int], Weight]:
+        return {}
+
+    def adjustment(self, shift: RationalWeight) -> Weight:
+        """shift_adjustment(matrix, shift), kept per shift after first use; a
+        shift moved out of its class is never kept, so it raises every time."""
+        key = (shift.nums, shift.den)
+        adj = self._adjust.get(key)
+        if adj is None:
+            adj = self._adjust[key] = shift_adjustment(self.matrix, shift)
+        return adj
+
     def inverse(self) -> "WeylElement":
         # length and determinant are invariant under inversion
         from fractions import Fraction
@@ -106,14 +119,15 @@ def _closure(gens: Sequence[WeylElement], rank: int, keep) -> list:
 class WeylGroup:
     """A (sub)system's Weyl group.  The order of a root datum's group comes
     from the product formula; the elements are enumerated on first use,
-    ordered by length, then lexicographic matrix order."""
+    ordered by length, then lexicographic matrix order.  The generators are
+    the simple reflections, one per basis root, in basis order."""
 
     def __init__(self, scope: Scope):
         self.scope = scope
         self.datum = scope.datum
         rank = self.datum.rank
-        refs = {reflection_matrix(rank, a, av) for a, av in zip(scope.basis, scope.basis_coroots)}
-        self.generators = tuple(WeylElement(m, 1) for m in sorted(refs))
+        pairs = zip(scope.basis, scope.basis_coroots)
+        self.generators = tuple(WeylElement(reflection_matrix(rank, a, av), 1) for a, av in pairs)
 
     @property
     def order(self) -> int:
@@ -261,7 +275,7 @@ def apply_weyl_sum(
     """Sum of det(w) * w(.) over the listed elements, acting on offset maps
     relative to the (stable) shift."""
     mats = [e.matrix for e in elements]
-    adjusts = [shift_adjustment(m, shift) for m in mats]
+    adjusts = [e.adjustment(shift) for e in elements]
     return kernels.weyl_sum(mats, dets, adjusts, coeffs)
 
 

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import kernels
 from .charring import TorusElement, TwistClass, _weight_dimension
-from .errors import SchemaViolation, UnknownSeries
+from .errors import DegenerateSample, SchemaViolation, UnknownSeries
 from .induction import InductionProblem, make_problem
 from .rootdata import (
     RationalWeight,
@@ -71,7 +71,7 @@ def subgroup_from_spec(datum: RootDatum, spec) -> SubgroupDatum:
         if isinstance(item, int):
             if not 0 <= item < len(datum.positive_roots):
                 raise SchemaViolation(
-                    f"root index {item} out of range", pointer=f"/subgroup/roots/{i}"
+                    f"root index {item} out of range", pointer=f"/subgroup/{i}"
                 )
             gens.append(datum.positive_roots[item])
         elif is_int_vector(item, datum.rank):
@@ -192,6 +192,8 @@ def random_dominant_weight(
             return mu
         if best is None or d < best[0]:
             best = (d, mu)
+    if best is None:
+        raise DegenerateSample("no sampled weight has an integral positive dimension")
     return best[1]
 
 

@@ -21,9 +21,10 @@ from spinduct.charring import (
     multiply,
     numeric_evaluate,
     scaled,
+    to_scaled,
     weyl_denominator,
 )
-from spinduct.errors import DatumMismatch, NotAntiInvariant, NotDominant
+from spinduct.errors import DatumMismatch, DegenerateSample, NotAntiInvariant, NotDominant
 from spinduct.rootdata import (
     RationalWeight,
     build_root_datum,
@@ -34,8 +35,14 @@ from spinduct.rootdata import (
     vsub,
 )
 from spinduct.serialize import torus_to_text
-from spinduct.weyl import apply_antisymmetrizer
-from spinduct.zoo import random_dominant_weight, zoo_problem, zoo_problems
+from spinduct.weyl import apply_antisymmetrizer, generate_weyl
+from spinduct.zoo import (
+    ZOO_PAIRS,
+    random_dominant_weight,
+    random_torus_element,
+    zoo_problem,
+    zoo_problems,
+)
 
 
 def mono(datum, coords, den=1, coeff=1):
@@ -210,6 +217,68 @@ def test_anti_invariant_decompose():
         anti_invariant_decompose(TorusElement.monomial(a2, a2.rho))
     with pytest.raises(NotAntiInvariant):
         anti_invariant_decompose(TorusElement.unit(a2))
+
+
+def _collect_then_divide(a):
+    """Oracle decomposition of an anti-invariant element: collect every
+    monomial to the dominant chamber with sign; each orbit then collects to
+    |W| * c_lam."""
+    d = a.datum
+    den = a.shift.den
+    collected = kernels.dominant_collect(
+        to_scaled(a.shift, a.coeffs, den), d.basis, d.basis_coroots, len(d.positive)
+    )
+    order = generate_weyl(d).order
+    out = {}
+    for k, c in sorted(from_scaled(collected, a.shift, den).items()):
+        if c % order:
+            raise NotAntiInvariant("orbit coefficients are inconsistent")
+        out[a.weight_of(k)] = c // order
+    return out
+
+
+def _zoo_groups():
+    return [zoo_problem(g, h) for g, h in dict(ZOO_PAIRS).items()]
+
+
+def test_anti_invariant_decompose_matches_collect_then_divide():
+    rng = random.Random(5)
+    for p in _zoo_groups():
+        twist = TwistClass.of(p.datum.rho)
+        for _ in range(4):
+            ja = apply_antisymmetrizer("J_G", random_torus_element(p, rng, twist=twist))
+            dec = anti_invariant_decompose(ja)
+            # same coefficients, same (sorted) order
+            assert list(dec.items()) == list(_collect_then_divide(ja).items())
+
+
+@pytest.mark.parametrize("where", ["dominant", "antidominant", "reflected"])
+def test_anti_invariant_decompose_rejects_one_extra_monomial(where):
+    rng = random.Random(6)
+    for p in _zoo_groups():
+        d = p.datum
+        ja = apply_antisymmetrizer(
+            "J_G", random_torus_element(p, rng, twist=TwistClass.of(d.rho))
+        )
+        # 9 rho = rho + 8 rho lies in the class [rho] and is strictly
+        # dominant; its negative and its image under a simple reflection
+        # are off the chamber
+        lam = RationalWeight([9 * x for x in d.rho.nums], d.rho.den)
+        extra = {
+            "dominant": lam,
+            "antidominant": -lam,
+            "reflected": RationalWeight(generate_weyl(d).generators[0].apply(lam.nums), lam.den),
+        }[where]
+        with pytest.raises(NotAntiInvariant):
+            anti_invariant_decompose(ja + TorusElement.monomial(d, extra))
+
+
+def test_random_dominant_weight_without_integral_dimension_is_a_domain_error():
+    # A2 > levi1: no weight of the class [rho_H] = (0, 1/2) pairs integrally
+    # with every A2 coroot, so no candidate has an integral dimension
+    p = zoo_problem("A2", "levi1")
+    with pytest.raises(DegenerateSample):
+        random_dominant_weight(p.datum, random.Random(0), twist=TwistClass.of(p.sub.rho_h))
 
 
 def test_numeric_evaluate():

@@ -190,7 +190,7 @@ def test_root_index_out_of_range(capsys):
     assert code == 1
     doc = json.loads(out)
     assert doc["error"]["code"] == "schema-violation"
-    assert "/subgroup/roots/0" in doc["error"]["pointer"]
+    assert doc["error"]["pointer"] == "/subgroup/0"
 
 
 def test_problem_document_roundtrips_identically():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from spinduct.errors import MismatchedDatum, OrderCapExceeded, ShiftNotStable
-from spinduct.charring import TorusElement, weyl_denominator
+from spinduct.charring import TorusElement, is_scope_invariant, weyl_denominator
 from spinduct.induction import make_problem
 from spinduct.intlinalg import determinant
 from spinduct import kernels
@@ -196,8 +196,37 @@ def test_antisymmetrizer_factorizations():
 def test_shift_stability_error():
     a1 = build_root_datum("A1")
     bad = TorusElement(a1, RationalWeight([1], 3), {(0,): 1})
-    with pytest.raises(ShiftNotStable):
-        apply_antisymmetrizer("J_G", bad)
+    # a failing (element, shift) pair is never remembered
+    for _ in range(2):
+        with pytest.raises(ShiftNotStable):
+            apply_antisymmetrizer("J_G", bad)
+        with pytest.raises(ShiftNotStable):
+            is_scope_invariant(bad, a1)
+
+
+def test_second_j_g_makes_no_new_shift_adjustment(monkeypatch):
+    from spinduct import weyl
+
+    calls = []
+
+    def counting(matrix, shift):
+        calls.append(matrix)
+        return real(matrix, shift)
+
+    real = weyl.shift_adjustment
+    monkeypatch.setattr(weyl, "shift_adjustment", counting)
+    # a fresh group cache: the elements start with no adjustments
+    monkeypatch.setattr(weyl, "_WEYL_CACHE", {})
+    f4 = build_root_datum("F4")
+    a = TorusElement.monomial(f4, RationalWeight([3, 1, 2, 1]), 2)
+    first = apply_antisymmetrizer("J_G", a)
+    assert len(calls) == 1152
+    assert apply_antisymmetrizer("J_G", a) == first
+    assert len(calls) == 1152
+    # the kept adjustments are not part of an element's value
+    for e in generate_weyl(f4).elements[:5]:
+        fresh = WeylElement(e.matrix, e.length)
+        assert (e, hash(e), repr(e)) == (fresh, hash(fresh), repr(fresh))
 
 
 def _filtered_cosets(p):
