@@ -14,7 +14,7 @@ from spinduct import _kernels_py as py
 from spinduct import kernels
 from spinduct.charring import irreducible_restriction, weyl_denominator
 from spinduct.rootdata import RationalWeight, build_root_datum
-from spinduct.weyl import WeylElement, apply_weyl_sum, generate_weyl
+from spinduct.weyl import WeylElement, antisymmetrize, apply_weyl_sum, generate_weyl
 from spinduct.zoo import zoo_problem
 
 try:
@@ -111,6 +111,10 @@ def main():
         f"{'apply_weyl_sum J_G':24s} cold {t_cold*1e3:9.2f} ms   warm {t_warm*1e3:9.2f} ms"
         f"   ({kernels.backend_name()} kernels)"
     )
+    # the same J_G by chamber collection and signed orbits, with no W
+    t_orbit, out_orbit = timed(lambda: antisymmetrize(f4, zero, support))
+    assert out_orbit == out_warm
+    print(f"{'J_G by signed orbits':24s}      {t_orbit*1e3:9.2f} ms")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ checked 64-bit arithmetic.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, mul
 from typing import Dict, List, Sequence, Tuple
 
 Key = Tuple[int, ...]
@@ -20,9 +20,10 @@ def convolve(a: Support, b: Support) -> Support:
     if len(a) > len(b):
         a, b = b, a
     out: Support = {}
+    items = list(b.items())
     for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            k = tuple(x + y for x, y in zip(k1, k2))
+        for k2, c2 in items:
+            k = tuple(map(add, k1, k2))
             c = out.get(k, 0) + c1 * c2
             if c:
                 out[k] = c
@@ -70,18 +71,15 @@ def dominant_walk(
     |R^+| steps; for a regular weight it takes exactly l(w) steps, where
     w(x) is strictly dominant.
     """
-    y = list(x)
-    n = len(y)
+    y = x
     path: List[int] = []
     while True:
         moved = False
         regular = True
         for i, cv in enumerate(coroots):
-            p = sum(cv[j] * y[j] for j in range(n))
+            p = sum(map(mul, cv, y))
             if p < 0:
-                al = basis[i]
-                for j in range(n):
-                    y[j] -= p * al[j]
+                y = [u - p * a for u, a in zip(y, basis[i])]
                 path.append(i)
                 moved = True
             elif p == 0:
@@ -116,32 +114,56 @@ def dominant_collect(
     return out
 
 
+def _orbit_sum(
+    items: Sequence[Tuple[Key, int]],
+    basis: Sequence[Key],
+    coroots: Sequence[Key],
+    flip: int,
+) -> Support:
+    """Sum of c * flip^k * e^x over the points x at level k of the Weyl orbit
+    of each listed dominant key, walked level by level from the key.
+
+    A point x goes to s_i x whenever <alpha_i^vee, x> > 0.  s_i permutes the
+    positive roots other than alpha_i, so that step raises by exactly one the
+    number of positive roots pairing negatively with the point: the levels
+    are disjoint, and duplicates can only arise within one level.  For a
+    strictly dominant key, level k is {w key : l(w) = k}.
+    """
+    steps = list(zip(coroots, basis))
+    out: Support = {}
+    for key, c in items:
+        level = {key}
+        while level:
+            nxt = set()
+            for x in level:
+                v = out.get(x, 0) + c
+                if v:
+                    out[x] = v
+                elif x in out:
+                    del out[x]
+                for cv, al in steps:
+                    p = sum(map(mul, cv, x))
+                    if p > 0:
+                        nxt.add(tuple([u - p * a for u, a in zip(x, al)]))
+            level = nxt
+            c *= flip
+    return out
+
+
 def orbit_expand(
     items: Sequence[Tuple[Key, int]],
     basis: Sequence[Key],
     coroots: Sequence[Key],
 ) -> Support:
     """Sum of m * e^(w mu) over each orbit of the listed dominant weights."""
-    out: Support = {}
-    nb = len(basis)
-    for key, mult in items:
-        seen = {key}
-        frontier: List[Key] = [key]
-        while frontier:
-            x = frontier.pop()
-            for i in range(nb):
-                cv = coroots[i]
-                p = sum(cv[j] * x[j] for j in range(len(x)))
-                if p > 0:
-                    al = basis[i]
-                    y = tuple(x[j] - p * al[j] for j in range(len(x)))
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-        for k in seen:
-            v = out.get(k, 0) + mult
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-    return out
+    return _orbit_sum(items, basis, coroots, 1)
+
+
+def signed_orbit(
+    items: Sequence[Tuple[Key, int]],
+    basis: Sequence[Key],
+    coroots: Sequence[Key],
+) -> Support:
+    """Sum of c * det(w) * e^(w nu) over W for each listed strictly dominant
+    nu, that is c * J(e^nu): the sign flips at each level of the orbit."""
+    return _orbit_sum(items, basis, coroots, -1)

@@ -27,48 +27,14 @@ from .rootdata import (
     SubgroupDatum,
     Weight,
     dot,
+    from_scaled,
+    scaled,
     vadd,
     vneg,
 )
-from .weyl import (
-    apply_weyl_sum,
-    generate_weyl,
-)
+from .weyl import antisymmetrize, generate_weyl
 
 Scope = Union[RootDatum, SubgroupDatum]
-
-
-# --- scaled weights ------------------------------------------------------------
-#
-# Chamber walks and the Freudenthal recursion run on integer keys: the weight
-# shift + offset multiplied through by a common denominator `den` (a multiple
-# of every denominator involved), which commutes with all reflections.
-
-
-def scaled(w: RationalWeight, den: int) -> Weight:
-    """den * w as an integer vector."""
-    return tuple(v * (den // w.den) for v in w.nums)
-
-
-def to_scaled(shift: RationalWeight, coeffs: Dict[Weight, int], den: int) -> Dict[Weight, int]:
-    """Offsets from `shift` to keys den * (shift + offset)."""
-    s = scaled(shift, den)
-    return {tuple(x + den * o for x, o in zip(s, k)): c for k, c in coeffs.items()}
-
-
-def from_scaled(keys: Dict[Weight, int], shift: RationalWeight, den: int) -> Dict[Weight, int]:
-    """Inverse of to_scaled; every key must lie in den * (shift + X(T))."""
-    s = scaled(shift, den)
-    out: Dict[Weight, int] = {}
-    for x, c in keys.items():
-        off = []
-        for u, v in zip(x, s):
-            q, r = divmod(u - v, den)
-            if r:
-                raise AssertionError("scaled weight left its coset")
-            off.append(q)
-        out[tuple(off)] = c
-    return out
 
 
 @dataclass(frozen=True)
@@ -558,9 +524,9 @@ def anti_invariant_decompose(
         for k, c in sorted(a.coeffs.items())
         if all(den * dot(cv, k) > b for cv, b in walls)
     }
-    # complete verification: rebuild sum of c_lam J(e^lam) and compare
-    elements = generate_weyl(scope).elements
-    rebuilt = apply_weyl_sum(elements, [e.det for e in elements], a.shift, key_coeffs)
+    # complete verification: rebuild sum of c_lam J(e^lam) by signed orbits
+    # and compare
+    rebuilt = antisymmetrize(scope, a.shift, key_coeffs, collect=False)
     if rebuilt != a.coeffs:
         raise NotAntiInvariant("element is not in the span of J(e^lambda)")
     return {a.weight_of(k): c for k, c in key_coeffs.items()}

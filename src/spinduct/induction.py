@@ -17,11 +17,9 @@ from .charring import (
     TorusElement,
     TwistClass,
     euler_class,
-    from_scaled,
     is_scope_invariant,
     multiply,
     numeric_evaluate,
-    to_scaled,
     weyl_denominator,
 )
 from .errors import (
@@ -44,6 +42,8 @@ from .rootdata import (
     RootDatum,
     SubgroupDatum,
     Weight,
+    from_scaled,
+    to_scaled,
     vneg,
 )
 from .weyl import (

@@ -7,6 +7,7 @@ so the textbook algorithms are used without pivot-growth tricks.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
@@ -24,13 +25,11 @@ def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
     if a and b and len(a[0]) != len(b):
         raise ValueError("matmul shape mismatch")
     cols = list(zip(*b)) if b else []
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-    )
+    return tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in a)
 
 
 def matvec(a: Sequence[Sequence[int]], v: Sequence[int]) -> Tuple[int, ...]:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def transpose(a: Sequence[Sequence[int]]) -> IntMatrix:

@@ -51,5 +51,6 @@ def orbit_expand(items, basis, coroots):
     return _dispatch("orbit_expand", items, basis, coroots)
 
 
-# the one chamber walk; it has no compiled twin
+# the one chamber walk and the signed orbit walk; they have no compiled twin
 dominant_walk = _py.dominant_walk
+signed_orbit = _py.signed_orbit

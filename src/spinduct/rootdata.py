@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul, sub
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
@@ -46,7 +47,7 @@ def vneg(a: Weight) -> Weight:
 
 
 def dot(cv: Covector, v: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(cv, v))
+    return sum(map(mul, cv, v))
 
 
 class RationalWeight:
@@ -137,6 +138,38 @@ class RationalWeight:
         if self.den == 1:
             return f"RationalWeight({list(self.nums)})"
         return f"RationalWeight({list(self.nums)}, den={self.den})"
+
+
+# --- scaled weights ------------------------------------------------------------
+#
+# Chamber walks and the Freudenthal recursion run on integer keys: the weight
+# shift + offset multiplied through by a common denominator `den` (a multiple
+# of every denominator involved), which commutes with all reflections.
+
+
+def scaled(w: RationalWeight, den: int) -> Weight:
+    """den * w as an integer vector."""
+    return tuple(v * (den // w.den) for v in w.nums)
+
+
+def to_scaled(shift: RationalWeight, coeffs: Dict[Weight, int], den: int) -> Dict[Weight, int]:
+    """Offsets from `shift` to keys den * (shift + offset)."""
+    s = scaled(shift, den)
+    return {tuple(x + den * o for x, o in zip(s, k)): c for k, c in coeffs.items()}
+
+
+def from_scaled(keys: Dict[Weight, int], shift: RationalWeight, den: int) -> Dict[Weight, int]:
+    """Inverse of to_scaled; every key must lie in den * (shift + X(T))."""
+    s = scaled(shift, den)
+    out: Dict[Weight, int] = {}
+    for x, c in keys.items():
+        off = tuple(map(sub, x, s))
+        if den != 1:
+            if any(d % den for d in off):
+                raise AssertionError("scaled weight left its coset")
+            off = tuple([d // den for d in off])
+        out[off] = c
+    return out
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .induction import (
     pairing_report,
     partial,
 )
-from .intlinalg import determinant
+from .intlinalg import determinant, matmul
 from .multiplets import alternating_dimension_sum, gkrs_identity_check, multiplet
 from .rootdata import (
     RationalWeight,
@@ -603,14 +603,7 @@ def check_weyl_invariants(seed: int = 0) -> List[CheckResult]:
         ok = determinants_consistent(elems) and ok
         for _ in range(40):
             e1, e2 = rng.choice(elems), rng.choice(elems)
-            m = tuple(
-                tuple(
-                    sum(e1.matrix[i][k] * e2.matrix[k][j] for k in range(len(e2.matrix)))
-                    for j in range(len(e2.matrix))
-                )
-                for i in range(len(e1.matrix))
-            )
-            if w.element(m).det != e1.det * e2.det:
+            if w.element(matmul(e1.matrix, e2.matrix)).det != e1.det * e2.det:
                 ok = False
     out.append(_result("weyl-determinants", ok, "det multiplicative, det = det(matrix)"))
     # coset representatives are the minimal-length elements; unique factorization
@@ -621,20 +614,10 @@ def check_weyl_invariants(seed: int = 0) -> List[CheckResult]:
         seen = {}
         for rep in p.reps.reps:
             for u in wh.elements:
-                m = tuple(
-                    tuple(
-                        sum(rep.matrix[i][k] * u.matrix[k][j] for k in range(len(u.matrix)))
-                        for j in range(len(u.matrix))
-                    )
-                    for i in range(len(u.matrix))
-                )
-                full = p.weyl.element(m)
-                if full.length < rep.length:
+                m = matmul(rep.matrix, u.matrix)
+                if p.weyl.element(m).length < rep.length or m in seen:
                     ok = False
-                key = m
-                if key in seen:
-                    ok = False
-                seen[key] = True
+                seen[m] = True
         if len(seen) != p.weyl.order:
             ok = False
     out.append(

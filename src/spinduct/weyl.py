@@ -9,31 +9,19 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 from . import kernels, rootdata
 from .errors import MismatchedDatum, OrderCapExceeded, ShiftNotStable
+from .intlinalg import identity, matmul, matvec, smith_normal_form
 from .rootdata import (
     RationalWeight,
     RootDatum,
     SubgroupDatum,
     Weight,
+    from_scaled,
+    to_scaled,
 )
 
 Matrix = Tuple[Tuple[int, ...], ...]
 
 Scope = Union[RootDatum, SubgroupDatum]
-
-
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-    )
-
-
-def apply_matrix(m: Matrix, v: Sequence[int]) -> Weight:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
 
 def reflection_matrix(rank: int, root: Weight, coroot: Weight) -> Matrix:
@@ -55,7 +43,7 @@ class WeylElement:
         return -1 if self.length % 2 else 1
 
     def apply(self, v: Sequence[int]) -> Weight:
-        return apply_matrix(self.matrix, v)
+        return matvec(self.matrix, v)
 
     @cached_property
     def _adjust(self) -> Dict[Tuple[Weight, int], Weight]:
@@ -71,26 +59,10 @@ class WeylElement:
         return adj
 
     def inverse(self) -> "WeylElement":
-        # length and determinant are invariant under inversion
-        from fractions import Fraction
-
-        n = len(self.matrix)
-        a = [
-            [Fraction(x) for x in row]
-            + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i, row in enumerate(self.matrix)
-        ]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if a[r][col])
-            a[col], a[piv] = a[piv], a[col]
-            pv = a[col][col]
-            a[col] = [x / pv for x in a[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        inv = tuple(tuple(int(a[i][n + j]) for j in range(n)) for i in range(n))
-        return WeylElement(inv, self.length)
+        # u m v = 1 for a unimodular m, so m^{-1} = v u; length and
+        # determinant are invariant under inversion
+        _, u, v = smith_normal_form(self.matrix)
+        return WeylElement(matmul(v, u), self.length)
 
 
 def _closure(gens: Sequence[WeylElement], rank: int, keep) -> list:
@@ -98,7 +70,7 @@ def _closure(gens: Sequence[WeylElement], rank: int, keep) -> list:
     on the left and keeping only the matrices that `keep` accepts.  Returns
     (matrix, (length, inverse)) pairs sorted by length, then matrix; the
     inverse comes along for free, as (s w)^{-1} = w^{-1} s."""
-    ident = _identity(rank)
+    ident = identity(rank)
     found: Dict[Matrix, Tuple[int, Matrix]] = {ident: (0, ident)}
     frontier = [ident]
     while frontier:
@@ -106,9 +78,9 @@ def _closure(gens: Sequence[WeylElement], rank: int, keep) -> list:
         for m in frontier:
             length, inv = found[m]
             for g in gens:
-                nm = _matmul(g.matrix, m)
+                nm = matmul(g.matrix, m)
                 if nm not in found and keep(nm):
-                    found[nm] = (length + 1, _matmul(inv, g.matrix))
+                    found[nm] = (length + 1, matmul(inv, g.matrix))
                     nxt.append(nm)
         frontier = nxt
         if len(found) > rootdata.WEYL_ORDER_CAP:
@@ -202,7 +174,7 @@ def coset_representatives(w: WeylGroup, sub: SubgroupDatum) -> CosetReps:
         return cached
     pos = set(w.datum.positive_roots)
     found = _closure(
-        w.generators, w.datum.rank, lambda m: all(apply_matrix(m, a) in pos for a in sub.basis_h)
+        w.generators, w.datum.rank, lambda m: all(matvec(m, a) in pos for a in sub.basis_h)
     )
     reps = tuple(WeylElement(m, l) for m, (l, _) in found)
     inverses = tuple(WeylElement(inv, l) for _, (l, inv) in found)
@@ -247,17 +219,16 @@ def to_dominant_chamber(scope: Scope, mu: RationalWeight):
     )
     if not regular:
         return SINGULAR
-    rank = scope.datum.rank
-    refs = [reflection_matrix(rank, a, av) for a, av in zip(scope.basis, scope.basis_coroots)]
-    mat = _identity(rank)
+    gens = generate_weyl(scope).generators
+    mat = identity(scope.datum.rank)
     for i in path:
-        mat = _matmul(refs[i], mat)
+        mat = matmul(gens[i].matrix, mat)
     return Regular(WeylElement(mat, len(path)), RationalWeight(image, mu.den))
 
 
 def shift_adjustment(w_matrix: Matrix, shift: RationalWeight) -> Weight:
     """Integer vector w(delta) - delta; raises if the shift class moves."""
-    img = apply_matrix(w_matrix, shift.nums)
+    img = matvec(w_matrix, shift.nums)
     diff = [x - y for x, y in zip(img, shift.nums)]
     if any(d % shift.den for d in diff):
         raise ShiftNotStable(
@@ -279,26 +250,49 @@ def apply_weyl_sum(
     return kernels.weyl_sum(mats, dets, adjusts, coeffs)
 
 
+def antisymmetrize(
+    scope: Scope, shift: RationalWeight, coeffs: Dict[Weight, int], collect: bool = True
+) -> Dict[Weight, int]:
+    """Sum of det(w) * w(.) over the scope's Weyl group, acting on offset maps
+    relative to the shift, without enumerating the group.
+
+    The shift class is checked against the simple reflections (stable under
+    them iff under W).  Each monomial is collected to the strictly dominant
+    chamber with sign det(w), since J(e^(w nu)) = det(w) J(e^nu); singular
+    ones drop out, as J kills them.  Each strictly dominant nu then expands
+    to its signed orbit J(e^nu).  With collect=False the keys must already
+    be strictly dominant."""
+    for g in generate_weyl(scope).generators:
+        g.adjustment(shift)
+    den = shift.den
+    keys = to_scaled(shift, coeffs, den)
+    basis, coroots = scope.basis, scope.basis_coroots
+    if collect:
+        keys = kernels.dominant_collect(keys, basis, coroots, len(scope.positive))
+    return from_scaled(kernels.signed_orbit(list(keys.items()), basis, coroots), shift, den)
+
+
 def apply_antisymmetrizer(kind: str, a, sub: Optional[SubgroupDatum] = None):
     """Apply J_G, J_H, J_M or J_M_op to a TorusElement.
 
-    J_G sums det(w) w over the full Weyl group; J_H over the subgroup's;
-    J_M over the minimal coset representatives W^H; J_M_op over their
-    inverses.  The shift class of `a` must be stable under every element
-    applied.
+    J_G is the full Weyl group's antisymmetrizer, computed by `antisymmetrize`
+    without enumerating W.  J_H, J_M and J_M_op are matrix sums of det(w) w
+    over the subgroup's Weyl group, the minimal coset representatives W^H and
+    their inverses; they stay independent of J_G, so that J_G = J_M J_H =
+    J_H J_M_op compares different algorithms.  The shift class of `a` must be
+    stable under every element applied.
     """
     kind = kind.upper()
     if kind == "J_G":
-        elements = generate_weyl(a.datum).elements
-    elif kind in ("J_H", "J_M", "J_M_OP"):
-        if sub is None:
-            raise MismatchedDatum(f"{kind} needs a SubgroupDatum")
-        if kind == "J_H":
-            elements = generate_weyl(sub).elements
-        else:
-            cosets = coset_representatives(generate_weyl(a.datum), sub)
-            elements = cosets.reps if kind == "J_M" else cosets.inverses
-    else:
+        return a.replace_coeffs(antisymmetrize(a.datum, a.shift, a.coeffs))
+    if kind not in ("J_H", "J_M", "J_M_OP"):
         raise ValueError(f"unknown antisymmetrizer kind {kind!r}")
+    if sub is None:
+        raise MismatchedDatum(f"{kind} needs a SubgroupDatum")
+    if kind == "J_H":
+        elements = generate_weyl(sub).elements
+    else:
+        cosets = coset_representatives(generate_weyl(a.datum), sub)
+        elements = cosets.reps if kind == "J_M" else cosets.inverses
     out = apply_weyl_sum(elements, [e.det for e in elements], a.shift, a.coeffs)
     return a.replace_coeffs(out)

@@ -15,13 +15,10 @@ from spinduct.charring import (
     dimension,
     dualize,
     euler_class,
-    from_scaled,
     irreducible_restriction,
     is_scope_invariant,
     multiply,
     numeric_evaluate,
-    scaled,
-    to_scaled,
     weyl_denominator,
 )
 from spinduct.errors import DatumMismatch, DegenerateSample, NotAntiInvariant, NotDominant
@@ -29,7 +26,10 @@ from spinduct.rootdata import (
     RationalWeight,
     build_root_datum,
     dot,
+    from_scaled,
+    scaled,
     subgroup_from_roots,
+    to_scaled,
     vadd,
     vneg,
     vsub,

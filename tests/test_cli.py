@@ -406,25 +406,82 @@ _FLAG_VALUES = {
         _WEIGHT_TEXT,
         st.fixed_dictionaries({"num": _JSON_ITEM}, optional={"den": _JSON_ITEM}).map(json.dumps),
     ),
+    "twist": st.one_of(st.text(max_size=8), _WEIGHT_TEXT),
 }
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    st.sampled_from(["info", "induce", "branch", "bwb", "multiplet"]),
-    st.sampled_from([None, "twisted", "spinc", "spin"]),
-    st.fixed_dictionaries({}, optional=_FLAG_VALUES),
-)
-def test_cli_contract_on_drawn_flags(command, kind, flags):
+def _mostly(valid):
+    """Values of `valid` three times in four, arbitrary JSON items otherwise
+    (a plain one_of would flatten _JSON_ITEM's branches and rarely draw a
+    valid value)."""
+    return st.integers(0, 3).flatmap(lambda i: valid if i else _JSON_ITEM)
+
+
+_WEIGHT_DOC = _mostly(st.fixed_dictionaries(
+    {"num": st.lists(_SMALL, min_size=1, max_size=3)}, optional={"den": st.integers(-1, 3)}
+))
+# whole problem documents: every known field, well-formed or not
+_PROBLEM_DOC = _mostly(st.fixed_dictionaries({}, optional={
+    "command": _mostly(st.sampled_from(["info", "bwb", "verify"])),
+    "group": _mostly(st.one_of(
+        st.sampled_from(["A2", "B2", "B2:root", "Q9"]),
+        st.fixed_dictionaries({"label": st.sampled_from(["A2", "B2", "Z"])},
+                              optional={"lattice": st.sampled_from(["weight", "root", "x"])}),
+    )),
+    "subgroup": _mostly(st.sampled_from(["t", "g", "levi1"])),
+    "twist": _WEIGHT_DOC,
+    "input": _mostly(st.one_of(
+        st.sampled_from(["1", "e^rhoG", "e^rhoM", "spinor", "euler"]),
+        st.fixed_dictionaries({"terms": _TERMS}),
+    )),
+    "mu": _WEIGHT_DOC,
+    "kind": _mostly(st.sampled_from(["twisted", "spinc", "spin", "holomorphic"])),
+    "gamma": _mostly(st.lists(_SMALL, min_size=2, max_size=2)),
+    "tau": _JSON_ITEM,
+    "signs": _JSON_ITEM,
+    "seed": _mostly(st.integers(0, 3)),
+    "trials": _mostly(st.integers(0, 3)),
+    "max_weyl_order": _mostly(st.integers(-1, 8)),
+}))
+
+
+def _assert_cli_contract(argv, stdin=""):
+    """Exit 0 or 1, exactly one JSON document on stdout, never a traceback."""
     import contextlib
     import io
+    import sys
 
-    argv = [command, "--group", "A2"] + (["--kind", kind] if kind else [])
-    argv += [f"--{name}={value}" for name, value in flags.items()]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    saved_stdin, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved_stdin
     assert code in (0, 1)
     json.loads(out.getvalue())
     assert len(out.getvalue().splitlines()) == 1
     assert "Traceback" not in err.getvalue()
+
+
+_COMMANDS = st.sampled_from(["info", "whset", "induce", "branch", "bwb", "multiplet"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _COMMANDS,
+    st.sampled_from([None, "twisted", "spinc", "spin"]),
+    st.sampled_from(["A2", "B2"]),
+    st.fixed_dictionaries({}, optional=_FLAG_VALUES),
+)
+def test_cli_contract_on_drawn_flags(command, kind, group, flags):
+    argv = [command, "--group", group] + (["--kind", kind] if kind else [])
+    _assert_cli_contract(argv + [f"--{name}={value}" for name, value in flags.items()])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_COMMANDS, st.sampled_from([None, "A2", "B2"]), _PROBLEM_DOC.map(json.dumps))
+def test_cli_contract_on_drawn_problem_documents(command, group, problem):
+    """Whole documents on stdin through --problem -, with or without a
+    --group flag overriding the document's group."""
+    _assert_cli_contract([command, "--problem", "-"] + (["--group", group] if group else []), problem)

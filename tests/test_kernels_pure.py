@@ -54,3 +54,62 @@ def test_weyl_sum_edge_cases():
     # a shift moves the image
     ident = a2[0].matrix
     assert py.weyl_sum([ident], [-1], [(2, -1)], {(1, 1): 5}) == {(3, 0): -5}
+
+
+def _orbit_oracle(key, basis, coroots):
+    """The orbit of a dominant key by a depth-first search over the simple
+    reflections that move it away from the chamber (the former pure
+    orbit_expand loop)."""
+    seen = {key}
+    frontier = [key]
+    while frontier:
+        x = frontier.pop()
+        for al, cv in zip(basis, coroots):
+            p = sum(cv[j] * x[j] for j in range(len(x)))
+            if p > 0:
+                y = tuple(x[j] - p * al[j] for j in range(len(x)))
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+    return seen
+
+
+def _random_dominant(rng, rank, low):
+    """A dominant key in fundamental-weight coordinates on the weight lattice."""
+    return tuple(rng.randint(low, 3) for _ in range(rank))
+
+
+def test_orbit_walks_match_search_oracle():
+    rng = random.Random(2)
+    for label in ("A1", "A2", "B2", "G2", "B3", "A1xA1", "F4"):
+        d = build_root_datum(label)
+        basis, coroots = d.simple_roots, d.simple_coroots
+        for _ in range(6):
+            # dominant keys may sit on walls; strictly dominant ones may not
+            key, mult = _random_dominant(rng, d.rank, 0), rng.randint(1, 5)
+            orbit = _orbit_oracle(key, basis, coroots)
+            assert py.orbit_expand([(key, mult)], basis, coroots) == dict.fromkeys(orbit, mult)
+            nu, c = _random_dominant(rng, d.rank, 1), rng.choice((-3, 2, 7))
+            orbit = _orbit_oracle(nu, basis, coroots)
+            assert len(orbit) == generate_weyl(d).order
+            # det(w) for w nu = x is the parity of the walk from x back to nu
+            signed = {}
+            for x in orbit:
+                image, path, regular = py.dominant_walk(x, basis, coroots, len(d.positive))
+                assert (image, regular) == (nu, True)
+                signed[x] = -c if len(path) % 2 else c
+            assert py.signed_orbit([(nu, c)], basis, coroots) == signed
+
+
+def test_signed_orbit_edge_cases():
+    # rank 0, no items, and two orbits that overlap nowhere
+    assert py.signed_orbit([((), 4)], (), ()) == {(): 4}
+    assert py.orbit_expand([((), 4)], (), ()) == {(): 4}
+    a1 = build_root_datum("A1")
+    basis, coroots = a1.simple_roots, a1.simple_coroots
+    assert py.signed_orbit([], basis, coroots) == {}
+    assert py.signed_orbit([((1,), 2), ((3,), -1)], basis, coroots) == {
+        (1,): 2, (-1,): -2, (3,): -1, (-3,): 1,
+    }
+    # a repeated weight accumulates, and cancels to nothing
+    assert py.signed_orbit([((2,), 1), ((2,), -1)], basis, coroots) == {}

@@ -13,7 +13,9 @@ from spinduct.weyl import (
     SINGULAR,
     Regular,
     WeylElement,
+    antisymmetrize,
     apply_antisymmetrizer,
+    apply_weyl_sum,
     coset_representatives,
     generate_weyl,
     to_dominant_chamber,
@@ -193,6 +195,52 @@ def test_antisymmetrizer_factorizations():
             )
 
 
+def _so7_root_lattice():
+    # B3 on its root lattice: rho is genuinely half-integral there
+    so7 = build_root_datum("B3", "root")
+    gens = [(1, 1, 1), (0, 1, 0), (0, 1, 2)]
+    return make_problem(so7, subgroup_from_roots(so7, [so7.root_from_simple_coordinates(g) for g in gens]))
+
+
+def test_j_g_by_signed_orbits_matches_matrix_sum():
+    """antisymmetrize (chamber collection plus signed orbits) against the
+    matrix sum of det(w) w over the enumerated group, on every zoo group and
+    subgroup scope, untwisted, at rho of the group and at rho of the scope;
+    A2 > levi1 and B3 on its root lattice give non-integral shifts."""
+    from spinduct.charring import TwistClass
+    from spinduct.zoo import random_torus_element
+
+    rng = random.Random(8)
+    problems = [p for _, p in zoo_problems()] + [_so7_root_lattice()]
+    shifts_seen = set()
+    for p in problems:
+        for scope in (p.datum, p.sub):
+            elements = generate_weyl(scope).elements
+            dets = [e.det for e in elements]
+            for delta in (RationalWeight.zero(p.datum.rank), p.datum.rho, scope.rho_vec):
+                twist = TwistClass.of(delta)
+                shifts_seen.add(twist.shift.den)
+                for _ in range(4):
+                    a = random_torus_element(p, rng, twist=twist, max_support=8)
+                    oracle = apply_weyl_sum(elements, dets, a.shift, a.coeffs)
+                    assert antisymmetrize(scope, a.shift, a.coeffs) == oracle
+                    if scope is p.datum:
+                        assert apply_antisymmetrizer("J_G", a).coeffs == oracle
+    assert shifts_seen == {1, 2}
+
+
+def test_e6_j_g_never_enumerates_w():
+    from spinduct.charring import anti_invariant_decompose
+
+    e6 = build_root_datum("E6")
+    j = apply_antisymmetrizer("J_G", TorusElement.monomial(e6, e6.rho))
+    assert len(j.coeffs) == 51840
+    assert sorted(set(j.coeffs.values())) == [-1, 1]
+    assert sum(j.coeffs.values()) == 0
+    assert anti_invariant_decompose(j) == {e6.rho: 1}
+    assert "elements" not in vars(generate_weyl(e6))
+
+
 def test_shift_stability_error():
     a1 = build_root_datum("A1")
     bad = TorusElement(a1, RationalWeight([1], 3), {(0,): 1})
@@ -219,12 +267,21 @@ def test_second_j_g_makes_no_new_shift_adjustment(monkeypatch):
     monkeypatch.setattr(weyl, "_WEYL_CACHE", {})
     f4 = build_root_datum("F4")
     a = TorusElement.monomial(f4, RationalWeight([3, 1, 2, 1]), 2)
+    # J_G by signed orbits checks the shift against the simple reflections only
     first = apply_antisymmetrizer("J_G", a)
-    assert len(calls) == 1152
+    assert len(calls) == f4.rank
     assert apply_antisymmetrizer("J_G", a) == first
+    assert len(calls) == f4.rank
+    # the matrix sum over W adjusts each element once per shift
+    elements = generate_weyl(f4).elements
+    dets = [e.det for e in elements]
+    calls.clear()
+    assert apply_weyl_sum(elements, dets, a.shift, a.coeffs) == first.coeffs
+    assert len(calls) == 1152
+    assert apply_weyl_sum(elements, dets, a.shift, a.coeffs) == first.coeffs
     assert len(calls) == 1152
     # the kept adjustments are not part of an element's value
-    for e in generate_weyl(f4).elements[:5]:
+    for e in elements[:5]:
         fresh = WeylElement(e.matrix, e.length)
         assert (e, hash(e), repr(e)) == (fresh, hash(fresh), repr(fresh))
 
