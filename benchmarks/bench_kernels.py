@@ -98,6 +98,19 @@ def main():
         lambda: py.orbit_expand(doms, f4.simple_roots, f4.simple_coroots),
         (lambda: cy.orbit_expand(doms, f4.simple_roots, f4.simple_coroots)) if cy else None,
     )
+    # the same orbits along the tree table: cold walks the first weight of
+    # each stabilizer type and records its tree, warm replays every orbit
+    t_cold, out_cold = timed(lambda: py.orbit_expand(doms, f4.simple_roots, f4.simple_coroots, {}))
+    trees = {}
+    py.orbit_expand(doms, f4.simple_roots, f4.simple_coroots, trees)
+    t_warm, out_warm = timed(
+        lambda: py.orbit_expand(doms, f4.simple_roots, f4.simple_coroots, trees)
+    )
+    assert out_cold == out_warm
+    print(
+        f"{'orbit by tree':24s} cold {t_cold*1e3:9.2f} ms   warm {t_warm*1e3:9.2f} ms"
+        f"   ({len(trees)} trees)"
+    )
 
     # J_G through apply_weyl_sum: cold elements compute every w(delta) - delta,
     # warm ones read the adjustments they keep per shift

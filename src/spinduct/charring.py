@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import kernels
@@ -496,7 +497,9 @@ def irreducible_restriction(scope: Scope, lam: RationalWeight) -> TorusElement:
     # everything is scaled by a common denominator D, so weights are integral
     den = math.lcm(lam.den, scope.rho_vec.den)
     mult = _freudenthal(scope, _dominant_weights(scope, scaled(lam, den), den), den)
-    expanded = kernels.orbit_expand(list(mult.items()), scope.basis, scope.basis_coroots)
+    expanded = kernels.orbit_expand(
+        list(mult.items()), scope.basis, scope.basis_coroots, generate_weyl(scope).orbit_trees
+    )
     shift = lam.residue_mod_one()
     out = TorusElement(scope.datum, shift, from_scaled(expanded, shift, den))
     _CHAR_CACHE[key] = out
@@ -519,11 +522,10 @@ def anti_invariant_decompose(
     # the coefficient at e^lam; <cv, shift + k> > 0 for every scope coroot
     den = a.shift.den
     walls = [(cv, -dot(cv, a.shift.nums)) for cv in scope.basis_coroots]
-    key_coeffs = {
-        k: c
-        for k, c in sorted(a.coeffs.items())
-        if all(den * dot(cv, k) > b for cv, b in walls)
-    }
+    strict = list(a.coeffs)
+    for cv, b in walls:
+        strict = [k for k in strict if den * sum(map(mul, cv, k)) > b]
+    key_coeffs = {k: a.coeffs[k] for k in sorted(strict)}
     # complete verification: rebuild sum of c_lam J(e^lam) by signed orbits
     # and compare
     rebuilt = antisymmetrize(scope, a.shift, key_coeffs, collect=False)

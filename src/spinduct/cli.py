@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Dict, List, Optional
@@ -45,7 +46,6 @@ from .serialize import (
     torus_to_json,
 )
 from .spinc import classify, nu
-from .verify import run_suite
 from .zoo import parse_group_spec, steinberg_pairing_bases, subgroup_from_spec
 
 COMMANDS = (
@@ -190,6 +190,9 @@ def _diagnostics(problem) -> Dict:
 
 def _run_command(doc: Dict, command: str) -> Dict:
     if command == "verify":
+        # the identity suites load only for this command
+        from .verify import run_suite
+
         suite = doc.get("suite", "all")
         results = run_suite(suite, seed=doc["seed"])
         return {
@@ -420,6 +423,11 @@ def _doc_from_args(args) -> Dict:
     if args.max_weyl_order is not None:
         doc["max_weyl_order"] = args.max_weyl_order
     _check_fields(doc)
+    if doc.get("command", args.command) != args.command:
+        raise SchemaViolation(
+            f"document command {doc['command']!r} disagrees with {args.command!r}",
+            pointer="/command",
+        )
     return doc
 
 
@@ -451,21 +459,29 @@ def main(argv: Optional[List[str]] = None) -> int:
                 doc["twist"] = _parse_weight_flag(args.twist, datum.rank, "/twist")
         payload = _run_command(doc, args.command)
     except SchemaViolation as exc:
-        record = {
-            "error": {"code": exc.code, "message": str(exc), "pointer": exc.pointer}
-        }
-        print(json.dumps(record, sort_keys=True), flush=True)
+        _emit({"error": {"code": exc.code, "message": str(exc), "pointer": exc.pointer}})
         return 1
     except SpinductError as exc:
-        record = {"error": {"code": exc.code, "message": str(exc)}}
-        print(json.dumps(record, sort_keys=True), flush=True)
+        _emit({"error": {"code": exc.code, "message": str(exc)}})
         return 1
     finally:
         rootdata.WEYL_ORDER_CAP = saved_cap
     out = {"command": args.command, "problem": _echo(doc), **payload}
     if args.timing:
         out["timing_seconds"] = round(time.monotonic() - started, 6)
-    print(json.dumps(out, sort_keys=True, indent=2 if args.pretty else None), flush=True)
+    return _emit(out, indent=2 if args.pretty else None)
+
+
+def _emit(doc: Dict, indent: Optional[int] = None) -> int:
+    """Print one JSON document: 0, or 1 when stdout is closed.  Stdout is
+    then pointed at devnull, so the flush at exit cannot fail again (the
+    recipe of the `signal` module's documentation for SIGPIPE)."""
+    try:
+        print(json.dumps(doc, sort_keys=True, indent=indent), flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -47,10 +47,9 @@ def dominant_collect(coeffs, basis, coroots, max_steps):
     return _dispatch("dominant_collect", coeffs, basis, coroots, max_steps)
 
 
-def orbit_expand(items, basis, coroots):
-    return _dispatch("orbit_expand", items, basis, coroots)
-
-
-# the one chamber walk and the signed orbit walk; they have no compiled twin
+# the one chamber walk and the orbit walks replayed along cached trees; the
+# compiled orbit_expand takes no tree table, so it is not dispatched
+OrbitTree = _py.OrbitTree
 dominant_walk = _py.dominant_walk
+orbit_expand = _py.orbit_expand
 signed_orbit = _py.signed_orbit

@@ -153,13 +153,18 @@ def scaled(w: RationalWeight, den: int) -> Weight:
 
 
 def to_scaled(shift: RationalWeight, coeffs: Dict[Weight, int], den: int) -> Dict[Weight, int]:
-    """Offsets from `shift` to keys den * (shift + offset)."""
+    """Offsets from `shift` to keys den * (shift + offset); a fresh copy when
+    that is the identity (den 1, zero shift)."""
+    if den == 1 and not any(shift.nums):
+        return dict(coeffs)
     s = scaled(shift, den)
     return {tuple(x + den * o for x, o in zip(s, k)): c for k, c in coeffs.items()}
 
 
 def from_scaled(keys: Dict[Weight, int], shift: RationalWeight, den: int) -> Dict[Weight, int]:
     """Inverse of to_scaled; every key must lie in den * (shift + X(T))."""
+    if den == 1 and not any(shift.nums):
+        return dict(keys)
     s = scaled(shift, den)
     out: Dict[Weight, int] = {}
     for x, c in keys.items():

@@ -17,6 +17,7 @@ from .rootdata import (
     Weight,
     from_scaled,
     to_scaled,
+    vsub,
 )
 
 Matrix = Tuple[Tuple[int, ...], ...]
@@ -88,11 +89,42 @@ def _closure(gens: Sequence[WeylElement], rank: int, keep) -> list:
     return sorted(found.items(), key=lambda kv: (kv[1][0], kv[0]))
 
 
+def _order_from_heights(positive: Sequence[Weight], basis: Sequence[Weight]) -> int:
+    """|W| of a (possibly reducible) root system from the heights of its
+    positive roots: by Kostant, the number of exponents at least k is the
+    number of positive roots of height k, and |W| is the product of the
+    exponents plus one.  A non-simple positive root minus some simple root
+    is a positive root, which gives the heights one level at a time."""
+    height = dict.fromkeys(basis, 1)
+    pending = [a for a in positive if a not in height]
+    while pending:
+        rest = []
+        for a in pending:
+            for b in basis:
+                h = height.get(vsub(a, b))
+                if h is not None:
+                    height[a] = h + 1
+                    break
+            else:
+                rest.append(a)
+        if len(rest) == len(pending):
+            raise AssertionError("positive roots not reached from the basis")
+        pending = rest
+    count = [0] * (max(height.values(), default=0) + 2)
+    for h in height.values():
+        count[h] += 1
+    order = 1
+    for k in range(1, len(count) - 1):
+        order *= (k + 1) ** (count[k] - count[k + 1])
+    return order
+
+
 class WeylGroup:
     """A (sub)system's Weyl group.  The order of a root datum's group comes
-    from the product formula; the elements are enumerated on first use,
-    ordered by length, then lexicographic matrix order.  The generators are
-    the simple reflections, one per basis root, in basis order."""
+    from the product formula, a subsystem's from its root heights; neither
+    enumerates.  The elements are enumerated on first use, ordered by
+    length, then lexicographic matrix order.  The generators are the simple
+    reflections, one per basis root, in basis order."""
 
     def __init__(self, scope: Scope):
         self.scope = scope
@@ -101,16 +133,22 @@ class WeylGroup:
         pairs = zip(scope.basis, scope.basis_coroots)
         self.generators = tuple(WeylElement(reflection_matrix(rank, a, av), 1) for a, av in pairs)
 
-    @property
+    @cached_property
     def order(self) -> int:
         if isinstance(self.scope, RootDatum):
             return self.scope.weyl_order
-        return len(self.elements)
+        return _order_from_heights(self.scope.positive, self.scope.basis)
+
+    @cached_property
+    def orbit_trees(self) -> Dict[Tuple[int, ...], kernels.OrbitTree]:
+        """The orbit walk's tree per stabilizer type (the walls of a dominant
+        weight), filled by orbit_expand and signed_orbit as types appear."""
+        return {}
 
     @cached_property
     def elements(self) -> Tuple[WeylElement, ...]:
         found = _closure(self.generators, self.datum.rank, lambda m: True)
-        if isinstance(self.scope, RootDatum) and len(found) != self.scope.weyl_order:
+        if len(found) != self.order:
             raise AssertionError("Weyl group enumeration disagrees with the order formula")
         return tuple(WeylElement(m, l) for m, (l, _) in found)
 
@@ -262,14 +300,16 @@ def antisymmetrize(
     ones drop out, as J kills them.  Each strictly dominant nu then expands
     to its signed orbit J(e^nu).  With collect=False the keys must already
     be strictly dominant."""
-    for g in generate_weyl(scope).generators:
+    w = generate_weyl(scope)
+    for g in w.generators:
         g.adjustment(shift)
     den = shift.den
     keys = to_scaled(shift, coeffs, den)
     basis, coroots = scope.basis, scope.basis_coroots
     if collect:
         keys = kernels.dominant_collect(keys, basis, coroots, len(scope.positive))
-    return from_scaled(kernels.signed_orbit(list(keys.items()), basis, coroots), shift, den)
+    orbits = kernels.signed_orbit(list(keys.items()), basis, coroots, w.orbit_trees)
+    return from_scaled(orbits, shift, den)
 
 
 def apply_antisymmetrizer(kind: str, a, sub: Optional[SubgroupDatum] = None):

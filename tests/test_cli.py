@@ -185,6 +185,62 @@ def test_problem_document_roundtrip(tmp_path, capsys):
     assert result["dimension"] == 1
 
 
+def test_problem_command_disagreeing_with_positional_is_refused(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"group": "A2", "command": "bwb"})))
+    code, out = run_cli(capsys, "info", "--problem", "-")
+    assert code == 1
+    assert len(out.splitlines()) == 1
+    err = json.loads(out)["error"]
+    assert (err["code"], err["pointer"]) == ("schema-violation", "/command")
+
+
+def test_problem_command_matching_positional_is_accepted(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"group": "A2", "command": "info"})))
+    code, out = run_cli(capsys, "info", "--problem", "-")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["command"] == doc["problem"]["command"] == "info"
+
+
+def _python(*args, stdout):
+    """A fresh interpreter with the package sources on its path."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    import os
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _python("-m", "spinduct.cli", "info", "--group", "A2", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
+def test_cli_import_leaves_verify_unloaded():
+    import subprocess
+
+    code = "import sys, spinduct.cli; print('spinduct.verify' in sys.modules)"
+    proc = _python("-c", code, stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout.strip()) == (0, b"False")
+
+
 def test_root_index_out_of_range(capsys):
     code, out = run_cli(capsys, "info", "--group", "A2", "--subgroup", "[9]")
     assert code == 1

@@ -2,6 +2,9 @@
 test_kernels.py these run without the compiled extension."""
 
 import random
+from operator import mul
+
+import pytest
 
 from spinduct import _kernels_py as py
 from spinduct.rootdata import build_root_datum
@@ -74,6 +77,27 @@ def _orbit_oracle(key, basis, coroots):
     return seen
 
 
+def _level_walk(items, basis, coroots, flip):
+    """Sum of c * flip^k * e^x over the points x at level k of the orbit of
+    each listed dominant key, walked level by level from the key with a
+    set per level (the former pure orbit walk, kept as the oracle for the
+    walk replayed along cached trees)."""
+    out = {}
+    for key, c in items:
+        level = {key}
+        while level:
+            nxt = set()
+            for x in level:
+                out[x] = out.get(x, 0) + c
+                for al, cv in zip(basis, coroots):
+                    p = sum(cv[j] * x[j] for j in range(len(x)))
+                    if p > 0:
+                        nxt.add(tuple(x[j] - p * al[j] for j in range(len(x))))
+            level = nxt
+            c *= flip
+    return {k: c for k, c in out.items() if c}
+
+
 def _random_dominant(rng, rank, low):
     """A dominant key in fundamental-weight coordinates on the weight lattice."""
     return tuple(rng.randint(low, 3) for _ in range(rank))
@@ -113,3 +137,95 @@ def test_signed_orbit_edge_cases():
     }
     # a repeated weight accumulates, and cancels to nothing
     assert py.signed_orbit([((2,), 1), ((2,), -1)], basis, coroots) == {}
+
+
+def _zoo_scopes():
+    from spinduct.rootdata import subgroup_from_roots
+    from spinduct.zoo import zoo_problems
+
+    so7 = build_root_datum("B3", "root")
+    gens = [so7.root_from_simple_coordinates(g) for g in ((1, 1, 1), (0, 1, 0), (0, 1, 2))]
+    subs = [p.sub for _, p in zoo_problems()] + [subgroup_from_roots(so7, gens)]
+    for sub in subs:
+        yield sub.datum
+        yield sub
+
+
+def _dominant_keys(scope, rng):
+    """Dominant keys of the scope's chamber: random weights walked into it,
+    which land on no wall, one wall or several, in X(T) and, as
+    2 * (delta + X(T)), at den 2 for delta = rho of the group and of the
+    scope; and the same plus 2 * rho, which is regular."""
+    basis, coroots, cap = scope.basis, scope.basis_coroots, len(scope.positive)
+    rank = scope.datum.rank
+    two_rho = tuple(2 * x // scope.rho_vec.den for x in scope.rho_vec.nums)
+    shifts = [(1, (0,) * rank)] + [
+        (2, tuple(x * 2 // d.den for x in d.nums)) for d in (scope.datum.rho, scope.rho_vec)
+    ]
+    keys = []
+    for den, s in shifts:
+        for _ in range(6):
+            v = tuple(den * rng.randint(-2, 2) + x for x in s)
+            key = py.dominant_walk(v, basis, coroots, cap)[0]
+            keys += [(den, key), (den, tuple(den * r + k for r, k in zip(two_rho, key)))]
+    return keys
+
+
+def test_orbit_trees_match_level_walk_on_every_zoo_scope():
+    """orbit_expand and signed_orbit along the scope's tree table against the
+    level walk, on every zoo group and subgroup scope, B3 on its root
+    lattice included; each (scope, walls) tree is built once and then
+    replayed."""
+    rng = random.Random(9)
+    walls_seen, dens_seen = set(), set()
+    for scope in _zoo_scopes():
+        basis, coroots = scope.basis, scope.basis_coroots
+        trees = generate_weyl(scope).orbit_trees
+        for den, key in _dominant_keys(scope, rng):
+            walls = tuple(i for i, cv in enumerate(coroots) if sum(map(mul, cv, key)) == 0)
+            walls_seen.add(min(len(walls), 2))
+            dens_seen.add(den)
+            before = dict(trees)
+            c = rng.choice((-2, 1, 3))
+            got = py.orbit_expand([(key, c)], basis, coroots, trees)
+            assert got == _level_walk([(key, c)], basis, coroots, 1)
+            if not walls:
+                got = py.signed_orbit([(key, c)], basis, coroots, trees)
+                assert got == _level_walk([(key, c)], basis, coroots, -1)
+            # a type seen before replays its tree; a new one records it
+            assert all(trees[j] is tree for j, tree in before.items())
+            assert set(trees) == set(before) | {walls}
+            assert len(trees[walls].parity) == len(got)
+    assert walls_seen == {0, 1, 2}
+    assert dens_seen == {1, 2}
+
+
+def test_orbit_trees_on_several_items_and_rank_zero():
+    # rank 0, with and without a table
+    for kernel in (py.orbit_expand, py.signed_orbit):
+        trees = {}
+        assert kernel([((), 4), ((), -1)], (), (), trees) == {(): 3}
+        assert list(trees) == [()]
+        assert kernel([((), 2)], (), (), trees) == {(): 2}
+    # several keys of one type share a tree within one call
+    b3 = build_root_datum("B3")
+    basis, coroots = b3.simple_roots, b3.simple_coroots
+    items = [((1, 0, 0), 2), ((3, 0, 0), -1), ((0, 2, 0), 5), ((1, 0, 0), 1), ((0, 0, 0), 7)]
+    trees = {}
+    assert py.orbit_expand(items, basis, coroots, trees) == _level_walk(items, basis, coroots, 1)
+    assert sorted(trees) == [(0, 1, 2), (0, 2), (1, 2)]
+    regular = [((1, 1, 1), 2), ((2, 1, 3), -3), ((1, 1, 1), 1)]
+    assert py.signed_orbit(regular, basis, coroots, trees) == _level_walk(
+        regular, basis, coroots, -1
+    )
+    assert sorted(trees) == [(), (0, 1, 2), (0, 2), (1, 2)]
+
+
+def test_orbit_keys_must_be_dominant():
+    a2 = build_root_datum("A2")
+    basis, coroots = a2.simple_roots, a2.simple_coroots
+    with pytest.raises(ValueError):
+        py.orbit_expand([((1, -1), 1)], basis, coroots)
+    # J of a weight on a wall is zero; a caller passing one is at fault
+    with pytest.raises(ValueError):
+        py.signed_orbit([((1, 0), 1)], basis, coroots)

@@ -31,6 +31,25 @@ def test_orders():
         assert len(generate_weyl(build_root_datum(label)).elements) == order
 
 
+def test_subgroup_order_from_root_heights():
+    """A subsystem's order from its root heights equals its enumerated size
+    on every zoo subgroup (and H = G), and reading it enumerates nothing."""
+    from spinduct.weyl import WeylGroup
+
+    problems = [p for _, p in zoo_problems()] + [_d4_a1_four()]
+    subs = [p.sub for p in problems]
+    subs += [subgroup_from_roots(p.datum, p.datum.roots) for p in problems]
+    for sub in subs:
+        w = WeylGroup(sub)
+        order = w.order
+        assert "elements" not in vars(w)
+        assert order == len(w.elements)
+    e6 = build_root_datum("E6")
+    w = WeylGroup(subgroup_from_roots(e6, e6.roots))
+    assert w.order == 51840
+    assert "elements" not in vars(w)
+
+
 def test_order_cap():
     with pytest.raises(OrderCapExceeded):
         build_root_datum("E8")
@@ -238,6 +257,15 @@ def test_e6_j_g_never_enumerates_w():
     assert sorted(set(j.coeffs.values())) == [-1, 1]
     assert sum(j.coeffs.values()) == 0
     assert anti_invariant_decompose(j) == {e6.rho: 1}
+    assert "elements" not in vars(generate_weyl(e6))
+    # the regular orbit's tree is kept on the group; another regular weight
+    # replays it
+    trees = generate_weyl(e6).orbit_trees
+    tree = trees[()]
+    assert len(tree.parity) == 51840
+    j2 = apply_antisymmetrizer("J_G", TorusElement.monomial(e6, e6.rho.scale(2)))
+    assert trees[()] is tree
+    assert len(j2.coeffs) == 51840 and sorted(set(j2.coeffs.values())) == [-1, 1]
     assert "elements" not in vars(generate_weyl(e6))
 
 
