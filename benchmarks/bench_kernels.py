@@ -2,7 +2,9 @@
 """Benchmark the compiled kernels against the pure-Python backend.
 
 Workloads mirror the hot paths of the verification suite on the largest
-zoo datum (F4 with its rank-4 subgroup).  Run from the repository root:
+zoo datum (F4 with its rank-4 subgroup), then compare the one-pass GKRS
+multiplet with the per-member algorithm on E6 > A2xA2xA2.  Run from the
+repository root:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
 """
@@ -12,8 +14,10 @@ import time
 
 from spinduct import _kernels_py as py
 from spinduct import kernels
-from spinduct.charring import irreducible_restriction, weyl_denominator
-from spinduct.rootdata import RationalWeight, build_root_datum
+from spinduct.charring import TorusElement, irreducible_restriction, weyl_denominator
+from spinduct.induction import collect_to_chamber, make_problem
+from spinduct.multiplets import multiplet
+from spinduct.rootdata import RationalWeight, build_root_datum, subgroup_from_roots
 from spinduct.weyl import WeylElement, antisymmetrize, apply_weyl_sum, generate_weyl
 from spinduct.zoo import zoo_problem
 
@@ -128,6 +132,48 @@ def main():
     t_orbit, out_orbit = timed(lambda: antisymmetrize(f4, zero, support))
     assert out_orbit == out_warm
     print(f"{'J_G by signed orbits':24s}      {t_orbit*1e3:9.2f} ms")
+    bench_e6_multiplet()
+
+
+# E6 > A2xA2xA2: the extended Dynkin diagram of E6 minus its centre
+E6_A2_CUBED = ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0),
+               (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1), (1, 2, 2, 3, 2, 1))
+
+
+def per_member_multiplet(p, a, inverses):
+    """The multiplet member by member: w^{-1}(a) by apply_weyl_sum, then the
+    H-side collect_to_chamber for each representative."""
+    return tuple(
+        collect_to_chamber(p.sub, a.replace_coeffs(apply_weyl_sum([inv], [1], a.shift, a.coeffs)))
+        for inv in inverses
+    )
+
+
+def bench_e6_multiplet():
+    """Cold is the first call in the process (the one pass checks the twist
+    and fills the generators' adjustments; the per-member algorithm, run
+    after it on fresh copies of the inverses, computes 240 adjustments);
+    warm is the best of three later calls."""
+    e6 = build_root_datum("E6")
+    p = make_problem(e6, subgroup_from_roots(
+        e6, [e6.root_from_simple_coordinates(sc) for sc in E6_A2_CUBED]))
+    a = TorusElement.monomial(e6, e6.rho + RationalWeight([1, 0, 1, 0, 0, 1]))
+    t0 = time.perf_counter()
+    one_pass = multiplet(p, a).members
+    t_cold = time.perf_counter() - t0
+    fresh = [WeylElement(e.matrix, e.length) for e in p.reps.inverses]
+    t0 = time.perf_counter()
+    oracle = per_member_multiplet(p, a, fresh)
+    o_cold = time.perf_counter() - t0
+    assert one_pass == oracle, "one pass and per-member multiplets disagree"
+    t_warm, warm = timed(lambda: multiplet(p, a).members)
+    o_warm, owarm = timed(lambda: per_member_multiplet(p, a, p.reps.inverses))
+    assert warm == owarm == one_pass
+    print(f"\nE6 > A2^3, |W^H| = {len(p.reps.reps)}")
+    print(
+        f"{'E6 multiplet':24s} per-member cold {o_cold*1e3:7.2f} ms  warm {o_warm*1e3:7.2f} ms"
+        f"   one pass cold {t_cold*1e3:7.2f} ms  warm {t_warm*1e3:7.2f} ms"
+    )
 
 
 if __name__ == "__main__":

@@ -185,11 +185,16 @@ def dualize(a: TorusElement) -> TorusElement:
 
 
 def is_scope_invariant(a: TorusElement, scope: Scope) -> bool:
-    """Whether a is fixed by the scope's Weyl group."""
-    return all(
-        kernels.weyl_sum([g.matrix], [1], [g.adjustment(a.shift)], a.coeffs) == a.coeffs
-        for g in generate_weyl(scope).generators
-    )
+    """Whether a is fixed by the scope's Weyl group, that is by each simple
+    reflection s: k -> M k + t.  That map is injective, so s(a) = a iff
+    every term c e^k has coefficient c at M k + t; the first miss decides."""
+    coeffs = a.coeffs
+    for g in generate_weyl(scope).generators:
+        rows = list(zip(g.matrix, g.adjustment(a.shift)))
+        for k, c in coeffs.items():
+            if coeffs.get(tuple([sum(map(mul, row, k), t) for row, t in rows])) != c:
+                return False
+    return True
 
 
 # --- denominators and Euler classes ----------------------------------------
@@ -360,16 +365,16 @@ class GroupElement:
 def _weight_dimension(scope: Scope, lam: RationalWeight) -> int:
     """Weyl dimension formula, the product over positive roots a of
     <lam + rho, a^vee> / <rho, a^vee>: one integer product for each side
-    (both scaled by a common denominator) and one exact division."""
-    datum = scope.datum
-    den = math.lcm(lam.den, scope.rho_vec.den)
-    rho = scaled(scope.rho_vec, den)
-    lam_rho = [u + v for u, v in zip(scaled(lam, den), rho)]
-    num = div = 1
-    for a in scope.positive:
-        cv = datum.coroot(a)
-        num *= dot(cv, lam_rho)
-        div *= dot(cv, rho)
+    (both scaled by a common denominator) and one exact division.  The
+    coroots and the rho side are per-scope constants."""
+    rho = scope.rho_vec
+    den = math.lcm(lam.den, rho.den)
+    f, g = den // rho.den, den // lam.den
+    lam_rho = [g * u + f * v for u, v in zip(lam.nums, rho.nums)]
+    num = 1
+    for cv in scope.positive_coroots:
+        num *= sum(map(mul, cv, lam_rho))
+    div = scope.rho_pairing * f ** len(scope.positive_coroots)
     q, r = divmod(num, div)
     if r or q <= 0:
         raise NotDominant(f"dimension formula gave {num}/{div} for weight {lam}")

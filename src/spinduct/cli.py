@@ -36,7 +36,7 @@ from .induction import (
     pairing_report,
 )
 from .multiplets import alternating_dimension_sum, multiplet
-from .rootdata import RationalWeight, RootDatum, subgroup_character_lattice
+from .rootdata import RationalWeight, RootDatum
 from .serialize import (
     group_to_json,
     is_int_vector,
@@ -180,10 +180,10 @@ def _diagnostics(problem) -> Dict:
         "rho_g": rational_to_json(datum.rho),
         "rho_h": rational_to_json(sub.rho_h),
         "rho_m": rational_to_json(sub.rho_m),
-        "pi1_invariants": list(datum.fundamental_group_invariants()),
+        "pi1_invariants": list(datum.pi1_invariants),
         "pi1_torsion_free": datum.pi1_torsion_free(),
         "levi": sub.is_levi,
-        "xh_rank": subgroup_character_lattice(sub).rank,
+        "xh_rank": sub.xh_rank,
         "kernel_backend": kernels.backend_name(),
     }
 
@@ -431,9 +431,15 @@ def _doc_from_args(args) -> Dict:
     return doc
 
 
+# built on the first call of main and reused: parsing keeps no state in it
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     started = time.monotonic()
     saved_cap = rootdata.WEYL_ORDER_CAP
     try:

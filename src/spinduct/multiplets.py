@@ -4,10 +4,13 @@ operator identity behind it."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Tuple
 
+from . import kernels
 from .charring import (
     GroupElement,
     TorusElement,
@@ -17,7 +20,8 @@ from .charring import (
     multiply,
 )
 from .errors import BadTwist
-from .induction import InductionProblem, collect_to_chamber
+from .induction import InductionProblem, _check_partial_twist, collect_to_chamber
+from .rootdata import from_scaled, to_scaled
 from .weyl import WeylElement, apply_weyl_sum
 
 
@@ -46,23 +50,35 @@ def _check_source_twist(problem: InductionProblem, a: TorusElement) -> None:
         raise BadTwist("multiplet source must carry the [rho_G] twist class")
 
 
-def _apply_element(a: TorusElement, e: WeylElement) -> TorusElement:
-    out = apply_weyl_sum([e], [1], a.shift, a.coeffs)
-    return a.replace_coeffs(out)
-
-
 def multiplet(problem: InductionProblem, a: TorusElement) -> Multiplet:
     """The multiplet generated by a: member at w is the H-side boundary
-    image of w^{-1}(a)."""
+    image of w^{-1}(a).
+
+    One pass over W^H: the twist checks run once (the shift must be stable
+    under the simple reflections of G, hence under W), the source is scaled
+    once by den to absolute integer keys, and each w^{-1} acts on those keys
+    by its matrix, Z-linearly.  Each image is collected to the H chamber and
+    read back against the shared rho_H + out_shift."""
     _check_source_twist(problem, a)
+    sub = problem.sub
+    # H before G: a shift that fails both raises bad-twist, as collecting the
+    # w = 1 member does before any other w is applied
+    _check_partial_twist(sub, a)
+    for g in problem.weyl.generators:
+        g.adjustment(a.shift)
+    rho = sub.rho_h
+    den = math.lcm(a.shift.den, rho.den)
+    keys = list(to_scaled(a.shift, a.coeffs, den).items())
+    out_shift = (a.shift - rho).residue_mod_one()
+    read_back = rho + out_shift
+    basis, coroots, steps = sub.basis, sub.basis_coroots, len(sub.positive)
     cosets = problem.reps
     members = []
-    signs = []
-    for e, inv in zip(cosets.reps, cosets.inverses):
-        aw = _apply_element(a, inv)
-        members.append(collect_to_chamber(problem.sub, aw))
-        signs.append(e.det)
-    return Multiplet(a, cosets.reps, tuple(members), tuple(signs))
+    for inv in cosets.inverses:
+        image = {tuple([sum(map(mul, row, k)) for row in inv.matrix]): c for k, c in keys}
+        collected = kernels.dominant_collect(image, basis, coroots, steps)
+        members.append(GroupElement(sub, out_shift, from_scaled(collected, read_back, den)))
+    return Multiplet(a, cosets.reps, tuple(members), tuple(e.det for e in cosets.reps))
 
 
 def alternating_dimension_sum(m: Multiplet) -> int:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, prod
 from operator import mul, sub
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -362,7 +363,24 @@ def parse_label(label: str) -> List[Tuple[str, int]]:
     return blocks
 
 
-class RootDatum:
+class _ScopeConstants:
+    """Per-scope constants of the Weyl dimension formula, computed on first
+    read and kept on the (cached) scope object.  They are tuples and ints,
+    so no reader can change them."""
+
+    @cached_property
+    def positive_coroots(self) -> Tuple[Covector, ...]:
+        """The coroots of the scope's positive roots, in the same order."""
+        return tuple(self.datum.coroot(a) for a in self.positive)
+
+    @cached_property
+    def rho_pairing(self) -> int:
+        """The product over positive roots a of <a^vee, rho.nums>, where
+        rho = rho.nums / rho.den; positive, as rho is strictly dominant."""
+        return prod(dot(cv, self.rho_vec.nums) for cv in self.positive_coroots)
+
+
+class RootDatum(_ScopeConstants):
     """A root system plus a chosen character lattice X(T).
 
     Attributes are read-only by convention; instances are immutable after
@@ -498,8 +516,13 @@ class RootDatum:
         facs += [0] * (n - len(facs))
         return tuple(facs)
 
+    @cached_property
+    def pi1_invariants(self) -> Tuple[int, ...]:
+        """fundamental_group_invariants(), computed once per datum."""
+        return self.fundamental_group_invariants()
+
     def pi1_torsion_free(self) -> bool:
-        return all(f <= 1 for f in self.fundamental_group_invariants())
+        return all(f <= 1 for f in self.pi1_invariants)
 
     def __repr__(self):
         return f"RootDatum({self.cartan_label}, lattice={self.lattice_choice})"
@@ -616,7 +639,7 @@ def canonical_label(blocks: List[Tuple[str, int]]) -> str:
     return "x".join(f"{s}{n}" for s, n in blocks)
 
 
-class SubgroupDatum:
+class SubgroupDatum(_ScopeConstants):
     """A closed maximal-rank subsystem of a RootDatum, with the induced
     positive system and the complement weights R_M^+."""
 
@@ -683,6 +706,12 @@ class SubgroupDatum:
 
     def scope_key(self):
         return (self.key, "H")
+
+    @cached_property
+    def xh_rank(self) -> int:
+        """rank X(H) from subgroup_character_lattice, computed once per
+        subgroup."""
+        return subgroup_character_lattice(self).rank
 
     def __repr__(self):
         return (

@@ -202,6 +202,114 @@ def test_weight_dimension_matches_fraction_oracle():
                     assert charring._weight_dimension(scope, lam) == expect, (name, lam)
 
 
+def _pre_constants_weight_dimension(scope, lam):
+    """The integer Weyl dimension formula as computed before the per-scope
+    constants (coroots looked up and rho scaled on every call), kept as an
+    oracle."""
+    datum = scope.datum
+    den = math.lcm(lam.den, scope.rho_vec.den)
+    rho = scaled(scope.rho_vec, den)
+    lam_rho = [u + v for u, v in zip(scaled(lam, den), rho)]
+    num = div = 1
+    for a in scope.positive:
+        cv = datum.coroot(a)
+        num *= dot(cv, lam_rho)
+        div *= dot(cv, rho)
+    q, r = divmod(num, div)
+    if r or q <= 0:
+        raise NotDominant(f"dimension formula gave {num}/{div} for weight {lam}")
+    return q
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotDominant as exc:
+        return ("NotDominant", str(exc))
+
+
+def test_weight_dimension_matches_the_pre_constants_formula():
+    rng = random.Random(9)
+    for name, p in zoo_problems():
+        rank = p.datum.rank
+        for scope in (p.datum, p.sub):
+            weights = [random_dominant_weight(scope, rng, dim_cap=300) for _ in range(3)]
+            weights += [RationalWeight([rng.randint(-3, 3) for _ in range(rank)])
+                        for _ in range(6)]
+            # den 2 weights: at least one odd numerator keeps the denominator
+            weights += [RationalWeight([2 * rng.randint(-2, 2) + 1] +
+                                       [rng.randint(-5, 5) for _ in range(rank - 1)], 2)
+                        for _ in range(6)]
+            assert any(w.den == 2 for w in weights), name
+            for lam in weights:
+                expect = _outcome(_pre_constants_weight_dimension, scope, lam)
+                assert _outcome(charring._weight_dimension, scope, lam) == expect, (name, lam)
+
+
+def test_weight_dimension_refuses_weights_on_walls():
+    for name, p in zoo_problems():
+        for scope in (p.datum, p.sub):
+            if not scope.positive:
+                continue  # the torus has no walls
+            walls = [-scope.rho_vec]
+            # lam = -beta/2 for a simple root beta: <lam + rho, beta^vee> = 0
+            walls += [RationalWeight(b, 2).scale(-1) for b in scope.basis]
+            for lam in walls:
+                with pytest.raises(NotDominant):
+                    charring._weight_dimension(scope, lam)
+
+
+def test_dimension_constants_are_cached_immutable_values():
+    for name, p in zoo_problems():
+        for scope in (p.datum, p.sub):
+            cvs = scope.positive_coroots
+            assert isinstance(cvs, tuple) and all(isinstance(cv, tuple) for cv in cvs)
+            assert cvs == tuple(scope.datum.coroot(a) for a in scope.positive), name
+            assert scope.positive_coroots is cvs
+            assert type(scope.rho_pairing) is int and scope.rho_pairing > 0
+            assert scope.rho_pairing == math.prod(
+                dot(cv, scope.rho_vec.nums) for cv in cvs)
+
+
+def _image_comparison_invariant(a, scope):
+    """is_scope_invariant as it was: the whole image of a under each simple
+    reflection, compared with a; kept as an oracle."""
+    return all(
+        kernels.weyl_sum([g.matrix], [1], [g.adjustment(a.shift)], a.coeffs) == a.coeffs
+        for g in generate_weyl(scope).generators
+    )
+
+
+def test_is_scope_invariant_matches_image_comparison():
+    rng = random.Random(61)
+    for name, p in zoo_problems():
+        rank = p.datum.rank
+        for scope, twist in ((p.datum, None), (p.sub, None), (p.sub, p.twist_rho("M"))):
+            chis = [irreducible_restriction(scope, random_dominant_weight(
+                scope, rng, twist=twist, dim_cap=300)) for _ in range(2)]
+            other = p.sub if scope is p.datum else p.datum
+            inputs = chis + [
+                TorusElement.zero(p.datum),
+                # invariant under the other scope's group only
+                irreducible_restriction(other, random_dominant_weight(other, rng, dim_cap=300)),
+                # the support is invariant, the signs are not
+                weyl_denominator(scope),
+                random_torus_element(p, rng, twist=twist),
+            ]
+            for chi in chis:
+                k = next(iter(chi.coeffs))
+                inputs.append(chi + chi.replace_coeffs({k: 1}))  # one coefficient off
+                inputs.append(chi + TorusElement(p.datum, chi.shift, {
+                    tuple(rng.randint(-3, 3) for _ in range(rank)): 1}))
+            verdicts = []
+            for a in inputs:
+                expect = _image_comparison_invariant(a, scope)
+                assert is_scope_invariant(a, scope) == expect, (name, a)
+                verdicts.append(expect)
+            # every element is invariant under the trivial group of T
+            assert True in verdicts and (False in verdicts) == bool(scope.basis), name
+
+
 def test_anti_invariant_decompose():
     g2 = build_root_datum("G2")
     assert anti_invariant_decompose(weyl_denominator(g2)) == {g2.rho: 1}

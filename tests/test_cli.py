@@ -541,3 +541,120 @@ def test_cli_contract_on_drawn_problem_documents(command, group, problem):
     """Whole documents on stdin through --problem -, with or without a
     --group flag overriding the document's group."""
     _assert_cli_contract([command, "--problem", "-"] + (["--group", group] if group else []), problem)
+
+
+def _uncached_diagnostics(problem):
+    """_diagnostics as computed before the per-datum constants: the Smith
+    normal forms redone on every call; kept as an oracle."""
+    from spinduct import kernels
+    from spinduct.rootdata import subgroup_character_lattice
+    from spinduct.serialize import rational_to_json
+
+    datum, sub = problem.datum, problem.sub
+    pi1 = datum.fundamental_group_invariants()
+    return {
+        "group": datum.cartan_label,
+        "lattice": datum.lattice_choice,
+        "rank": datum.rank,
+        "roots": len(datum.roots),
+        "weyl_order": problem.weyl.order,
+        "weyl_order_h": problem.weyl_h.order,
+        "coset_count": len(problem.reps.reps),
+        "rho_g": rational_to_json(datum.rho),
+        "rho_h": rational_to_json(sub.rho_h),
+        "rho_m": rational_to_json(sub.rho_m),
+        "pi1_invariants": list(pi1),
+        "pi1_torsion_free": all(f <= 1 for f in pi1),
+        "levi": sub.is_levi,
+        "xh_rank": subgroup_character_lattice(sub).rank,
+        "kernel_backend": kernels.backend_name(),
+    }
+
+
+def test_diagnostics_match_the_uncached_computation():
+    from spinduct.cli import _diagnostics
+    from spinduct.induction import make_problem
+    from spinduct.rootdata import build_root_datum
+    from spinduct.zoo import subgroup_by_name, zoo_problems
+
+    so7 = build_root_datum("B3", "root")
+    pairs = zoo_problems() + [("B3:root/t", make_problem(so7, subgroup_by_name(so7, "t")))]
+    for name, p in pairs:
+        # the first call fills the cached values, the second reads them
+        assert _diagnostics(p) == _uncached_diagnostics(p), name
+        assert _diagnostics(p) == _uncached_diagnostics(p), name
+        assert isinstance(p.datum.pi1_invariants, tuple)
+        assert p.datum.pi1_invariants is p.datum.pi1_invariants
+        assert type(p.sub.xh_rank) is int
+    # B3 on its root lattice is SO(7): pi_1 = Z/2
+    assert _diagnostics(pairs[-1][1])["pi1_invariants"][-1] == 2
+
+
+def test_one_process_answers_as_fresh_processes_do(capsys):
+    """The parser is built once per process and reused: a sequence of calls
+    in one process prints what fresh processes print, byte for byte, and
+    exits alike."""
+    import os
+    import subprocess
+    import sys
+
+    import spinduct
+
+    sequence = [
+        ["info", "--group", "A2", "--no-such-flag"],
+        ["nosuchcommand"],
+        ["bwb", "--group", "A2", "--subgroup", "levi1"],
+        ["info", "--group", "A2", "--subgroup", "levi1", "--pretty"],
+        ["info", "--group", "A2", "--subgroup", "levi1"],
+        ["multiplet", "--group", "A2", "--subgroup", "levi1", "--input", "e^[2,1]", "--seed", "3"],
+        ["multiplet", "--group", "B2", "--input", "e^rhoG"],
+        ["info", "--group", "A2", "--no-such-flag"],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinduct.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    codes = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        fresh = subprocess.run([sys.executable, "-m", "spinduct.cli"] + argv,
+                               capture_output=True, text=True, env=env)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+        codes.append(code)
+    assert codes == [2, 2, 1, 0, 0, 0, 0, 2]
+
+
+# --subgroup as presets (some unknown to the group), root indices (some out
+# of range) or simple-root coordinate vectors (some not roots)
+_SUBGROUP_SPEC = st.one_of(
+    st.sampled_from(["t", "g", "levi1", "levi2", "a1xa1", "[]", "[0]", "[2]", "[0, 1]", "[3]",
+                     "[[1, 0]]", "[[0, 1]]", "[[1, 1]]", "[[1, 2]]", "[[2, 0]]"]),
+    st.lists(st.integers(-1, 4), max_size=3).map(json.dumps),
+    st.lists(st.lists(st.integers(-1, 2), min_size=2, max_size=2), max_size=2).map(json.dumps),
+)
+# e^[a,b]/d monomials: many lie outside the [rho_G] class a multiplet needs,
+# or are not dominant as a branch input; d = 0 and rank-1 ones are malformed
+_MONOMIAL = st.builds(
+    lambda nums, den: "e^[" + ",".join(map(str, nums)) + "]" + ("" if den is None else f"/{den}"),
+    st.sampled_from([2, 2, 2, 1]).flatmap(
+        lambda n: st.lists(st.integers(-3, 3), min_size=n, max_size=n)),
+    st.sampled_from([None, None, 1, 2, 2, 3, 0, -2]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["multiplet", "branch"]),
+    st.sampled_from(["A2", "B2", "B2:root"]),
+    _SUBGROUP_SPEC,
+    _MONOMIAL,
+    st.one_of(st.none(), st.sampled_from(["0,0", "1,0/2", "0,1/2", "1,1/2"])),
+)
+def test_cli_contract_on_drawn_multiplets_and_branches(command, group, subgroup, monomial, twist):
+    """Every value goes as --flag=value, so none is read as an option and a
+    draw is never a usage error: each must exit 0 or 1 with one JSON
+    document and no traceback."""
+    argv = [command, f"--group={group}", f"--subgroup={subgroup}", f"--input={monomial}"]
+    _assert_cli_contract(argv + ([f"--twist={twist}"] if twist else []))

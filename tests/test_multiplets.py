@@ -106,3 +106,158 @@ def test_distinct_members_for_dominant_monomials():
         assert all(not g.is_zero() for g in m.members), name
         hw = [tuple(sorted(g.coeffs.items())) for g in m.members]
         assert len(set(hw)) == len(hw), name
+
+
+# --- the one pass over W^H against the per-member algorithm ------------------
+
+# E6 > A2xA2xA2: the extended Dynkin diagram of E6 minus its centre, in
+# simple-root coordinates
+E6_A2_CUBED = ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0),
+               (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1), (1, 2, 2, 3, 2, 1))
+
+
+def _e6_problem():
+    e6 = build_root_datum("E6")
+    return make_problem(e6, subgroup_from_roots(
+        e6, [e6.root_from_simple_coordinates(sc) for sc in E6_A2_CUBED]))
+
+
+def _sigma_problem():
+    """A2xT1 > levi with a central half-integral twist sigma."""
+    datum = build_root_datum("A2xT1")
+    sub = subgroup_from_roots(datum, [datum.simple_roots[0]])
+    return make_problem(datum, sub, TwistClass.of(RationalWeight([0, 0, 1], 2)))
+
+
+def _so7_problem():
+    """B3 on its root lattice, where [rho_G] is half-integral."""
+    so7 = build_root_datum("B3", "root")
+    return make_problem(so7, subgroup_from_roots(
+        so7, [so7.root_from_simple_coordinates(sc) for sc in [(1, 1, 1), (0, 1, 0), (0, 1, 2)]]))
+
+
+def _oracle_pairs():
+    return zoo_problems() + [
+        ("E6/A2^3", _e6_problem()),
+        ("A2xT1/levi, sigma", _sigma_problem()),
+        ("B3:root/so3xso4", _so7_problem()),
+    ]
+
+
+def _fraction_dimension(g):
+    """dim of a virtual H-module by the Weyl dimension formula in Fraction
+    arithmetic."""
+    from fractions import Fraction
+
+    scope, rho = g.scope, g.scope.rho_vec
+    total = 0
+    for lam, c in g.terms():
+        d = Fraction(1)
+        for a in scope.positive:
+            cv = scope.datum.coroot(a)
+            d *= (lam + rho).pair(cv) / rho.pair(cv)
+        assert d.denominator == 1 and d > 0
+        total += c * int(d)
+    return total
+
+
+def _per_member_multiplet(problem, a):
+    """The multiplet as it was computed before the one pass, kept as an
+    oracle: w^{-1}(a) by apply_weyl_sum for each representative, then the
+    H-side collect_to_chamber.  Returns (members, signs, dimensions)."""
+    from spinduct.induction import collect_to_chamber
+    from spinduct.multiplets import _check_source_twist
+    from spinduct.weyl import apply_weyl_sum
+
+    _check_source_twist(problem, a)
+    members = tuple(
+        collect_to_chamber(problem.sub, a.replace_coeffs(
+            apply_weyl_sum([inv], [1], a.shift, a.coeffs)))
+        for inv in problem.reps.inverses
+    )
+    signs = tuple(e.det for e in problem.reps.reps)
+    return members, signs, tuple(_fraction_dimension(g) for g in members)
+
+
+def _assert_matches_oracle(name, p, a):
+    m = multiplet(p, a)
+    members, signs, dims = _per_member_multiplet(p, a)
+    assert m.reps == p.reps.reps, name
+    assert m.members == members, name
+    assert m.signs == signs, name
+    assert m.dimensions == dims, name
+
+
+def _source_shift(p):
+    return (p.sigma + TwistClass.of(p.datum.rho)).shift
+
+
+def test_one_pass_matches_per_member_on_monomials():
+    rng = random.Random(47)
+    for name, p in _oracle_pairs():
+        rank = p.datum.rank
+        shift = _source_shift(p)
+        dominant = [p.datum.rho, p.datum.rho + RationalWeight.from_ints((1,) * rank)]
+        arbitrary = [RationalWeight.from_ints([rng.randint(-3, 3) for _ in range(rank)])
+                     for _ in range(3)] + [-p.datum.rho]
+        for lam in dominant + arbitrary:
+            lam = shift + lam - TwistClass.of(lam).shift  # into the source class
+            _assert_matches_oracle(name, p, TorusElement.monomial(p.datum, lam))
+
+
+def test_one_pass_matches_per_member_on_random_elements():
+    rng = random.Random(53)
+    for name, p in _oracle_pairs():
+        twist = TwistClass(_source_shift(p))
+        for _ in range(6 if p.datum.rank <= 4 else 2):
+            a = random_torus_element(p, rng, twist=twist, max_support=8)
+            _assert_matches_oracle(name, p, a)
+        # the zero source still gives one (zero) member per representative
+        _assert_matches_oracle(name, p, TorusElement.zero(p.datum, twist))
+
+
+def test_one_pass_at_half_integral_rho_h():
+    p = zoo_problem("A2", "levi1")
+    assert p.sub.rho_h.den == 2 and p.datum.rho.den == 1
+    rng = random.Random(59)
+    for _ in range(10):
+        a = random_torus_element(p, rng, twist=TwistClass.of(p.datum.rho))
+        _assert_matches_oracle("A2/levi1", p, a)
+        assert all(g.shift.den == 2 for g in multiplet(p, a).members)
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_sources_outside_the_rho_class_raise_on_both():
+    for name, p in _oracle_pairs():
+        wrong = [p.rho_m, p.sub.rho_h, RationalWeight([1] + [0] * (p.datum.rank - 1), 2)]
+        for lam in wrong:
+            if TwistClass.of(lam).shift == _source_shift(p):
+                continue
+            a = TorusElement.monomial(p.datum, lam)
+            with pytest.raises(BadTwist):
+                multiplet(p, a)
+            with pytest.raises(BadTwist):
+                _per_member_multiplet(p, a)
+
+
+def test_unstable_shifts_raise_alike_on_both():
+    """A twist sigma outside the W-stable classes: the one pass raises the
+    error the per-member algorithm raises, with the same message."""
+    checked = 0
+    for group, sub in (("A2", "levi1"), ("A2", "t"), ("B2", "t"), ("G2", "a2long")):
+        datum = zoo_problem(group, sub).datum
+        for nums in ([1, 0], [0, 1], [1, 1]):
+            sigma = TwistClass.of(RationalWeight(nums, 2))
+            p = make_problem(datum, zoo_problem(group, sub).sub, sigma)
+            a = TorusElement.monomial(datum, datum.rho + sigma.shift)
+            expect = _raised(_per_member_multiplet, p, a)
+            assert _raised(multiplet, p, a) == expect, (group, sub, nums)
+            checked += expect is not None
+    assert checked > 0
