@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-Python backend.
+"""Time the kernels alone.
 
 Workloads mirror the hot paths of the verification suite on the largest
 zoo datum (F4 with its rank-4 subgroup), then compare the one-pass GKRS
@@ -12,7 +12,6 @@ repository root:
 import random
 import time
 
-from spinduct import _kernels_py as py
 from spinduct import kernels
 from spinduct.charring import TorusElement, irreducible_restriction, weyl_denominator
 from spinduct.induction import collect_to_chamber, make_problem
@@ -20,11 +19,6 @@ from spinduct.multiplets import multiplet
 from spinduct.rootdata import RationalWeight, build_root_datum, subgroup_from_roots
 from spinduct.weyl import WeylElement, antisymmetrize, apply_weyl_sum, generate_weyl
 from spinduct.zoo import zoo_problem
-
-try:
-    from spinduct import _kernels as cy
-except ImportError:
-    cy = None
 
 
 def timed(fn, repeat=3):
@@ -36,17 +30,9 @@ def timed(fn, repeat=3):
     return best, out
 
 
-def bench(name, pure_fn, fast_fn, repeat=3):
-    tp, rp = timed(pure_fn, repeat)
-    if fast_fn is None:
-        print(f"{name:24s} pure {tp*1e3:9.2f} ms   (no compiled backend)")
-        return
-    tc, rc = timed(fast_fn, repeat)
-    assert rp == rc, f"{name}: backends disagree"
-    print(
-        f"{name:24s} pure {tp*1e3:9.2f} ms   compiled {tc*1e3:9.2f} ms"
-        f"   speedup {tp / tc:6.1f}x"
-    )
+def bench(name, fn, repeat=3):
+    t, _ = timed(fn, repeat)
+    print(f"{name:24s}      {t*1e3:9.2f} ms")
 
 
 def main():
@@ -65,7 +51,7 @@ def main():
         for _ in range(12)
     }
     d_h = dict(weyl_denominator(p.sub).coeffs)
-    collect_input = py.convolve(d_h, support)
+    collect_input = kernels.convolve(d_h, support)
     # a chamber walk takes at most |R^+| steps
     cap = len(f4.positive_roots)
     doms = [
@@ -74,41 +60,19 @@ def main():
     ]
 
     print(f"workloads on F4 (|W| = {w.order}, |W_H| = {p.weyl_h.order})\n")
-    bench(
-        "convolve d_G * chi_26",
-        lambda: py.convolve(d_g, chi),
-        (lambda: cy.convolve(d_g, chi)) if cy else None,
-    )
-    bench(
-        "weyl_sum J_G, 12 terms",
-        lambda: py.weyl_sum(mats, dets, shifts, support),
-        (lambda: cy.weyl_sum(mats, dets, shifts, support)) if cy else None,
-    )
+    bench("convolve d_G * chi_26", lambda: kernels.convolve(d_g, chi))
+    bench("weyl_sum J_G, 12 terms", lambda: kernels.weyl_sum(mats, dets, shifts, support))
     bench(
         "dominant_collect d_H*a",
-        lambda: py.dominant_collect(
-            collect_input, f4.simple_roots, f4.simple_coroots, cap
-        ),
-        (
-            lambda: cy.dominant_collect(
-                collect_input, f4.simple_roots, f4.simple_coroots, cap
-            )
-        )
-        if cy
-        else None,
+        lambda: kernels.dominant_collect(collect_input, f4.simple_roots, f4.simple_coroots, cap),
     )
-    bench(
-        "orbit_expand, 8 orbits",
-        lambda: py.orbit_expand(doms, f4.simple_roots, f4.simple_coroots),
-        (lambda: cy.orbit_expand(doms, f4.simple_roots, f4.simple_coroots)) if cy else None,
-    )
-    # the same orbits along the tree table: cold walks the first weight of
-    # each stabilizer type and records its tree, warm replays every orbit
-    t_cold, out_cold = timed(lambda: py.orbit_expand(doms, f4.simple_roots, f4.simple_coroots, {}))
+    # orbits along the tree table: cold walks the first weight of each
+    # stabilizer type and records its tree, warm replays every orbit
+    t_cold, out_cold = timed(lambda: kernels.orbit_expand(doms, f4.simple_roots, f4.simple_coroots, {}))
     trees = {}
-    py.orbit_expand(doms, f4.simple_roots, f4.simple_coroots, trees)
+    kernels.orbit_expand(doms, f4.simple_roots, f4.simple_coroots, trees)
     t_warm, out_warm = timed(
-        lambda: py.orbit_expand(doms, f4.simple_roots, f4.simple_coroots, trees)
+        lambda: kernels.orbit_expand(doms, f4.simple_roots, f4.simple_coroots, trees)
     )
     assert out_cold == out_warm
     print(
@@ -124,10 +88,7 @@ def main():
     apply_weyl_sum(w.elements, dets, zero, support)
     t_warm, out_warm = timed(lambda: apply_weyl_sum(w.elements, dets, zero, support))
     assert out_cold == out_warm
-    print(
-        f"{'apply_weyl_sum J_G':24s} cold {t_cold*1e3:9.2f} ms   warm {t_warm*1e3:9.2f} ms"
-        f"   ({kernels.backend_name()} kernels)"
-    )
+    print(f"{'apply_weyl_sum J_G':24s} cold {t_cold*1e3:9.2f} ms   warm {t_warm*1e3:9.2f} ms")
     # the same J_G by chamber collection and signed orbits, with no W
     t_orbit, out_orbit = timed(lambda: antisymmetrize(f4, zero, support))
     assert out_orbit == out_warm

@@ -66,6 +66,20 @@ class TwistClass:
         return all(x == 0 for x in self.shift.nums)
 
 
+def _canonical(
+    shift: RationalWeight, coeffs: Dict[Weight, int]
+) -> Tuple[RationalWeight, Dict[Weight, int]]:
+    """The canonical residue of `shift` and the offsets re-expressed against
+    it.  A shift in lowest terms is its own residue exactly when every
+    numerator lies in [0, den); such a shift is returned as it is."""
+    den = shift.den
+    if all(0 <= x < den for x in shift.nums):
+        return shift, coeffs
+    canon = shift.residue_mod_one()
+    t = (shift - canon).ints()
+    return canon, {vadd(k, t): c for k, c in coeffs.items()}
+
+
 class TorusElement:
     """Finitely supported integer combination of e^(shift + offset) with
     integer offsets; models elements of R(T, tau) = Z[delta + X(T)]."""
@@ -74,12 +88,7 @@ class TorusElement:
 
     def __init__(self, datum: RootDatum, shift: RationalWeight, coeffs: Dict[Weight, int]):
         self.datum = datum
-        self.shift = shift.residue_mod_one()
-        if self.shift != shift:
-            # re-express offsets against the canonical residue
-            diff = shift - self.shift
-            t = diff.ints()
-            coeffs = {vadd(k, t): c for k, c in coeffs.items()}
+        self.shift, coeffs = _canonical(shift, coeffs)
         self.coeffs = {k: c for k, c in coeffs.items() if c}
 
     # --- constructors -----------------------------------------------------
@@ -270,10 +279,7 @@ class GroupElement:
 
     def __init__(self, scope: Scope, shift: RationalWeight, coeffs: Dict[Weight, int]):
         self.scope = scope
-        self.shift = shift.residue_mod_one()
-        if self.shift != shift:
-            t = (shift - self.shift).ints()
-            coeffs = {vadd(k, t): c for k, c in coeffs.items()}
+        self.shift, coeffs = _canonical(shift, coeffs)
         self.coeffs = {k: c for k, c in coeffs.items() if c}
 
     @classmethod

@@ -60,10 +60,6 @@ class NotDominant(SpinductError):
     code = "not-dominant"
 
 
-class Overflow(SpinductError):
-    code = "overflow"
-
-
 class NotAntiInvariant(SpinductError):
     code = "not-anti-invariant"
 

@@ -288,27 +288,3 @@ def reduce_mod_lattice(
             for i in range(len(out)):
                 out[i] -= q * col[i]
     return tuple(out)
-
-
-def lattice_intersection(
-    gens_a: Sequence[Sequence[int]], gens_b: Sequence[Sequence[int]]
-) -> Tuple[Tuple[int, ...], ...]:
-    """Columns generating the intersection of two column lattices."""
-    if not gens_a or not gens_a[0] or not gens_b or not gens_b[0]:
-        return ()
-    m = len(gens_a)
-    ka = len(gens_a[0])
-    kb = len(gens_b[0])
-    stacked = tuple(
-        tuple(gens_a[i][j] for j in range(ka)) + tuple(-gens_b[i][j] for j in range(kb))
-        for i in range(m)
-    )
-    out = []
-    for vec in kernel_basis(stacked):
-        col = matvec(gens_a, vec[:ka])
-        if any(col):
-            out.append(col)
-    if not out:
-        return ()
-    cols = transpose(hermite_column_form(transpose(out)))
-    return tuple(cols)

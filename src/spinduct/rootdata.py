@@ -221,11 +221,7 @@ class Lattice:
     def contains(self, v: Sequence[int]) -> bool:
         if len(v) != self.ambient_rank:
             raise DimensionMismatch("vector has wrong length")
-        if not any(v):
-            return True
-        if not self.columns:
-            return False
-        return intlinalg.solve_integer(self.matrix(), v) is not None
+        return intlinalg.lattice_contains(self.matrix(), v)
 
 
 # --- Cartan data ---------------------------------------------------------

@@ -76,6 +76,31 @@ def test_twists_add_and_negate():
     assert TwistClass.of(sub.rho_m) + TwistClass.of(sub.rho_h) == TwistClass.of(b3.rho)
 
 
+def test_elements_keep_a_canonical_shift_and_canonicalize_any_other():
+    """An element built from the canonical residue keeps that shift object;
+    the same element built from shift + v, offsets moved by -v, is equal."""
+    rng = random.Random(11)
+    for name, p in zoo_problems():
+        rank = p.datum.rank
+        for scope in (p.datum, p.sub):
+            for delta in (RationalWeight.zero(rank), p.datum.rho, scope.rho_vec, p.rho_m):
+                shift = delta.residue_mod_one()
+                coeffs = {
+                    tuple(rng.randint(-3, 3) for _ in range(rank)): rng.randint(-4, 4)
+                    for _ in range(5)
+                }
+                v = tuple(rng.randint(-3, 3) for _ in range(rank))
+                moved = shift + RationalWeight.from_ints(v)
+                moved_coeffs = {vsub(k, v): c for k, c in coeffs.items()}
+                for cls, where in ((GroupElement, scope), (TorusElement, p.datum)):
+                    canon = cls(where, shift, coeffs)
+                    assert canon.shift is shift, name
+                    assert canon.coeffs == {k: c for k, c in coeffs.items() if c}
+                    other = cls(where, moved, moved_coeffs)
+                    assert other == canon, name
+                    assert other.shift == shift
+
+
 def test_datum_mismatch():
     a1 = build_root_datum("A1")
     a2 = build_root_datum("A2")

@@ -6,7 +6,6 @@ from spinduct.intlinalg import (
     hermite_column_form,
     kernel_basis,
     lattice_contains,
-    lattice_intersection,
     matmul,
     matvec,
     reduce_mod_lattice,
@@ -117,11 +116,6 @@ def test_reduce_mod_lattice_well_defined():
             for i in range(m):
                 w[i] += c * gens[i][j]
         assert reduce_mod_lattice(v, gens) == reduce_mod_lattice(w, gens)
-
-
-def test_lattice_intersection():
-    assert lattice_intersection([[2, 0], [0, 2]], [[1], [1]]) == ((2, 2),)
-    assert lattice_intersection([[1, 0], [0, 1]], [[3], [0]]) == ((3, 0),)
 
 
 def test_transpose_empty():

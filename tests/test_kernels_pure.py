@@ -1,14 +1,60 @@
-"""The pure-Python kernels against literal oracles; unlike
-test_kernels.py these run without the compiled extension."""
+"""The kernels against literal oracles."""
 
 import random
 from operator import mul
 
 import pytest
 
-from spinduct import _kernels_py as py
+from spinduct import kernels
 from spinduct.rootdata import build_root_datum
 from spinduct.weyl import generate_weyl
+
+
+def _convolve_oracle(a, b):
+    """sum of a[k1] * b[k2] at k1 + k2, one pair at a time."""
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = tuple(x + y for x, y in zip(k1, k2))
+            out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def test_convolve_matches_double_loop_oracle():
+    cases = [
+        # an empty operand, on either side
+        ({}, {(0,): 1}),
+        ({(1, 2): 3}, {}),
+        # (1 + x)(1 - x) = 1 - x^2: the product cancels to a smaller support
+        ({(0,): 1, (1,): 1}, {(0,): 1, (1,): -1}),
+        # coefficients and coordinates beyond any fixed-width packing
+        ({(0,): 1 << 40}, {(0,): 1}),
+        ({(0,): 1 << 40, (1,): -3}, {(0,): 1 << 40, (2,): 5}),
+        ({(3000, 0): 1}, {(0, 0): 2}),
+        # rank-6 keys
+        ({(1, 0, 0, 0, 0, 0): 1}, {(0, 1, 0, 0, 0, 0): 1}),
+    ]
+    rng = random.Random(4)
+    for _ in range(50):
+        r = rng.randint(1, 6)
+        a, b = (
+            {tuple(rng.randint(-4, 4) for _ in range(r)): rng.randint(-9, 9) or 1
+             for _ in range(rng.randint(1, 12))}
+            for _ in range(2)
+        )
+        cases.append((a, b))
+    for a, b in cases:
+        assert kernels.convolve(a, b) == _convolve_oracle(a, b)
+    assert kernels.convolve({(0,): 1, (1,): 1}, {(0,): 1, (1,): -1}) == {(0,): 1, (2,): -1}
+    assert kernels.convolve({(0,): 1 << 40}, {(0,): 1}) == {(0,): 1 << 40}
+    assert kernels.convolve({(3000, 0): 1}, {(0, 0): 2}) == {(3000, 0): 2}
+
+
+def test_empty_inputs_and_backend_name():
+    assert kernels.weyl_sum([], [], [], {}) == {}
+    assert kernels.dominant_collect({}, (), (), 10) == {}
+    assert kernels.orbit_expand([], (), ()) == {}
+    assert kernels.backend_name() == "python"
 
 
 def _weyl_sum_oracle(mats, dets, shifts, coeffs):
@@ -38,25 +84,25 @@ def test_weyl_sum_matches_matrix_vector_oracle():
                 tuple(rng.randint(-3, 3) for _ in range(d.rank)): rng.randint(-5, 5) or 1
                 for _ in range(rng.randint(1, 8))
             }
-            got = py.weyl_sum(mats, dets, shifts, coeffs)
+            got = kernels.weyl_sum(mats, dets, shifts, coeffs)
             assert got == _weyl_sum_oracle(mats, dets, shifts, coeffs)
             assert all(got.values())
 
 
 def test_weyl_sum_edge_cases():
     # rank 0: the one element of the trivial group
-    assert py.weyl_sum([()], [1], [()], {(): 3}) == {(): 3}
-    assert py.weyl_sum([(), ()], [1, -1], [(), ()], {(): 3}) == {}
+    assert kernels.weyl_sum([()], [1], [()], {(): 3}) == {(): 3}
+    assert kernels.weyl_sum([(), ()], [1, -1], [(), ()], {(): 3}) == {}
     # empty coefficients, and no elements at all
     a2 = generate_weyl(build_root_datum("A2")).elements
     mats = [e.matrix for e in a2]
-    assert py.weyl_sum(mats, [e.det for e in a2], [(0, 0)] * 6, {}) == {}
-    assert py.weyl_sum([], [], [], {(1, 1): 1}) == {}
+    assert kernels.weyl_sum(mats, [e.det for e in a2], [(0, 0)] * 6, {}) == {}
+    assert kernels.weyl_sum([], [], [], {(1, 1): 1}) == {}
     # J_G of e^0 cancels to zero: 0 is fixed by every element
-    assert py.weyl_sum(mats, [e.det for e in a2], [(0, 0)] * 6, {(0, 0): 4}) == {}
+    assert kernels.weyl_sum(mats, [e.det for e in a2], [(0, 0)] * 6, {(0, 0): 4}) == {}
     # a shift moves the image
     ident = a2[0].matrix
-    assert py.weyl_sum([ident], [-1], [(2, -1)], {(1, 1): 5}) == {(3, 0): -5}
+    assert kernels.weyl_sum([ident], [-1], [(2, -1)], {(1, 1): 5}) == {(3, 0): -5}
 
 
 def _orbit_oracle(key, basis, coroots):
@@ -112,31 +158,31 @@ def test_orbit_walks_match_search_oracle():
             # dominant keys may sit on walls; strictly dominant ones may not
             key, mult = _random_dominant(rng, d.rank, 0), rng.randint(1, 5)
             orbit = _orbit_oracle(key, basis, coroots)
-            assert py.orbit_expand([(key, mult)], basis, coroots) == dict.fromkeys(orbit, mult)
+            assert kernels.orbit_expand([(key, mult)], basis, coroots) == dict.fromkeys(orbit, mult)
             nu, c = _random_dominant(rng, d.rank, 1), rng.choice((-3, 2, 7))
             orbit = _orbit_oracle(nu, basis, coroots)
             assert len(orbit) == generate_weyl(d).order
             # det(w) for w nu = x is the parity of the walk from x back to nu
             signed = {}
             for x in orbit:
-                image, path, regular = py.dominant_walk(x, basis, coroots, len(d.positive))
+                image, path, regular = kernels.dominant_walk(x, basis, coroots, len(d.positive))
                 assert (image, regular) == (nu, True)
                 signed[x] = -c if len(path) % 2 else c
-            assert py.signed_orbit([(nu, c)], basis, coroots) == signed
+            assert kernels.signed_orbit([(nu, c)], basis, coroots) == signed
 
 
 def test_signed_orbit_edge_cases():
     # rank 0, no items, and two orbits that overlap nowhere
-    assert py.signed_orbit([((), 4)], (), ()) == {(): 4}
-    assert py.orbit_expand([((), 4)], (), ()) == {(): 4}
+    assert kernels.signed_orbit([((), 4)], (), ()) == {(): 4}
+    assert kernels.orbit_expand([((), 4)], (), ()) == {(): 4}
     a1 = build_root_datum("A1")
     basis, coroots = a1.simple_roots, a1.simple_coroots
-    assert py.signed_orbit([], basis, coroots) == {}
-    assert py.signed_orbit([((1,), 2), ((3,), -1)], basis, coroots) == {
+    assert kernels.signed_orbit([], basis, coroots) == {}
+    assert kernels.signed_orbit([((1,), 2), ((3,), -1)], basis, coroots) == {
         (1,): 2, (-1,): -2, (3,): -1, (-3,): 1,
     }
     # a repeated weight accumulates, and cancels to nothing
-    assert py.signed_orbit([((2,), 1), ((2,), -1)], basis, coroots) == {}
+    assert kernels.signed_orbit([((2,), 1), ((2,), -1)], basis, coroots) == {}
 
 
 def _zoo_scopes():
@@ -166,7 +212,7 @@ def _dominant_keys(scope, rng):
     for den, s in shifts:
         for _ in range(6):
             v = tuple(den * rng.randint(-2, 2) + x for x in s)
-            key = py.dominant_walk(v, basis, coroots, cap)[0]
+            key = kernels.dominant_walk(v, basis, coroots, cap)[0]
             keys += [(den, key), (den, tuple(den * r + k for r, k in zip(two_rho, key)))]
     return keys
 
@@ -187,10 +233,10 @@ def test_orbit_trees_match_level_walk_on_every_zoo_scope():
             dens_seen.add(den)
             before = dict(trees)
             c = rng.choice((-2, 1, 3))
-            got = py.orbit_expand([(key, c)], basis, coroots, trees)
+            got = kernels.orbit_expand([(key, c)], basis, coroots, trees)
             assert got == _level_walk([(key, c)], basis, coroots, 1)
             if not walls:
-                got = py.signed_orbit([(key, c)], basis, coroots, trees)
+                got = kernels.signed_orbit([(key, c)], basis, coroots, trees)
                 assert got == _level_walk([(key, c)], basis, coroots, -1)
             # a type seen before replays its tree; a new one records it
             assert all(trees[j] is tree for j, tree in before.items())
@@ -202,7 +248,7 @@ def test_orbit_trees_match_level_walk_on_every_zoo_scope():
 
 def test_orbit_trees_on_several_items_and_rank_zero():
     # rank 0, with and without a table
-    for kernel in (py.orbit_expand, py.signed_orbit):
+    for kernel in (kernels.orbit_expand, kernels.signed_orbit):
         trees = {}
         assert kernel([((), 4), ((), -1)], (), (), trees) == {(): 3}
         assert list(trees) == [()]
@@ -212,10 +258,10 @@ def test_orbit_trees_on_several_items_and_rank_zero():
     basis, coroots = b3.simple_roots, b3.simple_coroots
     items = [((1, 0, 0), 2), ((3, 0, 0), -1), ((0, 2, 0), 5), ((1, 0, 0), 1), ((0, 0, 0), 7)]
     trees = {}
-    assert py.orbit_expand(items, basis, coroots, trees) == _level_walk(items, basis, coroots, 1)
+    assert kernels.orbit_expand(items, basis, coroots, trees) == _level_walk(items, basis, coroots, 1)
     assert sorted(trees) == [(0, 1, 2), (0, 2), (1, 2)]
     regular = [((1, 1, 1), 2), ((2, 1, 3), -3), ((1, 1, 1), 1)]
-    assert py.signed_orbit(regular, basis, coroots, trees) == _level_walk(
+    assert kernels.signed_orbit(regular, basis, coroots, trees) == _level_walk(
         regular, basis, coroots, -1
     )
     assert sorted(trees) == [(), (0, 1, 2), (0, 2), (1, 2)]
@@ -225,7 +271,7 @@ def test_orbit_keys_must_be_dominant():
     a2 = build_root_datum("A2")
     basis, coroots = a2.simple_roots, a2.simple_coroots
     with pytest.raises(ValueError):
-        py.orbit_expand([((1, -1), 1)], basis, coroots)
+        kernels.orbit_expand([((1, -1), 1)], basis, coroots)
     # J of a weight on a wall is zero; a caller passing one is at fault
     with pytest.raises(ValueError):
-        py.signed_orbit([((1, 0), 1)], basis, coroots)
+        kernels.signed_orbit([((1, 0), 1)], basis, coroots)
