@@ -27,7 +27,7 @@ def test_convolve_matches_double_loop_oracle():
         ({(1, 2): 3}, {}),
         # (1 + x)(1 - x) = 1 - x^2: the product cancels to a smaller support
         ({(0,): 1, (1,): 1}, {(0,): 1, (1,): -1}),
-        # coefficients and coordinates beyond any fixed-width packing
+        # a large coefficient (its square passes 64 bits) and a far coordinate
         ({(0,): 1 << 40}, {(0,): 1}),
         ({(0,): 1 << 40, (1,): -3}, {(0,): 1 << 40, (2,): 5}),
         ({(3000, 0): 1}, {(0, 0): 2}),
