@@ -3,6 +3,9 @@ highest-weight picture of R(G) and R(H).
 
 A twist is stored as the canonical residue of its rational shift modulo
 X(T); elements of a shifted module keep integer offsets from that residue.
+TorusElement (a character of T) and GroupElement (a combination of
+irreducibles by highest weight) share one immutable body, `_Shifted`,
+whose constructor is the only place a shift is made canonical.
 Coefficients are exact integers throughout; the only floating point lives
 in numeric_evaluate.
 """
@@ -13,7 +16,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import kernels
 from .errors import (
@@ -66,56 +70,60 @@ class TwistClass:
         return all(x == 0 for x in self.shift.nums)
 
 
-def _canonical(
-    shift: RationalWeight, coeffs: Dict[Weight, int]
-) -> Tuple[RationalWeight, Dict[Weight, int]]:
-    """The canonical residue of `shift` and the offsets re-expressed against
-    it.  A shift in lowest terms is its own residue exactly when every
-    numerator lies in [0, den); such a shift is returned as it is."""
-    den = shift.den
-    if all(0 <= x < den for x in shift.nums):
-        return shift, coeffs
-    canon = shift.residue_mod_one()
-    t = (shift - canon).ints()
-    return canon, {vadd(k, t): c for k, c in coeffs.items()}
+class _Shifted:
+    """An element of a shifted module: integer coefficients at the weights
+    shift + offset, offsets integral, over a scope (a root datum or a
+    subgroup).
 
+    The constructor is the only canonicalization: it takes any rational
+    shift, moves it to its residue in [0,1)^rank with the offsets moved to
+    match, and drops zero coefficients.  `coeffs` is a read-only view, so
+    an element never changes after construction and cached elements can
+    be handed to every caller."""
 
-class TorusElement:
-    """Finitely supported integer combination of e^(shift + offset) with
-    integer offsets; models elements of R(T, tau) = Z[delta + X(T)]."""
+    __slots__ = ("scope", "shift", "coeffs")
 
-    __slots__ = ("datum", "shift", "coeffs")
-
-    def __init__(self, datum: RootDatum, shift: RationalWeight, coeffs: Dict[Weight, int]):
-        self.datum = datum
-        self.shift, coeffs = _canonical(shift, coeffs)
-        self.coeffs = {k: c for k, c in coeffs.items() if c}
-
-    # --- constructors -----------------------------------------------------
-
-    @classmethod
-    def zero(cls, datum: RootDatum, twist: Optional[TwistClass] = None) -> "TorusElement":
-        shift = twist.shift if twist else RationalWeight.zero(datum.rank)
-        return cls(datum, shift, {})
+    def __init__(self, scope: Scope, shift: RationalWeight, coeffs: Mapping[Weight, int]):
+        # a lowest-terms shift is its own residue exactly when every
+        # numerator lies in [0, den); such a shift is kept as it is
+        if all(0 <= x < shift.den for x in shift.nums):
+            kept = {k: c for k, c in coeffs.items() if c}
+        else:
+            canon = shift.residue_mod_one()
+            t = (shift - canon).ints()
+            kept = {vadd(k, t): c for k, c in coeffs.items() if c}
+            shift = canon
+        self.scope = scope
+        self.shift = shift
+        self.coeffs = MappingProxyType(kept)
 
     @classmethod
-    def unit(cls, datum: RootDatum) -> "TorusElement":
-        return cls(datum, RationalWeight.zero(datum.rank), {(0,) * datum.rank: 1})
+    def zero(cls, scope: Scope, twist: Optional[TwistClass] = None):
+        shift = twist.shift if twist else RationalWeight.zero(scope.datum.rank)
+        return cls(scope, shift, {})
 
     @classmethod
-    def monomial(cls, datum: RootDatum, weight: RationalWeight, coeff: int = 1) -> "TorusElement":
-        shift = weight.residue_mod_one()
-        offset = (weight - shift).ints()
-        return cls(datum, shift, {offset: coeff})
+    def from_weights(cls, scope: Scope, weights: Mapping[RationalWeight, int]):
+        """The element sum c e^w over the given weights, which must lie in
+        one coset of X(T); offsets are taken from the first weight."""
+        if not weights:
+            return cls.zero(scope)
+        shift = next(iter(weights))
+        coeffs: Dict[Weight, int] = {}
+        for w, c in weights.items():
+            off = (w - shift).ints()
+            coeffs[off] = coeffs.get(off, 0) + c
+        return cls(scope, shift, coeffs)
 
-    def replace_coeffs(self, coeffs: Dict[Weight, int]) -> "TorusElement":
-        out = TorusElement.__new__(TorusElement)
-        out.datum = self.datum
-        out.shift = self.shift
-        out.coeffs = {k: c for k, c in coeffs.items() if c}
-        return out
+    def replace_coeffs(self, coeffs: Mapping[Weight, int]):
+        """The element with the same scope and shift and these offsets."""
+        return type(self)(self.scope, self.shift, coeffs)
 
     # --- views -------------------------------------------------------------
+
+    @property
+    def datum(self) -> RootDatum:
+        return self.scope.datum
 
     @property
     def twist(self) -> TwistClass:
@@ -132,65 +140,68 @@ class TorusElement:
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, TorusElement)
-            and self.datum.key == other.datum.key
+            type(other) is type(self)
+            and self.scope.scope_key() == other.scope.scope_key()
             and self.shift == other.shift
             and self.coeffs == other.coeffs
         )
 
     def __repr__(self):
-        n = len(self.coeffs)
-        return f"TorusElement({n} terms, twist={self.shift.nums}/{self.shift.den})"
+        return (
+            f"{type(self).__name__}({len(self.coeffs)} terms, "
+            f"twist={self.shift.nums}/{self.shift.den})"
+        )
 
     # --- module operations --------------------------------------------------
 
-    def _check_compatible(self, other: "TorusElement") -> None:
-        if self.datum.key != other.datum.key:
-            raise DatumMismatch("elements live over different data")
+    def _check_compatible(self, other: "_Shifted") -> None:
+        if type(other) is not type(self) or self.scope.scope_key() != other.scope.scope_key():
+            raise DatumMismatch("elements live over different scopes")
 
-    def __add__(self, other: "TorusElement") -> "TorusElement":
+    def __add__(self, other):
         self._check_compatible(other)
         if self.shift != other.shift:
             raise DatumMismatch("cannot add elements of different twists")
-        out = dict(self.coeffs)
+        out = self.coeffs.copy()
         for k, c in other.coeffs.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
+            out[k] = out.get(k, 0) + c
         return self.replace_coeffs(out)
 
-    def __sub__(self, other: "TorusElement") -> "TorusElement":
+    def __sub__(self, other):
         return self + other.scale(-1)
 
-    def __neg__(self) -> "TorusElement":
+    def __neg__(self):
         return self.scale(-1)
 
-    def scale(self, n: int) -> "TorusElement":
-        if n == 0:
-            return self.replace_coeffs({})
+    def scale(self, n: int):
         return self.replace_coeffs({k: n * c for k, c in self.coeffs.items()})
+
+
+class TorusElement(_Shifted):
+    """Finitely supported integer combination of e^(shift + offset) with
+    integer offsets; models elements of R(T, tau) = Z[delta + X(T)].  The
+    scope is the root datum, also reached as `datum`."""
+
+    __slots__ = ()
+
+    @classmethod
+    def unit(cls, datum: RootDatum) -> "TorusElement":
+        return cls(datum, RationalWeight.zero(datum.rank), {(0,) * datum.rank: 1})
+
+    @classmethod
+    def monomial(cls, datum: RootDatum, weight: RationalWeight, coeff: int = 1) -> "TorusElement":
+        return cls(datum, weight, {(0,) * datum.rank: coeff})
 
 
 def multiply(a: TorusElement, b: TorusElement) -> TorusElement:
     """Convolution product; twists add."""
     a._check_compatible(b)
-    conv = kernels.convolve(a.coeffs, b.coeffs)
-    total = a.shift + b.shift
-    canon = total.residue_mod_one()
-    t = (total - canon).ints()
-    if any(t):
-        conv = {vadd(k, t): c for k, c in conv.items()}
-    return TorusElement(a.datum, canon, conv)
+    return TorusElement(a.datum, a.shift + b.shift, kernels.convolve(a.coeffs, b.coeffs))
 
 
 def dualize(a: TorusElement) -> TorusElement:
     """The duality map e^mu -> e^(-mu); negates the twist."""
-    canon = (-a.shift).residue_mod_one()
-    t = ((-a.shift) - canon).ints()
-    coeffs = {vadd(vneg(k), t): c for k, c in a.coeffs.items()}
-    return TorusElement(a.datum, canon, coeffs)
+    return TorusElement(a.datum, -a.shift, {vneg(k): c for k, c in a.coeffs.items()})
 
 
 def is_scope_invariant(a: TorusElement, scope: Scope) -> bool:
@@ -269,88 +280,13 @@ def euler_class(sub: SubgroupDatum) -> TorusElement:
 # --- highest-weight elements -------------------------------------------------
 
 
-class GroupElement:
+class GroupElement(_Shifted):
     """Virtual module in R(G, sigma) or R(H, tau), stored by highest weight.
 
     Offsets are relative to the canonical residue of the highest-weight
     lattice class; every supported weight is scope-dominant."""
 
-    __slots__ = ("scope", "shift", "coeffs")
-
-    def __init__(self, scope: Scope, shift: RationalWeight, coeffs: Dict[Weight, int]):
-        self.scope = scope
-        self.shift, coeffs = _canonical(shift, coeffs)
-        self.coeffs = {k: c for k, c in coeffs.items() if c}
-
-    @classmethod
-    def zero(cls, scope: Scope, twist: Optional[TwistClass] = None) -> "GroupElement":
-        rank = scope.datum.rank
-        shift = twist.shift if twist else RationalWeight.zero(rank)
-        return cls(scope, shift, {})
-
-    @classmethod
-    def from_weights(
-        cls, scope: Scope, weights: Dict[RationalWeight, int]
-    ) -> "GroupElement":
-        items = list(weights.items())
-        if not items:
-            return cls.zero(scope)
-        shift = items[0][0].residue_mod_one()
-        coeffs: Dict[Weight, int] = {}
-        for w, c in items:
-            off = (w - shift).ints()
-            coeffs[off] = coeffs.get(off, 0) + c
-        return cls(scope, shift, coeffs)
-
-    @property
-    def twist(self) -> TwistClass:
-        return TwistClass(self.shift)
-
-    @property
-    def datum(self) -> RootDatum:
-        return self.scope.datum
-
-    def weight_of(self, key: Weight) -> RationalWeight:
-        return self.shift + RationalWeight.from_ints(key)
-
-    def terms(self) -> List[Tuple[RationalWeight, int]]:
-        return [(self.weight_of(k), c) for k, c in sorted(self.coeffs.items())]
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupElement)
-            and self.scope.scope_key() == other.scope.scope_key()
-            and self.shift == other.shift
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return f"GroupElement({len(self.coeffs)} classes, twist={self.shift.nums}/{self.shift.den})"
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        if self.scope.scope_key() != other.scope.scope_key():
-            raise DatumMismatch("group elements over different scopes")
-        if self.shift != other.shift:
-            raise DatumMismatch("cannot add group elements of different twists")
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-        return GroupElement(self.scope, self.shift, out)
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return self + other.scale(-1)
-
-    def scale(self, n: int) -> "GroupElement":
-        return GroupElement(
-            self.scope, self.shift, {k: n * c for k, c in self.coeffs.items()}
-        )
+    __slots__ = ()
 
     def to_torus(self) -> TorusElement:
         """Restriction to T: expand every class through its full character."""
@@ -512,7 +448,7 @@ def irreducible_restriction(scope: Scope, lam: RationalWeight) -> TorusElement:
         list(mult.items()), scope.basis, scope.basis_coroots, generate_weyl(scope).orbit_trees
     )
     shift = lam.residue_mod_one()
-    out = TorusElement(scope.datum, shift, from_scaled(expanded, shift, den))
+    out = TorusElement(scope.datum, shift, from_scaled(expanded, scaled(shift, den), den))
     _CHAR_CACHE[key] = out
     return out
 

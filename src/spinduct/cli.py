@@ -44,6 +44,7 @@ from .serialize import (
     rational_to_json,
     torus_from_json,
     torus_to_json,
+    weights_from_json,
 )
 from .spinc import classify, nu
 from .zoo import parse_group_spec, steinberg_pairing_bases, subgroup_from_spec
@@ -329,22 +330,7 @@ def _run_command(doc: Dict, command: str) -> Dict:
 
 def _group_from_doc(problem, obj) -> GroupElement:
     scope = problem.datum if obj.get("scope", "G") == "G" else problem.sub
-    weights: Dict[RationalWeight, int] = {}
-    terms = obj.get("terms", [])
-    if not isinstance(terms, list):
-        raise SchemaViolation("terms must be a list", "/input/terms")
-    for i, term in enumerate(terms):
-        if not isinstance(term, dict):
-            raise SchemaViolation("a term is an object", f"/input/terms/{i}")
-        w = rational_from_json(term.get("weight"), problem.datum.rank, f"/input/terms/{i}/weight")
-        if weights and w.residue_mod_one() != next(iter(weights)).residue_mod_one():
-            raise SchemaViolation(
-                "term weights lie in different cosets of X(T)", f"/input/terms/{i}/weight"
-            )
-        c = term.get("coeff")
-        if not isinstance(c, int):
-            raise SchemaViolation("coeff must be an integer", f"/input/terms/{i}/coeff")
-        weights[w] = weights.get(w, 0) + c
+    weights = weights_from_json(obj.get("terms", []), problem.datum.rank, "/input/terms")
     return GroupElement.from_weights(scope, weights)
 
 
@@ -472,7 +458,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     finally:
         rootdata.WEYL_ORDER_CAP = saved_cap
-    out = {"command": args.command, "problem": _echo(doc), **payload}
+    out = {"command": args.command, "problem": doc, **payload}
     if args.timing:
         out["timing_seconds"] = round(time.monotonic() - started, 6)
     return _emit(out, indent=2 if args.pretty else None)
@@ -489,10 +475,6 @@ def _emit(doc: Dict, indent: Optional[int] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         return 1
     return 0
-
-
-def _echo(doc: Dict) -> Dict:
-    return {k: v for k, v in sorted(doc.items())}
 
 
 if __name__ == "__main__":

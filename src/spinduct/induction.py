@@ -43,6 +43,7 @@ from .rootdata import (
     SubgroupDatum,
     Weight,
     from_scaled,
+    scaled,
     to_scaled,
     vneg,
 )
@@ -153,7 +154,8 @@ def collect_to_chamber(scope: Scope, a: TorusElement) -> GroupElement:
         len(scope.positive),
     )
     out_shift = (a.shift - rho).residue_mod_one()
-    return GroupElement(scope, out_shift, from_scaled(collected, rho + out_shift, den))
+    read_back = scaled(rho + out_shift, den)
+    return GroupElement(scope, out_shift, from_scaled(collected, read_back, den))
 
 
 def partial(problem: InductionProblem, scope: str, a: TorusElement) -> GroupElement:
@@ -297,8 +299,6 @@ def divide_exact(a: TorusElement, b: TorusElement) -> TorusElement:
     InexactDivision when b does not divide a."""
     if b.is_zero():
         raise InexactDivision("division by zero")
-    if a.is_zero():
-        return TorusElement.zero(a.datum, TwistClass(a.shift) - TwistClass(b.shift))
     den = math.lcm(a.shift.den, b.shift.den)
     ra = to_scaled(a.shift, a.coeffs, den)
     rb = to_scaled(b.shift, b.coeffs, den)
@@ -327,8 +327,8 @@ def divide_exact(a: TorusElement, b: TorusElement) -> TorusElement:
                 ra[nk] = v
             elif nk in ra:
                 del ra[nk]
-    out_shift = (TwistClass(a.shift) - TwistClass(b.shift)).shift
-    return TorusElement(a.datum, out_shift, from_scaled(q, out_shift, den))
+    out_shift = a.shift - b.shift
+    return TorusElement(a.datum, out_shift, from_scaled(q, scaled(out_shift, den), den))
 
 
 # --- duality pairing -----------------------------------------------------------

@@ -201,6 +201,18 @@ def solve_integer(
     return matvec(v, y)
 
 
+def _snf_rank(d: IntMatrix) -> int:
+    """The number of nonzero diagonal entries of a Smith normal form."""
+    return sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i])
+
+
+def rank(a: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix (over Q), from its Smith normal form."""
+    if not a or not a[0]:
+        return 0
+    return _snf_rank(smith_normal_form(a)[0])
+
+
 def kernel_basis(a: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
     """Return columns generating {x : a @ x = 0} over Z."""
     m = len(a)
@@ -210,9 +222,8 @@ def kernel_basis(a: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
     if m == 0:
         return tuple(identity(n))
     d, _, v = smith_normal_form(a)
-    rank = sum(1 for i in range(min(m, n)) if d[i][i])
     cols = []
-    for j in range(rank, n):
+    for j in range(_snf_rank(d), n):
         cols.append(tuple(v[i][j] for i in range(n)))
     return tuple(cols)
 

@@ -21,7 +21,7 @@ from .charring import (
 )
 from .errors import BadTwist
 from .induction import InductionProblem, _check_partial_twist, collect_to_chamber
-from .rootdata import from_scaled, to_scaled
+from .rootdata import from_scaled, scaled, to_scaled
 from .weyl import WeylElement, apply_weyl_sum
 
 
@@ -58,7 +58,7 @@ def multiplet(problem: InductionProblem, a: TorusElement) -> Multiplet:
     under the simple reflections of G, hence under W), the source is scaled
     once by den to absolute integer keys, and each w^{-1} acts on those keys
     by its matrix, Z-linearly.  Each image is collected to the H chamber and
-    read back against the shared rho_H + out_shift."""
+    read back against rho_H + out_shift, scaled once for all members."""
     _check_source_twist(problem, a)
     sub = problem.sub
     # H before G: a shift that fails both raises bad-twist, as collecting the
@@ -70,7 +70,7 @@ def multiplet(problem: InductionProblem, a: TorusElement) -> Multiplet:
     den = math.lcm(a.shift.den, rho.den)
     keys = list(to_scaled(a.shift, a.coeffs, den).items())
     out_shift = (a.shift - rho).residue_mod_one()
-    read_back = rho + out_shift
+    read_back = scaled(rho + out_shift, den)
     basis, coroots, steps = sub.basis, sub.basis_coroots, len(sub.positive)
     cosets = problem.reps
     members = []

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, prod
+from math import factorial, gcd, lcm, prod
 from operator import mul, sub
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -162,14 +162,15 @@ def to_scaled(shift: RationalWeight, coeffs: Dict[Weight, int], den: int) -> Dic
     return {tuple(x + den * o for x, o in zip(s, k)): c for k, c in coeffs.items()}
 
 
-def from_scaled(keys: Dict[Weight, int], shift: RationalWeight, den: int) -> Dict[Weight, int]:
-    """Inverse of to_scaled; every key must lie in den * (shift + X(T))."""
-    if den == 1 and not any(shift.nums):
+def from_scaled(keys: Dict[Weight, int], base: Weight, den: int) -> Dict[Weight, int]:
+    """Inverse of to_scaled, given base = scaled(shift, den) (a caller reading
+    back many maps against one shift scales it once); every key must lie in
+    den * (shift + X(T))."""
+    if den == 1 and not any(base):
         return dict(keys)
-    s = scaled(shift, den)
     out: Dict[Weight, int] = {}
     for x, c in keys.items():
-        off = tuple(map(sub, x, s))
+        off = tuple(map(sub, x, base))
         if den != 1:
             if any(d % den for d in off):
                 raise AssertionError("scaled weight left its coset")
@@ -237,21 +238,14 @@ _ROOT_COUNTS = {
 }
 
 _WEYL_ORDERS = {
-    "A": lambda n: _factorial(n + 1),
-    "B": lambda n: _factorial(n) << n,
-    "C": lambda n: _factorial(n) << n,
-    "D": lambda n: _factorial(n) << (n - 1) if n > 1 else 2,
+    "A": lambda n: factorial(n + 1),
+    "B": lambda n: factorial(n) << n,
+    "C": lambda n: factorial(n) << n,
+    "D": lambda n: factorial(n) << (n - 1) if n > 1 else 2,
     "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
     "F": lambda n: 1152,
     "G": lambda n: 12,
 }
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def _cartan_matrix(series: str, n: int) -> List[List[int]]:
@@ -319,13 +313,9 @@ def _symmetrizer(c: List[List[int]]) -> List[int]:
                 if c[i][j] and d[j] is None:
                     d[j] = d[i] * Fraction(c[i][j], c[j][i])
                     stack.append(j)
-    lcm_den = 1
-    for x in d:
-        lcm_den = lcm_den * x.denominator // gcd(lcm_den, x.denominator)
-    ints = [int(x * lcm_den) for x in d]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    den = lcm(*(x.denominator for x in d))
+    ints = [int(x * den) for x in d]
+    g = gcd(*ints)
     return [x // g for x in ints]
 
 
@@ -671,12 +661,13 @@ class SubgroupDatum(_ScopeConstants):
         if not self.positive_h:
             return True
         rows = [list(a) for a in self.basis_h]
-        for g in self.parent.positive_roots:
-            if g in set(self.positive_h):
-                continue
-            if _in_rational_span(rows, g):
-                return False
-        return True
+        rank = intlinalg.rank(rows)
+        own = set(self.positive_h)
+        return all(
+            intlinalg.rank(rows + [list(g)]) > rank
+            for g in self.parent.positive_roots
+            if g not in own
+        )
 
     # --- scope protocol ---------------------------------------------------
 
@@ -714,30 +705,6 @@ class SubgroupDatum(_ScopeConstants):
             f"SubgroupDatum(|R_H|={2 * len(self.positive_h)}, "
             f"|R_M+|={len(self.complement_positive)}, levi={self.is_levi})"
         )
-
-
-def _in_rational_span(rows: List[List[int]], v: Weight) -> bool:
-    """Whether v lies in the rational span of the given vectors."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    vec = list(map(Fraction, v))
-    n = len(vec)
-    basis: List[List[Fraction]] = []
-    for r in mat:
-        r = r[:]
-        for b in basis:
-            lead = next((j for j in range(n) if b[j]), None)
-            if lead is not None and r[lead]:
-                f = r[lead] / b[lead]
-                r = [x - f * y for x, y in zip(r, b)]
-        if any(r):
-            basis.append(r)
-    w = vec[:]
-    for b in basis:
-        lead = next(j for j in range(n) if b[j])
-        if w[lead]:
-            f = w[lead] / b[lead]
-            w = [x - f * y for x, y in zip(w, b)]
-    return not any(w)
 
 
 _SUBGROUP_CACHE: Dict[object, SubgroupDatum] = {}

@@ -60,22 +60,36 @@ def torus_to_json(a: TorusElement) -> Dict:
     }
 
 
-def torus_from_json(datum: RootDatum, obj, pointer: str = "") -> TorusElement:
-    if not isinstance(obj, dict) or "terms" not in obj:
-        raise SchemaViolation("expected a torus element object", pointer)
-    if not isinstance(obj["terms"], list):
-        raise SchemaViolation("terms must be a list", pointer + "/terms")
-    out: Optional[TorusElement] = None
-    for i, term in enumerate(obj["terms"]):
-        tp = f"{pointer}/terms/{i}"
+def weights_from_json(terms, rank: int, pointer: str) -> Dict[RationalWeight, int]:
+    """The `terms` list [{coeff, weight}] of an element object, found at
+    `pointer`, as summed coefficients by weight; every weight must lie in
+    the coset of X(T) of the first."""
+    if not isinstance(terms, list):
+        raise SchemaViolation("terms must be a list", pointer)
+    weights: Dict[RationalWeight, int] = {}
+    coset: Optional[RationalWeight] = None
+    for i, term in enumerate(terms):
+        tp = f"{pointer}/{i}"
         if not isinstance(term, dict) or "coeff" not in term or "weight" not in term:
             raise SchemaViolation("term needs coeff and weight", tp)
         if not isinstance(term["coeff"], int):
             raise SchemaViolation("coeff must be an integer", tp + "/coeff")
-        w = rational_from_json(term["weight"], datum.rank, tp + "/weight")
-        mono = TorusElement.monomial(datum, w, term["coeff"])
-        out = mono if out is None else out + mono
-    if out is None:
+        w = rational_from_json(term["weight"], rank, tp + "/weight")
+        if coset is None:
+            coset = w.residue_mod_one()
+        elif w.residue_mod_one() != coset:
+            raise SchemaViolation(
+                "term weights lie in different cosets of X(T)", tp + "/weight"
+            )
+        weights[w] = weights.get(w, 0) + term["coeff"]
+    return weights
+
+
+def torus_from_json(datum: RootDatum, obj, pointer: str = "") -> TorusElement:
+    if not isinstance(obj, dict) or "terms" not in obj:
+        raise SchemaViolation("expected a torus element object", pointer)
+    weights = weights_from_json(obj["terms"], datum.rank, pointer + "/terms")
+    if not weights:
         twist = obj.get("twist")
         shift = (
             rational_from_json(twist, datum.rank, pointer + "/twist")
@@ -83,6 +97,7 @@ def torus_from_json(datum: RootDatum, obj, pointer: str = "") -> TorusElement:
             else RationalWeight.zero(datum.rank)
         )
         return TorusElement.zero(datum, TwistClass.of(shift))
+    out = TorusElement.from_weights(datum, weights)
     if "twist" in obj:
         declared = rational_from_json(obj["twist"], datum.rank, pointer + "/twist")
         if declared.residue_mod_one() != out.shift:

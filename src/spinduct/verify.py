@@ -882,15 +882,10 @@ SUITES: Dict[str, List[Callable[[int], List[CheckResult]]]] = {
 
 
 def run_suite(name: str, seed: int = 0) -> List[CheckResult]:
-    if name == "all":
-        out = []
-        for key in sorted(SUITES):
-            for fn in SUITES[key]:
-                out.extend(fn(seed))
-        return out
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise SpinductError(f"unknown suite {name!r}")
     out = []
-    for fn in SUITES[name]:
-        out.extend(fn(seed))
+    for key in sorted(SUITES) if name == "all" else [name]:
+        for fn in SUITES[key]:
+            out.extend(fn(seed))
     return out

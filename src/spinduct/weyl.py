@@ -16,6 +16,7 @@ from .rootdata import (
     SubgroupDatum,
     Weight,
     from_scaled,
+    scaled,
     to_scaled,
     vsub,
 )
@@ -309,7 +310,7 @@ def antisymmetrize(
     if collect:
         keys = kernels.dominant_collect(keys, basis, coroots, len(scope.positive))
     orbits = kernels.signed_orbit(list(keys.items()), basis, coroots, w.orbit_trees)
-    return from_scaled(orbits, shift, den)
+    return from_scaled(orbits, scaled(shift, den), den)
 
 
 def apply_antisymmetrizer(kind: str, a, sub: Optional[SubgroupDatum] = None):

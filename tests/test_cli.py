@@ -421,6 +421,9 @@ def test_e6_queries_build_the_root_datum_once(capsys, monkeypatch):
     (("info", "--group", "A2", "--subgroup", "[0, [1]]"), "/subgroup/1"),
     (("info", "--group", "A2", "--subgroup", "[x"), "/subgroup"),
     (("bwb", "--group", "A2", "--mu", "{x"), "/mu"),
+    (("induce", "--group", "A2", "--input",
+      '{"terms":[{"coeff":1,"weight":[1,0]},{"coeff":1,"weight":{"num":[1,0],"den":2}}]}'),
+     "/input/terms/1/weight"),
 ])
 def test_malformed_flags_are_schema_violations(capsys, argv, pointer):
     code, out = run_cli(capsys, *argv)

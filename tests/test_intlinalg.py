@@ -8,6 +8,7 @@ from spinduct.intlinalg import (
     lattice_contains,
     matmul,
     matvec,
+    rank,
     reduce_mod_lattice,
     smith_normal_form,
     solve_integer,
@@ -120,3 +121,31 @@ def test_reduce_mod_lattice_well_defined():
 
 def test_transpose_empty():
     assert transpose([]) == ()
+
+
+def test_rank_matches_fraction_elimination():
+    from fractions import Fraction
+
+    def rank_over_q(rows):
+        rows = [[Fraction(x) for x in r] for r in rows]
+        r = 0
+        for j in range(len(rows[0]) if rows else 0):
+            piv = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+            if piv is None:
+                continue
+            rows[r], rows[piv] = rows[piv], rows[r]
+            for i in range(len(rows)):
+                if i != r and rows[i][j]:
+                    f = rows[i][j] / rows[r][j]
+                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            r += 1
+        return r
+
+    rng = random.Random(5)
+    assert rank([]) == 0 and rank([[]]) == 0 and rank([[0, 0], [0, 0]]) == 0
+    for _ in range(200):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        a = random_matrix(rng, m, n, -2, 2)
+        if rng.random() < 0.3:
+            a.append([x + y for x, y in zip(a[0], a[-1])])
+        assert rank(a) == rank_over_q(a)

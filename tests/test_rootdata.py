@@ -389,3 +389,29 @@ def test_subgroup_cache_is_keyed_and_bounded(monkeypatch):
     with pytest.raises(NotASubsetOfRoots):
         subgroup_from_roots(d, [(9, 9, 9)])
     assert len(rd._SUBGROUP_CACHE) == 3
+
+
+# E6 > A2xA2xA2: the extended Dynkin diagram of E6 minus its centre, in
+# simple-root coordinates
+_E6_A2_CUBED = ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0),
+                (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1), (1, 2, 2, 3, 2, 1))
+
+
+@pytest.mark.parametrize("group, subgroup, levi", [
+    ("A1", "t", True), ("A2", "t", True), ("A2", "levi1", True), ("A1xA1", "t", True),
+    ("B2", "t", True), ("G2", "a2long", False), ("B3", "so3xso4", False),
+    ("C2", "a1xa1", False), ("F4", "b4", False), ("A2", "g", True),
+    ("A2", "alpha1", True), ("E6", "a2cubed", False),
+])
+def test_levi_flag_known_answers(group, subgroup, levi):
+    from spinduct.zoo import parse_group_spec, subgroup_by_name
+
+    datum = parse_group_spec(group)
+    if subgroup == "alpha1":
+        sub = subgroup_from_roots(datum, [datum.simple_roots[0]])
+    elif subgroup == "a2cubed":
+        sub = subgroup_from_roots(datum, [datum.root_from_simple_coordinates(sc)
+                                          for sc in _E6_A2_CUBED])
+    else:
+        sub = subgroup_by_name(datum, subgroup)
+    assert sub.is_levi is levi

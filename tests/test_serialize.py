@@ -78,3 +78,24 @@ def test_group_json():
     obj = group_to_json(ge)
     assert obj["scope"] == "G"
     assert len(obj["terms"]) == 2
+
+
+def test_mixed_cosets_are_schema_violations_at_the_term():
+    a2 = build_root_datum("A2")
+    doc = {"terms": [{"coeff": 1, "weight": [1, 0]},
+                     {"coeff": 2, "weight": [0, 1]},
+                     {"coeff": 1, "weight": {"num": [1, 0], "den": 2}}]}
+    with pytest.raises(SchemaViolation) as exc:
+        torus_from_json(a2, doc, pointer="/input")
+    assert exc.value.pointer == "/input/terms/2/weight"
+
+
+def test_large_element_round_trip():
+    a2 = build_root_datum("A2")
+    half = RationalWeight([1, 0], 2)
+    weights = {half + RationalWeight([i % 50, i // 50]): i - 1000 for i in range(2000)}
+    a = TorusElement.from_weights(a2, weights)
+    assert len(a.coeffs) == 1999
+    doc = torus_to_json(a)
+    assert len(doc["terms"]) == 1999
+    assert torus_from_json(a2, doc) == a
