@@ -93,6 +93,23 @@ def main():
     t_orbit, out_orbit = timed(lambda: antisymmetrize(f4, zero, support))
     assert out_orbit == out_warm
     print(f"{'J_G by signed orbits':24s}      {t_orbit*1e3:9.2f} ms")
+    # J(e^nu) for regular nu along the regular tree: node by node, and packed
+    # from the tree's 16-bit table (built once, timed apart)
+    regular = [(tuple(rng.randint(1, 4) for _ in range(4)), rng.randint(1, 4)) for _ in range(8)]
+    basis, coroots = f4.simple_roots, f4.simple_coroots
+    trees, packed = {}, {}
+    kernels.signed_orbit(regular[:1], basis, coroots, trees)
+    t_build, _ = timed(lambda: kernels.pack_orbit(trees[()], basis, coroots, 4))
+    t_node, out_node = timed(lambda: kernels.signed_orbit(regular, basis, coroots, trees))
+    kernels.signed_orbit(regular, basis, coroots, trees, packed)
+    t_packed, out_packed = timed(
+        lambda: kernels.signed_orbit(regular, basis, coroots, trees, packed)
+    )
+    assert list(out_packed.items()) == list(out_node.items())
+    print(
+        f"J(e^nu) F4 packed vs node: node by node {t_node*1e3:.2f} ms, packed {t_packed*1e3:.2f} ms"
+        f" (8 orbits; table {t_build*1e3:.2f} ms)"
+    )
     bench_e6_multiplet()
 
 

@@ -39,6 +39,8 @@ from .multiplets import alternating_dimension_sum, multiplet
 from .rootdata import RationalWeight, RootDatum
 from .serialize import (
     group_to_json,
+    is_int,
+    is_int_list,
     is_int_vector,
     rational_from_json,
     rational_to_json,
@@ -69,50 +71,111 @@ def parse_problem(text: str) -> Dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"invalid JSON: {exc}", pointer="")
-    if not isinstance(doc, dict):
-        raise SchemaViolation("problem document must be an object", pointer="")
     _check_fields(doc)
     doc.setdefault("seed", 0)
     doc.setdefault("trials", 20)
     return doc
 
 
+# the enumerated fields of schema/problem.schema.json, with the message that
+# refuses any other value; the suites are those of verify.SUITES, which loads
+# only for the verify command
+_CHOICES = {
+    "command": (COMMANDS, "unknown command"),
+    "kind": (("twisted", "holomorphic", "spin", "spinc", "hodge"), "unknown induction kind {!r}"),
+    "tau": (("0", "rhoM"), "steinberg bases exist for tau = 0 or rhoM only"),
+    "suite": (("all", "weyl", "charring", "induction", "multiplets", "spinc", "appendixB",
+               "appendixC"), "unknown suite {!r}"),
+}
+_LATTICES = ("weight", "root", "spin", "sc")
+
+
+def _require(ok: bool, message: str, pointer: str) -> None:
+    if not ok:
+        raise SchemaViolation(message, pointer)
+
+
+def _check_int_list(value, pointer: str) -> None:
+    if is_int_list(value):
+        return
+    _require(isinstance(value, list), "expected a list of integers", pointer)
+    for i, x in enumerate(value):
+        _require(is_int(x), "expected an integer", f"{pointer}/{i}")
+
+
+def _check_weight(value, pointer: str) -> None:
+    """A rational weight: {num, den} or a list of integers."""
+    if isinstance(value, list):
+        return _check_int_list(value, pointer)
+    _require(isinstance(value, dict) and "num" in value, "expected {num: [...], den: n}", pointer)
+    _check_int_list(value["num"], pointer + "/num")
+    den = value.get("den", 1)
+    _require(is_int(den) and den >= 1, "den must be a positive integer", pointer + "/den")
+
+
+def _check_element(value, pointer: str) -> None:
+    """An element object: {terms: [{coeff, weight}], twist}."""
+    _require(isinstance(value, dict) and "terms" in value, "expected an element object", pointer)
+    _require(isinstance(value["terms"], list), "terms must be a list", pointer + "/terms")
+    for i, term in enumerate(value["terms"]):
+        tp = f"{pointer}/terms/{i}"
+        _require(isinstance(term, dict) and "coeff" in term and "weight" in term,
+                 "term needs coeff and weight", tp)
+        _require(is_int(term["coeff"]), "coeff must be an integer", tp + "/coeff")
+        _check_weight(term["weight"], tp + "/weight")
+    if "twist" in value:
+        _check_weight(value["twist"], pointer + "/twist")
+
+
 def _check_fields(doc: Dict) -> None:
     """The field rules of a problem document, applied alike to a parsed
-    document and to one merged from command-line flags."""
-    known = {
-        "command",
-        "group",
-        "subgroup",
-        "twist",
-        "input",
-        "mu",
-        "kind",
-        "gamma",
-        "tau",
-        "signs",
-        "suite",
-        "trials",
-        "seed",
-        "max_weyl_order",
-    }
-    for key in doc:
-        if key not in known:
-            raise SchemaViolation(f"unknown field {key!r}", pointer=f"/{key}")
-    if "command" in doc and doc["command"] not in COMMANDS:
-        raise SchemaViolation("unknown command", pointer="/command")
-    if "seed" in doc and not isinstance(doc["seed"], int):
-        raise SchemaViolation("seed must be an integer", pointer="/seed")
-    if "trials" in doc and (
-        not isinstance(doc["trials"], int) or doc["trials"] < 1
-    ):
-        raise SchemaViolation("trials must be a positive integer", pointer="/trials")
-    if "max_weyl_order" in doc and (
-        not isinstance(doc["max_weyl_order"], int) or doc["max_weyl_order"] < 1
-    ):
-        raise SchemaViolation(
-            "max_weyl_order must be a positive integer", pointer="/max_weyl_order"
-        )
+    document and to one merged from command-line flags: the types and
+    values of schema/problem.schema.json, each refused at its own pointer.
+    JSON's true and false are not integers."""
+    _require(isinstance(doc, dict), "problem document must be an object", "")
+    for key, value in doc.items():
+        p = "/" + key
+        if key in _CHOICES:
+            choices, message = _CHOICES[key]
+            _require(isinstance(value, str) and value in choices, message.format(value), p)
+        elif key in ("seed", "trials", "max_weyl_order"):
+            _require(is_int(value) and (key == "seed" or value >= 1),
+                     f"{key} must be {'an' if key == 'seed' else 'a positive'} integer", p)
+        elif key in ("twist", "mu"):
+            _check_weight(value, p)
+        elif key == "gamma":
+            _check_int_list(value, p)
+        elif key == "signs":
+            _require(isinstance(value, list), "signs must be a list", p)
+            for i, x in enumerate(value):
+                _require(is_int(x) and x in (1, -1), "a sign is 1 or -1", f"{p}/{i}")
+        elif key == "input":
+            if not isinstance(value, str):
+                _check_element(value, p)
+        elif key == "group":
+            if isinstance(value, str):
+                continue
+            _require(isinstance(value, dict) and "label" in value,
+                     "group must be a string or {label, lattice}", p)
+            _require(isinstance(value["label"], str), "label must be a string", p + "/label")
+            lattice = value.get("lattice", "weight")
+            if isinstance(lattice, list):
+                for i, row in enumerate(lattice):
+                    _check_int_list(row, f"{p}/lattice/{i}")
+            else:
+                _require(isinstance(lattice, str) and lattice in _LATTICES,
+                         f"lattice must be one of {', '.join(_LATTICES)} or a matrix",
+                         p + "/lattice")
+        elif key == "subgroup":
+            if isinstance(value, str):
+                continue
+            _require(isinstance(value, list), "subgroup must be a name or a list", p)
+            for i, item in enumerate(value):
+                if not (is_int(item) or is_int_list(item)):
+                    _check_int_list(item, f"{p}/{i}")
+        else:
+            escaped = key.replace("~", "~0").replace("/", "~1")
+            raise SchemaViolation(f"unknown field {key!r}", "/" + escaped)
 
 
 def _resolve_datum(doc: Dict) -> RootDatum:

@@ -32,9 +32,19 @@ def rational_to_json(w: RationalWeight) -> Dict:
     return {"num": list(w.nums), "den": w.den}
 
 
+def is_int(obj) -> bool:
+    """Whether a JSON value is an integer; true and false are not."""
+    return type(obj) is int
+
+
+def is_int_list(obj) -> bool:
+    """Whether a JSON value is a list of integers."""
+    return isinstance(obj, list) and {int}.issuperset(map(type, obj))
+
+
 def is_int_vector(obj, rank: int) -> bool:
     """Whether a JSON value is a list of exactly `rank` integers."""
-    return isinstance(obj, list) and len(obj) == rank and all(isinstance(x, int) for x in obj)
+    return is_int_list(obj) and len(obj) == rank
 
 
 def rational_from_json(obj, rank: int, pointer: str = "") -> RationalWeight:
@@ -46,7 +56,7 @@ def rational_from_json(obj, rank: int, pointer: str = "") -> RationalWeight:
     den = obj.get("den", 1)
     if not is_int_vector(num, rank):
         raise SchemaViolation(f"num must be {rank} integers", pointer + "/num")
-    if not isinstance(den, int) or den < 1:
+    if not is_int(den) or den < 1:
         raise SchemaViolation("den must be a positive integer", pointer + "/den")
     return RationalWeight(num, den)
 
@@ -72,7 +82,7 @@ def weights_from_json(terms, rank: int, pointer: str) -> Dict[RationalWeight, in
         tp = f"{pointer}/{i}"
         if not isinstance(term, dict) or "coeff" not in term or "weight" not in term:
             raise SchemaViolation("term needs coeff and weight", tp)
-        if not isinstance(term["coeff"], int):
+        if not is_int(term["coeff"]):
             raise SchemaViolation("coeff must be an integer", tp + "/coeff")
         w = rational_from_json(term["weight"], rank, tp + "/weight")
         if coset is None:

@@ -147,6 +147,13 @@ class WeylGroup:
         return {}
 
     @cached_property
+    def packed_orbits(self) -> Dict[int, Optional[kernels.PackedOrbit]]:
+        """The regular orbit tree packed across its points, per digit width,
+        built by signed_orbit on first use at that width (None when the
+        scope's matrices are too large to pack)."""
+        return {}
+
+    @cached_property
     def elements(self) -> Tuple[WeylElement, ...]:
         found = _closure(self.generators, self.datum.rank, lambda m: True)
         if len(found) != self.order:
@@ -309,7 +316,9 @@ def antisymmetrize(
     basis, coroots = scope.basis, scope.basis_coroots
     if collect:
         keys = kernels.dominant_collect(keys, basis, coroots, len(scope.positive))
-    orbits = kernels.signed_orbit(list(keys.items()), basis, coroots, w.orbit_trees)
+    orbits = kernels.signed_orbit(
+        list(keys.items()), basis, coroots, w.orbit_trees, w.packed_orbits
+    )
     return from_scaled(orbits, scaled(shift, den), den)
 
 

@@ -23,7 +23,7 @@ from .rootdata import (
     build_root_datum,
     subgroup_from_roots,
 )
-from .serialize import is_int_vector
+from .serialize import is_int, is_int_vector
 from .weyl import generate_weyl
 
 # subgroup presets: name -> (simple-root coordinates of generators)
@@ -68,7 +68,7 @@ def subgroup_from_spec(datum: RootDatum, spec) -> SubgroupDatum:
         raise SchemaViolation("subgroup must be a name or a list", pointer="/subgroup")
     gens = []
     for i, item in enumerate(spec):
-        if isinstance(item, int):
+        if is_int(item):
             if not 0 <= item < len(datum.positive_roots):
                 raise SchemaViolation(
                     f"root index {item} out of range", pointer=f"/subgroup/{i}"
@@ -253,4 +253,4 @@ def steinberg_pairing_bases(
         return plain, shifted, TwistClass.zero(datum.rank)
     if tau == "rhoM":
         return shifted, plain, TwistClass.of(problem.rho_m)
-    raise SchemaViolation("steinberg bases exist for tau = 0 or rhoM only")
+    raise SchemaViolation("steinberg bases exist for tau = 0 or rhoM only", pointer="/tau")

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -476,36 +477,63 @@ def _mostly(valid):
     return st.integers(0, 3).flatmap(lambda i: valid if i else _JSON_ITEM)
 
 
-_WEIGHT_DOC = _mostly(st.fixed_dictionaries(
-    {"num": st.lists(_SMALL, min_size=1, max_size=3)}, optional={"den": st.integers(-1, 3)}
+# verify suites: the two quick ones or invalid values, never the whole suite
+_SUITE = _mostly(st.sampled_from(["spinc", "appendixB", "bogus"])).filter(lambda s: s != "all")
+
+
+# problem documents with any of the known fields, each arbitrary JSON one
+# time in four and an integer field a boolean one time in two
+_NOISY_WEIGHT = _mostly(st.fixed_dictionaries(
+    {"num": st.lists(_SMALL, min_size=1, max_size=3)},
+    optional={"den": st.one_of(_mostly(st.integers(-1, 3)), st.booleans())},
 ))
-# whole problem documents: every known field, well-formed or not
-_PROBLEM_DOC = _mostly(st.fixed_dictionaries({}, optional={
-    "command": _mostly(st.sampled_from(["info", "bwb", "verify"])),
+_NOISY_DOC = st.fixed_dictionaries({}, optional={
+    "command": _mostly(st.sampled_from(["info", "bwb", "verify", "pairing", "spinc", "lefschetz"])),
     "group": _mostly(st.one_of(
         st.sampled_from(["A2", "B2", "B2:root", "Q9"]),
-        st.fixed_dictionaries({"label": st.sampled_from(["A2", "B2", "Z"])},
-                              optional={"lattice": st.sampled_from(["weight", "root", "x"])}),
+        st.fixed_dictionaries({"label": _mostly(st.sampled_from(["A2", "B2", "Z"]))},
+                              optional={"lattice": _mostly(st.sampled_from(["weight", "root", "x"]))}),
     )),
     "subgroup": _mostly(st.sampled_from(["t", "g", "levi1"])),
-    "twist": _WEIGHT_DOC,
+    "twist": _NOISY_WEIGHT,
     "input": _mostly(st.one_of(
         st.sampled_from(["1", "e^rhoG", "e^rhoM", "spinor", "euler"]),
         st.fixed_dictionaries({"terms": _TERMS}),
     )),
-    "mu": _WEIGHT_DOC,
-    "kind": _mostly(st.sampled_from(["twisted", "spinc", "spin", "holomorphic"])),
+    "mu": _NOISY_WEIGHT,
+    "kind": _mostly(st.sampled_from(["twisted", "spinc", "spin", "holomorphic", "hodge"])),
     "gamma": _mostly(st.lists(_SMALL, min_size=2, max_size=2)),
-    "tau": _JSON_ITEM,
+    "tau": _mostly(st.sampled_from(["0", "rhoM", "x"])),
     "signs": _JSON_ITEM,
-    "seed": _mostly(st.integers(0, 3)),
-    "trials": _mostly(st.integers(0, 3)),
-    "max_weyl_order": _mostly(st.integers(-1, 8)),
-}))
+    "suite": _SUITE,
+    "seed": st.one_of(_mostly(st.integers(0, 3)), st.booleans()),
+    "trials": st.one_of(_mostly(st.integers(0, 3)), st.booleans()),
+    "max_weyl_order": st.one_of(_mostly(st.integers(-1, 8)), st.booleans()),
+})
+# well-formed rank-2 documents with no command and no twist, which most
+# commands answer
+_CLEAN_DOC = st.fixed_dictionaries({"group": st.sampled_from(
+    ["A2", "B2", "B2:root", {"label": "A2"}, {"label": "B2", "lattice": "root"}]
+)}, optional={
+    "subgroup": st.sampled_from(["t", "g", "levi1"]),
+    "input": st.sampled_from(["1", "e^rhoG", "e^rhoM", "spinor", "euler"]),
+    "mu": st.fixed_dictionaries({"num": st.lists(st.integers(0, 2), min_size=2, max_size=2)},
+                                optional={"den": st.just(1)}),
+    "kind": st.sampled_from(["twisted", "spinc", "spin", "holomorphic", "hodge"]),
+    "gamma": st.lists(_SMALL, min_size=2, max_size=2),
+    "tau": st.sampled_from(["0", "rhoM"]),
+    "signs": st.lists(st.sampled_from([1, -1]), max_size=2),
+    "suite": _SUITE,
+    "seed": st.integers(0, 3),
+    "trials": st.integers(1, 3),
+    "max_weyl_order": st.integers(8, 100),
+})
+_PROBLEM_DOC = _mostly(st.one_of(_NOISY_DOC, _CLEAN_DOC))
 
 
 def _assert_cli_contract(argv, stdin=""):
-    """Exit 0 or 1, exactly one JSON document on stdout, never a traceback."""
+    """Exit 0 or 1, exactly one JSON document on stdout, never a traceback;
+    returns the exit code and the document."""
     import contextlib
     import io
     import sys
@@ -518,12 +546,17 @@ def _assert_cli_contract(argv, stdin=""):
     finally:
         sys.stdin = saved_stdin
     assert code in (0, 1)
-    json.loads(out.getvalue())
+    doc = json.loads(out.getvalue())
     assert len(out.getvalue().splitlines()) == 1
     assert "Traceback" not in err.getvalue()
+    return code, doc
 
 
 _COMMANDS = st.sampled_from(["info", "whset", "induce", "branch", "bwb", "multiplet"])
+_DOC_COMMANDS = st.sampled_from(
+    ["info", "whset", "induce", "branch", "bwb", "multiplet", "pairing", "spinc", "lefschetz",
+     "verify"]
+)
 
 
 @settings(max_examples=100, deadline=None)
@@ -538,12 +571,88 @@ def test_cli_contract_on_drawn_flags(command, kind, group, flags):
     _assert_cli_contract(argv + [f"--{name}={value}" for name, value in flags.items()])
 
 
+def _problem_schema():
+    import spinduct
+
+    path = os.path.join(os.path.dirname(spinduct.__file__), "schema", "problem.schema.json")
+    with open(path) as fh:
+        return json.load(fh)
+
+
 @settings(max_examples=300, deadline=None)
-@given(_COMMANDS, st.sampled_from([None, "A2", "B2"]), _PROBLEM_DOC.map(json.dumps))
-def test_cli_contract_on_drawn_problem_documents(command, group, problem):
+@given(_DOC_COMMANDS, st.sampled_from([None, "A2", "B2"]), _PROBLEM_DOC, _SUITE)
+def test_cli_contract_on_drawn_problem_documents(command, group, doc, suite):
     """Whole documents on stdin through --problem -, with or without a
-    --group flag overriding the document's group."""
-    _assert_cli_contract([command, "--problem", "-"] + (["--group", group] if group else []), problem)
+    --group flag overriding the document's group.  A verify document always
+    names a quick suite or an invalid one.  A document that exits 0, and the
+    problem the output echoes, validate against the shipped schema."""
+    import jsonschema
+
+    if command == "verify" and isinstance(doc, dict):
+        doc = {**doc, "suite": suite}
+    code, out = _assert_cli_contract(
+        [command, "--problem", "-"] + (["--group", group] if group else []), json.dumps(doc)
+    )
+    if code == 0:
+        schema = _problem_schema()
+        jsonschema.validate(doc, schema)
+        jsonschema.validate(out["problem"], schema)
+
+
+@pytest.mark.parametrize("command, doc, pointer", [
+    # documents that raised TypeError or AttributeError
+    ("verify", {"suite": ["weyl"]}, "/suite"),
+    ("info", {"group": {"label": "A2", "lattice": 5}}, "/group/lattice"),
+    ("info", {"group": {"label": ["A2"]}}, "/group/label"),
+    # unknown suites, once domain errors with no pointer
+    ("verify", {"suite": "bogus"}, "/suite"),
+    ("verify", {"suite": 5}, "/suite"),
+    # booleans where an integer is due
+    ("info", {"group": "A2", "seed": True}, "/seed"),
+    ("lefschetz", {"group": "A2", "trials": True}, "/trials"),
+    ("info", {"group": "A2", "max_weyl_order": True}, "/max_weyl_order"),
+    ("bwb", {"group": "A2", "mu": {"num": [1, 1], "den": True}}, "/mu/den"),
+    ("bwb", {"group": "A2", "mu": [1, True]}, "/mu/1"),
+    ("info", {"group": "A2", "subgroup": [True]}, "/subgroup/0"),
+    # a pairing twist other than 0 and rhoM
+    ("pairing", {"group": "A2", "tau": "x"}, "/tau"),
+])
+def test_problem_document_field_errors_have_pointers(capsys, monkeypatch, command, doc, pointer):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out = run_cli(capsys, command, "--problem", "-")
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert (err["code"], err["pointer"]) == ("schema-violation", pointer)
+
+
+def test_booleans_are_not_integers_in_element_objects(capsys):
+    for argv, pointer in [
+        (("bwb", "--group", "A2", "--mu", '{"num":[1,1],"den":true}'), "/mu/den"),
+        (("induce", "--group", "A2", "--input", '{"terms":[{"coeff":true,"weight":[1,0]}]}'),
+         "/input/terms/0/coeff"),
+        (("induce", "--group", "A2", "--kind", "spinc", "--gamma", "1,1", "--input",
+          '{"terms":[{"coeff":1,"weight":{"num":[1,false]}}]}'), "/input/terms/0/weight/num/1"),
+    ]:
+        code, out = run_cli(capsys, *argv)
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert (err["code"], err["pointer"]) == ("schema-violation", pointer)
+
+
+def test_field_rules_list_what_the_schema_lists():
+    """The enumerated fields of cli's rules, the schema and the verify
+    suites agree."""
+    from spinduct.cli import _CHOICES, _LATTICES
+    from spinduct.verify import SUITES
+
+    props = _problem_schema()["properties"]
+    for field, (choices, _) in _CHOICES.items():
+        assert list(choices) == props[field]["enum"], field
+    assert sorted(_CHOICES["suite"][0]) == sorted(["all", *SUITES])
+    lattice = props["group"]["oneOf"][1]["properties"]["lattice"]["oneOf"][0]["enum"]
+    assert list(_LATTICES) == lattice
 
 
 def _uncached_diagnostics(problem):

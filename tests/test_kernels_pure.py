@@ -1,9 +1,12 @@
 """The kernels against literal oracles."""
 
+import functools
+import itertools
 import random
 from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinduct import kernels
 from spinduct.rootdata import build_root_datum
@@ -265,6 +268,179 @@ def test_orbit_trees_on_several_items_and_rank_zero():
         regular, basis, coroots, -1
     )
     assert sorted(trees) == [(), (0, 1, 2), (0, 2), (1, 2)]
+
+
+@functools.cache
+def _regular_trees():
+    """(name, basis, coroots, nu0, tree) for the regular orbit tree of every
+    distinct zoo scope, B3 on its root lattice included, and of rank 0 and
+    A1: nu0 is 2 rho of the scope, or (1, ..., 1) when it has no roots, and
+    the tree is walked from it."""
+    a1 = build_root_datum("A1")
+    scopes = [("rank 0", (), (), ()), ("A1", a1.simple_roots, a1.simple_coroots, (2,))]
+    for scope in _zoo_scopes():
+        rho = scope.rho_vec
+        nu0 = tuple(2 * x // rho.den for x in rho.nums) if scope.basis else (1,) * len(rho.nums)
+        name = f"{scope.datum.cartan_label} {type(scope).__name__} {scope.basis}"
+        scopes.append((name, scope.basis, scope.basis_coroots, nu0))
+    out, seen = [], set()
+    for name, basis, coroots, nu0 in scopes:
+        if (basis, len(nu0)) not in seen:
+            seen.add((basis, len(nu0)))
+            out.append((name, basis, coroots, nu0, kernels._orbit_walk(nu0, basis, coroots)[1]))
+    return out
+
+
+def _bound(bounds, key):
+    return sum(b * abs(k) for b, k in zip(bounds, key))
+
+
+def _key_at_bound(bounds, nu0, target):
+    """A key near t nu0 whose bound sum_m bounds[m] |key_m| is exactly
+    target: t nu0 + d for a small d, then one coordinate moved away from 0
+    to spend the rest.  Strictly dominant when nu0 is and t is large."""
+    t = target // _bound(bounds, nu0) - 1
+    for d in itertools.product(range(-4, 5), repeat=len(nu0)):
+        key = [t * x + y for x, y in zip(nu0, d)]
+        rest = target - _bound(bounds, key)
+        for m, x in enumerate(nu0):
+            if x and rest >= 0 and rest % bounds[m] == 0:
+                key[m] += rest // bounds[m] if x > 0 else -(rest // bounds[m])
+                assert _bound(bounds, key) == target
+                return tuple(key)
+    raise AssertionError(f"no key at bound {target}")
+
+
+# the width edges: the largest bound each width takes and the least it refuses
+_EDGES = (2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1, 2**63, 2**64 + 5)
+
+
+def _check_packed_replay(name, basis, coroots, key, tree, packed, monkeypatch):
+    """The packed replay of key against the node replay, point for point and
+    in order, alone and inside signed_orbit; returns the width it packed at,
+    or None for the node replay."""
+    used = []
+    replay = kernels._packed_replay
+
+    def spy(key, table):
+        used.append(table.width)
+        return replay(key, table)
+
+    monkeypatch.setattr(kernels, "_packed_replay", spy)
+    expected = kernels._orbit_replay(key, tree, basis, coroots)
+    assert kernels._packed_points(key, tree, basis, coroots, packed) == expected, name
+    trees = {(): tree}
+    plain = kernels.signed_orbit([(key, 3)], basis, coroots, trees)
+    fast = kernels.signed_orbit([(key, 3)], basis, coroots, trees, packed)
+    assert list(fast.items()) == list(plain.items()), name
+    assert len(set(used)) <= 1
+    return used[0] if used else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_packed_replay_matches_node_replay(data):
+    """On every zoo scope's regular tree, and rank 0 and A1: keys at the
+    width edges and keys scaled by up to 2^70."""
+    name, basis, coroots, nu0, tree = data.draw(st.sampled_from(_regular_trees()))
+    packed = {}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        scale = data.draw(st.integers(1, 2**70))
+        if not tree.parent:
+            key = tuple(x * scale for x in nu0)
+            width = _check_packed_replay(name, basis, coroots, key, tree, packed, monkeypatch)
+            assert width is None
+            assert packed == {}
+            return
+        table = kernels.pack_orbit(tree, basis, coroots, len(nu0))
+        edge = data.draw(st.one_of(st.none(), st.sampled_from(_EDGES)))
+        if edge is None:
+            key = tuple(x * scale for x in nu0)
+        else:
+            key = _key_at_bound(table.bounds, nu0, edge)
+        width = _check_packed_replay(name, basis, coroots, key, tree, packed, monkeypatch)
+        bound = _bound(table.bounds, key)
+        assert width == next((w for w in (16, 32, 64) if bound < 2 ** (w - 1)), None)
+        assert packed[16] == table
+
+
+def test_packed_replay_at_every_width_edge():
+    """Each regular tree at each edge bound: the smallest width that holds
+    the bound, the node replay from 2^63 on; each width's table is built
+    once and kept."""
+    for name, basis, coroots, nu0, tree in _regular_trees():
+        if not tree.parent:
+            continue
+        packed = {}
+        table = kernels.pack_orbit(tree, basis, coroots, len(nu0))
+        # column m of every w_j is the orbit of e_m, replayed node by node:
+        # the rows hold its coordinates and the bound is its largest one
+        for m, c in enumerate(table.bounds):
+            unit = tuple(int(i == m) for i in range(len(nu0)))
+            images = kernels._orbit_replay(unit, tree, basis, coroots)
+            assert max(abs(x) for image in images for x in image) == c, name
+            for r, row in enumerate(table.rows):
+                assert list(kernels._digits(row[m], 16, table.bias)) == [x[r] for x in images]
+        widths = []
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            for edge in _EDGES:
+                key = _key_at_bound(table.bounds, nu0, edge)
+                widths.append(
+                    _check_packed_replay(name, basis, coroots, key, tree, packed, monkeypatch)
+                )
+        assert widths == [16, 32, 32, 64, 64, None, None], name
+        assert sorted(packed) == [16, 32, 64]
+        assert all(packed[w].width == w and packed[w].bounds == table.bounds for w in packed)
+
+
+def test_packed_replay_falls_back_on_large_matrices():
+    """A rank-1 system in a rank-2 lattice whose reflection has an entry
+    -2^16: no table, and the node replay answers."""
+    basis, coroots = ((1, 2**15),), ((2, 0),)
+    points, tree = kernels._orbit_walk((1, 0), basis, coroots)
+    assert points == [(1, 0), (-1, -(2**16))]
+    packed = {}
+    assert kernels.signed_orbit([((3, 5), 2)], basis, coroots, {(): tree}, packed) == {
+        (3, 5): 2, (-3, 5 - 3 * 2**16): -2,
+    }
+    assert packed == {16: None}
+    # just below: entries below 2^15 pack
+    assert kernels.pack_orbit(tree, ((1, 2**13),), coroots, 2) is not None
+
+
+def test_f4_packed_orbit_table_is_built_once(monkeypatch):
+    """A second J_G on F4 builds no new table; the table is immutable, made
+    of tuples and ints."""
+    import spinduct.weyl as weyl
+    from spinduct.charring import TorusElement
+    from spinduct.weyl import apply_antisymmetrizer
+
+    monkeypatch.setattr(weyl, "_WEYL_CACHE", {})
+    builds = []
+    pack = kernels.pack_orbit
+
+    def counting_pack(*args):
+        builds.append(args)
+        return pack(*args)
+
+    monkeypatch.setattr(kernels, "pack_orbit", counting_pack)
+    f4 = build_root_datum("F4")
+    # two regular weights: the first is walked, the second replayed packed
+    a = TorusElement.monomial(f4, f4.rho) + TorusElement.monomial(f4, f4.rho.scale(2))
+    first = apply_antisymmetrizer("J_G", a)
+    packed = generate_weyl(f4).packed_orbits
+    assert len(builds) == 1 and list(packed) == [16]
+    table = packed[16]
+    second = apply_antisymmetrizer("J_G", a)
+    assert second == first and len(builds) == 1
+    assert generate_weyl(f4).packed_orbits == {16: table} and packed[16] is table
+    assert type(table) is kernels.PackedOrbit
+    assert type(table.width) is int and type(table.bias) is int
+    assert type(table.bounds) is tuple and all(type(c) is int for c in table.bounds)
+    assert type(table.rows) is tuple and len(table.rows) == 4
+    for row in table.rows:
+        assert type(row) is tuple and len(row) == 4 and all(type(p) is int for p in row)
+    assert len(first.coeffs) == 2 * 1152
 
 
 def test_orbit_keys_must_be_dominant():
