@@ -97,11 +97,11 @@ def main():
     # from the tree's 16-bit table (built once, timed apart)
     regular = [(tuple(rng.randint(1, 4) for _ in range(4)), rng.randint(1, 4)) for _ in range(8)]
     basis, coroots = f4.simple_roots, f4.simple_coroots
-    trees, packed = {}, {}
+    trees = {}
     kernels.signed_orbit(regular[:1], basis, coroots, trees)
-    t_build, _ = timed(lambda: kernels.pack_orbit(trees[()], basis, coroots, 4))
+    t_build, packed = timed(lambda: kernels.pack_orbit(trees[()], basis, coroots, 4))
+    assert packed is not None
     t_node, out_node = timed(lambda: kernels.signed_orbit(regular, basis, coroots, trees))
-    kernels.signed_orbit(regular, basis, coroots, trees, packed)
     t_packed, out_packed = timed(
         lambda: kernels.signed_orbit(regular, basis, coroots, trees, packed)
     )

@@ -38,9 +38,11 @@ from .induction import (
 from .multiplets import alternating_dimension_sum, multiplet
 from .rootdata import RationalWeight, RootDatum
 from .serialize import (
+    check_element,
+    check_int_list,
+    check_weight,
     group_to_json,
     is_int,
-    is_int_list,
     is_int_vector,
     rational_from_json,
     rational_to_json,
@@ -95,46 +97,18 @@ def _require(ok: bool, message: str, pointer: str) -> None:
         raise SchemaViolation(message, pointer)
 
 
-def _check_int_list(value, pointer: str) -> None:
-    if is_int_list(value):
-        return
-    _require(isinstance(value, list), "expected a list of integers", pointer)
-    for i, x in enumerate(value):
-        _require(is_int(x), "expected an integer", f"{pointer}/{i}")
-
-
-def _check_weight(value, pointer: str) -> None:
-    """A rational weight: {num, den} or a list of integers."""
-    if isinstance(value, list):
-        return _check_int_list(value, pointer)
-    _require(isinstance(value, dict) and "num" in value, "expected {num: [...], den: n}", pointer)
-    _check_int_list(value["num"], pointer + "/num")
-    den = value.get("den", 1)
-    _require(is_int(den) and den >= 1, "den must be a positive integer", pointer + "/den")
-
-
-def _check_element(value, pointer: str) -> None:
-    """An element object: {terms: [{coeff, weight}], twist}."""
-    _require(isinstance(value, dict) and "terms" in value, "expected an element object", pointer)
-    _require(isinstance(value["terms"], list), "terms must be a list", pointer + "/terms")
-    for i, term in enumerate(value["terms"]):
-        tp = f"{pointer}/terms/{i}"
-        _require(isinstance(term, dict) and "coeff" in term and "weight" in term,
-                 "term needs coeff and weight", tp)
-        _require(is_int(term["coeff"]), "coeff must be an integer", tp + "/coeff")
-        _check_weight(term["weight"], tp + "/weight")
-    if "twist" in value:
-        _check_weight(value["twist"], pointer + "/twist")
-
-
 def _check_fields(doc: Dict) -> None:
     """The field rules of a problem document, applied alike to a parsed
     document and to one merged from command-line flags: the types and
-    values of schema/problem.schema.json, each refused at its own pointer.
-    JSON's true and false are not integers."""
+    values schema/problem.schema.json states, each refused at its own
+    pointer.  JSON's true and false are not integers.  `kind` and a named
+    lattice are read regardless of case, as the computations read them,
+    and stored lowercased, so the document echoed back validates."""
     _require(isinstance(doc, dict), "problem document must be an object", "")
     for key, value in doc.items():
         p = "/" + key
+        if key == "kind" and isinstance(value, str):
+            value = doc[key] = value.lower()
         if key in _CHOICES:
             choices, message = _CHOICES[key]
             _require(isinstance(value, str) and value in choices, message.format(value), p)
@@ -142,26 +116,28 @@ def _check_fields(doc: Dict) -> None:
             _require(is_int(value) and (key == "seed" or value >= 1),
                      f"{key} must be {'an' if key == 'seed' else 'a positive'} integer", p)
         elif key in ("twist", "mu"):
-            _check_weight(value, p)
+            check_weight(value, p)
         elif key == "gamma":
-            _check_int_list(value, p)
+            check_int_list(value, p)
         elif key == "signs":
             _require(isinstance(value, list), "signs must be a list", p)
             for i, x in enumerate(value):
                 _require(is_int(x) and x in (1, -1), "a sign is 1 or -1", f"{p}/{i}")
         elif key == "input":
             if not isinstance(value, str):
-                _check_element(value, p)
+                check_element(value, p)
         elif key == "group":
             if isinstance(value, str):
                 continue
             _require(isinstance(value, dict) and "label" in value,
                      "group must be a string or {label, lattice}", p)
             _require(isinstance(value["label"], str), "label must be a string", p + "/label")
+            if isinstance(value.get("lattice"), str):
+                value["lattice"] = value["lattice"].lower()
             lattice = value.get("lattice", "weight")
             if isinstance(lattice, list):
                 for i, row in enumerate(lattice):
-                    _check_int_list(row, f"{p}/lattice/{i}")
+                    check_int_list(row, f"{p}/lattice/{i}")
             else:
                 _require(isinstance(lattice, str) and lattice in _LATTICES,
                          f"lattice must be one of {', '.join(_LATTICES)} or a matrix",
@@ -171,8 +147,8 @@ def _check_fields(doc: Dict) -> None:
                 continue
             _require(isinstance(value, list), "subgroup must be a name or a list", p)
             for i, item in enumerate(value):
-                if not (is_int(item) or is_int_list(item)):
-                    _check_int_list(item, f"{p}/{i}")
+                if not is_int(item):
+                    check_int_list(item, f"{p}/{i}")
         else:
             escaped = key.replace("~", "~0").replace("/", "~1")
             raise SchemaViolation(f"unknown field {key!r}", "/" + escaped)
@@ -184,9 +160,7 @@ def _resolve_datum(doc: Dict) -> RootDatum:
         raise SchemaViolation("missing group", pointer="/group")
     if isinstance(g, str):
         return parse_group_spec(g)
-    if isinstance(g, dict) and "label" in g:
-        return rootdata.build_root_datum(g["label"], g.get("lattice", "weight"))
-    raise SchemaViolation("group must be a string or {label, lattice}", pointer="/group")
+    return rootdata.build_root_datum(g["label"], g.get("lattice", "weight"))
 
 
 def _resolve_input(doc: Dict, problem) -> TorusElement:
@@ -194,8 +168,6 @@ def _resolve_input(doc: Dict, problem) -> TorusElement:
     datum = problem.datum
     if isinstance(spec, dict):
         return torus_from_json(datum, spec, pointer="/input")
-    if not isinstance(spec, str):
-        raise SchemaViolation("input must be a string or element object", "/input")
     s = spec.strip()
     if s == "1":
         return TorusElement.unit(datum)
@@ -298,7 +270,7 @@ def _run_command(doc: Dict, command: str) -> Dict:
         kind = doc.get("kind", "twisted")
         if kind == "twisted":
             out = induce_twisted_spinc(problem, a)
-        elif isinstance(kind, str) and kind.lower() in ("holomorphic", "spin", "spinc"):
+        elif kind in ("holomorphic", "spin", "spinc"):
             gamma = doc.get("gamma")
             if gamma is not None and not is_int_vector(gamma, datum.rank):
                 raise SchemaViolation(f"gamma must be {datum.rank} integers", "/gamma")
@@ -496,22 +468,25 @@ def main(argv: Optional[List[str]] = None) -> int:
         # the document's cap (or the flag's) holds for this call only
         if "max_weyl_order" in doc:
             rootdata.WEYL_ORDER_CAP = doc["max_weyl_order"]
-        # late flag parsing that needs the rank
+        # late flag parsing that needs the rank, under the same field rules
         if args.mu or args.gamma or args.twist:
             datum = _resolve_datum(doc)
+            late = {}
             if args.mu:
-                doc["mu"] = (
+                late["mu"] = (
                     _json_flag(args.mu, "/mu")
                     if args.mu.lstrip().startswith("{")
                     else _parse_weight_flag(args.mu, datum.rank, "/mu")
                 )
             if args.gamma:
                 try:
-                    doc["gamma"] = [int(x) for x in args.gamma.split(",")]
+                    late["gamma"] = [int(x) for x in args.gamma.split(",")]
                 except ValueError:
                     raise SchemaViolation(f"cannot parse gamma {args.gamma!r}", "/gamma")
             if args.twist:
-                doc["twist"] = _parse_weight_flag(args.twist, datum.rank, "/twist")
+                late["twist"] = _parse_weight_flag(args.twist, datum.rank, "/twist")
+            _check_fields(late)
+            doc.update(late)
         payload = _run_command(doc, args.command)
     except SchemaViolation as exc:
         _emit({"error": {"code": exc.code, "message": str(exc), "pointer": exc.pointer}})

@@ -9,15 +9,15 @@ An orbit is walked once per stabilizer type and its tree replayed for
 later keys, one reflection per point.  The signed orbits J(e^nu) also
 replay the regular tree packed across its points: the point at node j is
 w_j nu, Z-linear in nu, so coordinate r of every point at once is
-sum_m nu_m P[r][m] with P[r][m] = sum_j (w_j)_{rm} 2^(W j), one big-int
-sum per coordinate, whose W-bit digits are read out as an array.  The
-width W is the smallest of 16, 32 and 64 with B = sum_m c_m |nu_m| below
-2^(W-1), where c_m bounds column m of every w_j; B bounds every
-coordinate, so no digit overflows.  Keys with B >= 2^63, and scopes with
-a matrix entry of 2^15 or more, keep the node replay, which is exact at
-any size.  The character orbits of orbit_expand
-stay node by node: each of their trees is replayed a few times at most,
-fewer than building a table costs.
+sum_m nu_m P[r][m] with P[r][m] = sum_j (w_j)_{rm} 2^(16 j), one big-int
+sum per coordinate, whose 16-bit digits are read out as an array.  That
+holds while B = sum_m c_m |nu_m| < 2^15, where c_m bounds column m of
+every w_j: B bounds every coordinate, so no digit overflows.  Keys with
+B >= 2^15, and scopes with a matrix entry of 2^15 or more, keep the node
+replay, which is exact at any size; the keys the identity suites draw
+stay below B = 32.  The character orbits of orbit_expand stay node by
+node: each of their trees is replayed a few times at most, fewer than
+building a table costs.
 """
 
 from __future__ import annotations
@@ -201,31 +201,30 @@ def _orbit_replay(
 
 class PackedOrbit(NamedTuple):
     """A regular orbit tree's points as Z-linear functions of the root key,
-    packed across the points: rows[r][m] = sum_j (w_j)_{rm} 2^(width j),
-    with w_j the Weyl element at tree node j (the root first), in balanced
-    digits; bounds[m] = max over j and r of |(w_j)_{rm}|; bias has
-    2^(width-1) in every digit."""
+    packed across the points: rows[r][m] = sum_j (w_j)_{rm} 2^(16 j), with
+    w_j the Weyl element at tree node j (the root first), in balanced
+    digits; bounds[m] = max over j and r of |(w_j)_{rm}|; bias has 2^15 in
+    every digit."""
 
-    width: int
     bounds: Tuple[int, ...]
     rows: Tuple[Tuple[int, ...], ...]
     bias: int
 
 
-PACK_WIDTHS = (16, 32, 64)
-_TYPECODE = {16: "h", 32: "i", 64: "q"}
+# a packed coordinate takes 16 bits, so every key with bound below 2^15
+PACK_LIMIT = 1 << 15
 
 
-def _bias(width: int, count: int) -> int:
-    """2^(width-1) in each of count width-bit digits."""
-    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * count, "little")
+def _bias(count: int) -> int:
+    """2^15 in each of count 16-bit digits."""
+    return int.from_bytes(b"\x00\x80" * count, "little")
 
 
-def _digits(value: int, width: int, bias: int) -> array:
-    """The balanced width-bit digits of value, least significant first;
-    bias = _bias(width, count) for count digits, each below 2^(width-1)."""
+def _digits(value: int, bias: int) -> array:
+    """The balanced 16-bit digits of value, least significant first;
+    bias = _bias(count) for count digits, each below 2^15 in size."""
     data = ((value + bias) ^ bias).to_bytes(bias.bit_length() // 8, "little")
-    digits = array(_TYPECODE[width], data)
+    digits = array("h", data)
     if sys.byteorder == "big":
         digits.byteswap()
     return digits
@@ -252,62 +251,40 @@ def _column_bounds(
 
 
 def pack_orbit(
-    tree: OrbitTree, basis: Sequence[Key], coroots: Sequence[Key], rank: int, width: int = 16
+    tree: OrbitTree, basis: Sequence[Key], coroots: Sequence[Key], rank: int
 ) -> Optional[PackedOrbit]:
-    """The PackedOrbit of a regular tree on a rank-`rank` lattice at a width
-    of PACK_WIDTHS, or None when a matrix entry reaches 2^(width-1).
+    """The PackedOrbit of a regular tree on a rank-`rank` lattice, or None
+    when the orbit is one point or a matrix entry reaches 2^15.
 
     One replay of the tree carries every column at once: coordinate r of the
-    point at node j is sum_m (w_j)_{rm} 2^(width m), as each reflection is
+    point at node j is sum_m (w_j)_{rm} 2^(16 m), as each reflection is
     Z-linear, and its digits are the entries, read with a stride of rank."""
-    bounds = _column_bounds(basis, coroots, rank, len(tree.parity))
-    if max(bounds, default=0) >= 1 << (width - 1):
+    if not tree.parent:
         return None
-    points = _orbit_replay(tuple(1 << (width * r) for r in range(rank)), tree, basis, coroots)
-    bias, bias_rows, size = _bias(width, rank), _bias(width, len(points)), rank * width // 8
+    bounds = _column_bounds(basis, coroots, rank, len(tree.parity))
+    if max(bounds) >= PACK_LIMIT:
+        return None
+    points = _orbit_replay(tuple(1 << (16 * r) for r in range(rank)), tree, basis, coroots)
+    bias, bias_rows, size = _bias(rank), _bias(len(points)), rank * 2
     rows = []
     for coords in zip(*points):
         # offset digits, (j, m) at j * rank + m, in little-endian bytes,
         # which the array only slices
         biased = map(add, coords, repeat(bias))
         data = b"".join(map(int.to_bytes, biased, repeat(size), repeat("little")))
-        digits = array(_TYPECODE[width], data)
+        digits = array("h", data)
         rows.append(tuple(
             int.from_bytes(digits[m::rank].tobytes(), "little") - bias_rows for m in range(rank)
         ))
-    return PackedOrbit(width, bounds, tuple(rows), bias_rows)
+    return PackedOrbit(bounds, tuple(rows), bias_rows)
 
 
 def _packed_replay(key: Key, table: PackedOrbit) -> List[Key]:
-    """_orbit_replay from the table: coordinate r of every point at once is
-    sum_m key_m rows[r][m], whose digits are the points' coordinates."""
-    cols = [_digits(sum(map(mul, key, row)), table.width, table.bias) for row in table.rows]
+    """_orbit_replay from the table, for a key with bound below 2^15:
+    coordinate r of every point at once is sum_m key_m rows[r][m], whose
+    digits are the points' coordinates."""
+    cols = [_digits(sum(map(mul, key, row)), table.bias) for row in table.rows]
     return list(zip(*cols))
-
-
-def _packed_points(
-    key: Key,
-    tree: OrbitTree,
-    basis: Sequence[Key],
-    coroots: Sequence[Key],
-    packed: Dict[int, Optional[PackedOrbit]],
-) -> List[Key]:
-    """The orbit along a regular tree, packed at the smallest width w in
-    PACK_WIDTHS with sum_m bounds[m] |key_m| < 2^(w-1), which bounds every
-    coordinate of every point; node by node beyond 2^63 or without a table.
-    `packed` keeps the tree's table per width, built on first use."""
-    if not tree.parent:
-        return [key]
-    if 16 not in packed:
-        packed[16] = pack_orbit(tree, basis, coroots, len(key))
-    if packed[16] is not None:
-        bound = sum(map(mul, packed[16].bounds, map(abs, key)))
-        for width in PACK_WIDTHS:
-            if bound < 1 << (width - 1):
-                if width not in packed:
-                    packed[width] = pack_orbit(tree, basis, coroots, len(key), width)
-                return _packed_replay(key, packed[width])
-    return _orbit_replay(key, tree, basis, coroots)
 
 
 def _orbit_sum(
@@ -315,7 +292,7 @@ def _orbit_sum(
     basis: Sequence[Key],
     coroots: Sequence[Key],
     trees: Optional[Dict[Key, OrbitTree]],
-    packed: Optional[Dict[int, Optional[PackedOrbit]]],
+    packed: Optional[PackedOrbit],
     signed: bool,
 ) -> Support:
     """Sum of c * e^x over the Weyl orbit of each listed dominant key, times
@@ -326,8 +303,9 @@ def _orbit_sum(
     coincide depends on the stabilizer W_J of the key, so the walk is the
     same for every key with the same walls J = {i : <alpha_i^vee, key> = 0}.
     `trees` keeps one tree per J: the first key of a type is walked and its
-    tree recorded, later ones are replayed, packed when `packed` holds the
-    regular tree's tables.  Distinct dominant keys have disjoint orbits, so
+    tree recorded, later ones are replayed: by the regular tree's table
+    `packed` where given and the key's bound is below 2^15, else node by
+    node.  Distinct dominant keys have disjoint orbits, so
     repeated keys are merged first."""
     trees = {} if trees is None else trees
     merged: Support = {}
@@ -351,10 +329,10 @@ def _orbit_sum(
         if tree is None:
             points, tree = _orbit_walk(key, basis, coroots)
             trees[walls] = tree
-        elif packed is None:
+        elif packed is None or sum(map(mul, packed.bounds, map(abs, key))) >= PACK_LIMIT:
             points = _orbit_replay(key, tree, basis, coroots)
         else:
-            points = _packed_points(key, tree, basis, coroots, packed)
+            points = _packed_replay(key, packed)
         if signed:
             out.update(zip(points, map((c, -c).__getitem__, tree.parity)))
         else:
@@ -378,10 +356,10 @@ def signed_orbit(
     basis: Sequence[Key],
     coroots: Sequence[Key],
     trees: Optional[Dict[Key, OrbitTree]] = None,
-    packed: Optional[Dict[int, Optional[PackedOrbit]]] = None,
+    packed: Optional[PackedOrbit] = None,
 ) -> Support:
     """Sum of c * det(w) * e^(w nu) over W for each listed strictly dominant
     nu, that is c * J(e^nu): W acts freely on the orbit, so det(w) is the
-    parity of the depth of w nu in its tree.  With `packed`, the scope's
-    tables of the regular tree by width, the orbits are replayed packed."""
+    parity of the depth of w nu in its tree.  With `packed`, the table of
+    the scope's regular tree, the orbits are replayed packed."""
     return _orbit_sum(items, basis, coroots, trees, packed, True)

@@ -47,18 +47,62 @@ def is_int_vector(obj, rank: int) -> bool:
     return is_int_list(obj) and len(obj) == rank
 
 
-def rational_from_json(obj, rank: int, pointer: str = "") -> RationalWeight:
+def check_int_list(obj, pointer: str) -> None:
+    """Refuse a JSON value that is not a list of integers, at the first
+    offending item."""
+    if is_int_list(obj):
+        return
+    if not isinstance(obj, list):
+        raise SchemaViolation("expected a list of integers", pointer)
+    for i, x in enumerate(obj):
+        if not is_int(x):
+            raise SchemaViolation("expected an integer", f"{pointer}/{i}")
+
+
+def check_weight(obj, pointer: str) -> None:
+    """Refuse a JSON value that is no rational weight of any rank: one is
+    {num: [...], den: n} with n >= 1, or a list of integers (den 1)."""
     if isinstance(obj, list):
-        obj = {"num": obj, "den": 1}
+        return check_int_list(obj, pointer)
     if not isinstance(obj, dict) or "num" not in obj:
         raise SchemaViolation("expected {num: [...], den: n}", pointer)
-    num = obj["num"]
+    check_int_list(obj["num"], pointer + "/num")
     den = obj.get("den", 1)
-    if not is_int_vector(num, rank):
-        raise SchemaViolation(f"num must be {rank} integers", pointer + "/num")
     if not is_int(den) or den < 1:
         raise SchemaViolation("den must be a positive integer", pointer + "/den")
-    return RationalWeight(num, den)
+
+
+def check_terms(terms, pointer: str) -> None:
+    """Refuse a `terms` list that is not [{coeff, weight}] with integer
+    coefficients and rational weights of any rank."""
+    if not isinstance(terms, list):
+        raise SchemaViolation("terms must be a list", pointer)
+    for i, term in enumerate(terms):
+        tp = f"{pointer}/{i}"
+        if not isinstance(term, dict) or "coeff" not in term or "weight" not in term:
+            raise SchemaViolation("term needs coeff and weight", tp)
+        if not is_int(term["coeff"]):
+            raise SchemaViolation("coeff must be an integer", tp + "/coeff")
+        check_weight(term["weight"], tp + "/weight")
+
+
+def check_element(obj, pointer: str) -> None:
+    """Refuse a JSON value that is no element object {terms, twist} of any
+    rank."""
+    if not isinstance(obj, dict) or "terms" not in obj:
+        raise SchemaViolation("expected an element object", pointer)
+    check_terms(obj["terms"], pointer + "/terms")
+    if "twist" in obj:
+        check_weight(obj["twist"], pointer + "/twist")
+
+
+def rational_from_json(obj, rank: int, pointer: str = "") -> RationalWeight:
+    check_weight(obj, pointer)
+    if isinstance(obj, list):
+        obj = {"num": obj}
+    if len(obj["num"]) != rank:
+        raise SchemaViolation(f"num must be {rank} integers", pointer + "/num")
+    return RationalWeight(obj["num"], obj.get("den", 1))
 
 
 def torus_to_json(a: TorusElement) -> Dict:
@@ -74,16 +118,11 @@ def weights_from_json(terms, rank: int, pointer: str) -> Dict[RationalWeight, in
     """The `terms` list [{coeff, weight}] of an element object, found at
     `pointer`, as summed coefficients by weight; every weight must lie in
     the coset of X(T) of the first."""
-    if not isinstance(terms, list):
-        raise SchemaViolation("terms must be a list", pointer)
+    check_terms(terms, pointer)
     weights: Dict[RationalWeight, int] = {}
     coset: Optional[RationalWeight] = None
     for i, term in enumerate(terms):
         tp = f"{pointer}/{i}"
-        if not isinstance(term, dict) or "coeff" not in term or "weight" not in term:
-            raise SchemaViolation("term needs coeff and weight", tp)
-        if not is_int(term["coeff"]):
-            raise SchemaViolation("coeff must be an integer", tp + "/coeff")
         w = rational_from_json(term["weight"], rank, tp + "/weight")
         if coset is None:
             coset = w.residue_mod_one()
@@ -96,8 +135,7 @@ def weights_from_json(terms, rank: int, pointer: str) -> Dict[RationalWeight, in
 
 
 def torus_from_json(datum: RootDatum, obj, pointer: str = "") -> TorusElement:
-    if not isinstance(obj, dict) or "terms" not in obj:
-        raise SchemaViolation("expected a torus element object", pointer)
+    check_element(obj, pointer)
     weights = weights_from_json(obj["terms"], datum.rank, pointer + "/terms")
     if not weights:
         twist = obj.get("twist")

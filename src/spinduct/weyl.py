@@ -147,11 +147,13 @@ class WeylGroup:
         return {}
 
     @cached_property
-    def packed_orbits(self) -> Dict[int, Optional[kernels.PackedOrbit]]:
-        """The regular orbit tree packed across its points, per digit width,
-        built by signed_orbit on first use at that width (None when the
-        scope's matrices are too large to pack)."""
-        return {}
+    def packed_orbit(self) -> Optional[kernels.PackedOrbit]:
+        """The regular orbit tree packed across its points, for signed_orbit;
+        built on first use, once the tree has been walked (None for a
+        one-point orbit or matrices too large to pack)."""
+        scope = self.scope
+        tree = self.orbit_trees[()]
+        return kernels.pack_orbit(tree, scope.basis, scope.basis_coroots, self.datum.rank)
 
     @cached_property
     def elements(self) -> Tuple[WeylElement, ...]:
@@ -316,9 +318,9 @@ def antisymmetrize(
     basis, coroots = scope.basis, scope.basis_coroots
     if collect:
         keys = kernels.dominant_collect(keys, basis, coroots, len(scope.positive))
-    orbits = kernels.signed_orbit(
-        list(keys.items()), basis, coroots, w.orbit_trees, w.packed_orbits
-    )
+    # the regular tree's table, once an earlier call has walked the tree
+    packed = w.packed_orbit if keys and () in w.orbit_trees else None
+    orbits = kernels.signed_orbit(list(keys.items()), basis, coroots, w.orbit_trees, packed)
     return from_scaled(orbits, scaled(shift, den), den)
 
 

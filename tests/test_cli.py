@@ -464,7 +464,10 @@ _FLAG_VALUES = {
     "mu": st.one_of(
         st.text(max_size=8),
         _WEIGHT_TEXT,
-        st.fixed_dictionaries({"num": _JSON_ITEM}, optional={"den": _JSON_ITEM}).map(json.dumps),
+        st.fixed_dictionaries(
+            {"num": st.one_of(_JSON_ITEM, st.lists(st.one_of(_SMALL, st.booleans()), max_size=3))},
+            optional={"den": st.one_of(_JSON_ITEM, st.booleans())},
+        ).map(json.dumps),
     ),
     "twist": st.one_of(st.text(max_size=8), _WEIGHT_TEXT),
 }
@@ -492,7 +495,7 @@ _NOISY_DOC = st.fixed_dictionaries({}, optional={
     "group": _mostly(st.one_of(
         st.sampled_from(["A2", "B2", "B2:root", "Q9"]),
         st.fixed_dictionaries({"label": _mostly(st.sampled_from(["A2", "B2", "Z"]))},
-                              optional={"lattice": _mostly(st.sampled_from(["weight", "root", "x"]))}),
+                              optional={"lattice": _mostly(st.sampled_from(["weight", "root", "Root", "x"]))}),
     )),
     "subgroup": _mostly(st.sampled_from(["t", "g", "levi1"])),
     "twist": _NOISY_WEIGHT,
@@ -501,7 +504,7 @@ _NOISY_DOC = st.fixed_dictionaries({}, optional={
         st.fixed_dictionaries({"terms": _TERMS}),
     )),
     "mu": _NOISY_WEIGHT,
-    "kind": _mostly(st.sampled_from(["twisted", "spinc", "spin", "holomorphic", "hodge"])),
+    "kind": _mostly(st.sampled_from(["twisted", "spinc", "spin", "SPIN", "holomorphic", "hodge"])),
     "gamma": _mostly(st.lists(_SMALL, min_size=2, max_size=2)),
     "tau": _mostly(st.sampled_from(["0", "rhoM", "x"])),
     "signs": _JSON_ITEM,
@@ -559,18 +562,6 @@ _DOC_COMMANDS = st.sampled_from(
 )
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    _COMMANDS,
-    st.sampled_from([None, "twisted", "spinc", "spin"]),
-    st.sampled_from(["A2", "B2"]),
-    st.fixed_dictionaries({}, optional=_FLAG_VALUES),
-)
-def test_cli_contract_on_drawn_flags(command, kind, group, flags):
-    argv = [command, "--group", group] + (["--kind", kind] if kind else [])
-    _assert_cli_contract(argv + [f"--{name}={value}" for name, value in flags.items()])
-
-
 def _problem_schema():
     import spinduct
 
@@ -579,13 +570,32 @@ def _problem_schema():
         return json.load(fh)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    _COMMANDS,
+    st.sampled_from([None, "twisted", "spinc", "spin", "SpinC"]),
+    st.sampled_from(["A2", "B2"]),
+    st.fixed_dictionaries({}, optional=_FLAG_VALUES),
+)
+def test_cli_contract_on_drawn_flags(command, kind, group, flags):
+    """Flags alone, the late ones (--mu, --gamma, --twist) included: the
+    problem an exit-0 run echoes validates against the shipped schema."""
+    import jsonschema
+
+    argv = [command, "--group", group] + (["--kind", kind] if kind else [])
+    code, out = _assert_cli_contract(argv + [f"--{name}={value}" for name, value in flags.items()])
+    if code == 0:
+        jsonschema.validate(out["problem"], _problem_schema())
+
+
 @settings(max_examples=300, deadline=None)
 @given(_DOC_COMMANDS, st.sampled_from([None, "A2", "B2"]), _PROBLEM_DOC, _SUITE)
 def test_cli_contract_on_drawn_problem_documents(command, group, doc, suite):
     """Whole documents on stdin through --problem -, with or without a
     --group flag overriding the document's group.  A verify document always
-    names a quick suite or an invalid one.  A document that exits 0, and the
-    problem the output echoes, validate against the shipped schema."""
+    names a quick suite or an invalid one.  A document that exits 0 (with
+    kind and a named lattice lowercased), and the problem the output
+    echoes, validate against the shipped schema."""
     import jsonschema
 
     if command == "verify" and isinstance(doc, dict):
@@ -595,6 +605,10 @@ def test_cli_contract_on_drawn_problem_documents(command, group, doc, suite):
     )
     if code == 0:
         schema = _problem_schema()
+        if isinstance(doc.get("kind"), str):
+            doc = {**doc, "kind": doc["kind"].lower()}
+        if isinstance(doc.get("group"), dict) and isinstance(doc["group"].get("lattice"), str):
+            doc = {**doc, "group": {**doc["group"], "lattice": doc["group"]["lattice"].lower()}}
         jsonschema.validate(doc, schema)
         jsonschema.validate(out["problem"], schema)
 
@@ -639,6 +653,44 @@ def test_booleans_are_not_integers_in_element_objects(capsys):
         assert code == 1
         err = json.loads(out)["error"]
         assert (err["code"], err["pointer"]) == ("schema-violation", pointer)
+
+
+def test_late_flags_follow_the_field_rules(capsys):
+    """--mu, --gamma and --twist are read once the rank is known, and then
+    checked as document fields, whatever the command does with them."""
+    for argv, pointer in [
+        (("info", "--group", "A2", "--mu", '{"num":[true,1]}'), "/mu/num/0"),
+        (("info", "--group", "A2", "--mu", '{"num":[1,1],"den":0}'), "/mu/den"),
+        (("info", "--group", "A2", "--mu", "1,1/0"), "/mu/den"),
+        (("info", "--group", "A2", "--twist", "1,1/-2"), "/twist/den"),
+    ]:
+        code, out = run_cli(capsys, *argv)
+        assert code == 1, argv
+        err = json.loads(out)["error"]
+        assert (err["code"], err["pointer"]) == ("schema-violation", pointer)
+
+
+def test_kind_and_lattice_names_ignore_case(capsys, monkeypatch):
+    """Case variants of kind and of a named lattice are answered as the
+    lowercase names are, and echoed lowercased, so the echo validates."""
+    import io
+
+    import jsonschema
+
+    base = ("induce", "--group", "A2", "--input", "1", "--gamma", "2,2")
+    code, lower = run_cli(capsys, *base, "--kind", "spinc")
+    assert code == 0
+    assert run_cli(capsys, *base, "--kind", "SPINC") == (0, lower)
+    outs = []
+    for lattice in ("root", "ROOT"):
+        doc = {"group": {"label": "B2", "lattice": lattice}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out = run_cli(capsys, "info", "--problem", "-")
+        assert code == 0
+        outs.append(out)
+        jsonschema.validate(json.loads(out)["problem"], _problem_schema())
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["diagnostics"]["lattice"] == "root"
 
 
 def test_field_rules_list_what_the_schema_lists():

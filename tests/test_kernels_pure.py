@@ -311,67 +311,63 @@ def _key_at_bound(bounds, nu0, target):
     raise AssertionError(f"no key at bound {target}")
 
 
-# the width edges: the largest bound each width takes and the least it refuses
-_EDGES = (2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1, 2**63, 2**64 + 5)
+# the packing edge, the largest bound a table takes and the least it
+# refuses, and bounds far beyond it, which the node replay answers exactly
+_EDGES = (2**15 - 1, 2**15, 2**31, 2**63, 2**64 + 5)
 
 
-def _check_packed_replay(name, basis, coroots, key, tree, packed, monkeypatch):
-    """The packed replay of key against the node replay, point for point and
-    in order, alone and inside signed_orbit; returns the width it packed at,
-    or None for the node replay."""
+def _check_packed_replay(name, basis, coroots, key, tree, table, monkeypatch):
+    """signed_orbit of key with the table against the node replay, point for
+    point and in order; returns whether it took the packed replay, whose
+    points are also checked alone."""
     used = []
     replay = kernels._packed_replay
 
     def spy(key, table):
-        used.append(table.width)
+        used.append(key)
         return replay(key, table)
 
     monkeypatch.setattr(kernels, "_packed_replay", spy)
-    expected = kernels._orbit_replay(key, tree, basis, coroots)
-    assert kernels._packed_points(key, tree, basis, coroots, packed) == expected, name
     trees = {(): tree}
     plain = kernels.signed_orbit([(key, 3)], basis, coroots, trees)
-    fast = kernels.signed_orbit([(key, 3)], basis, coroots, trees, packed)
+    fast = kernels.signed_orbit([(key, 3)], basis, coroots, trees, table)
     assert list(fast.items()) == list(plain.items()), name
-    assert len(set(used)) <= 1
-    return used[0] if used else None
+    if used:
+        expected = kernels._orbit_replay(key, tree, basis, coroots)
+        assert replay(key, table) == expected, name
+    return bool(used)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_packed_replay_matches_node_replay(data):
     """On every zoo scope's regular tree, and rank 0 and A1: keys at the
-    width edges and keys scaled by up to 2^70."""
+    packing edge and keys scaled by up to 2^70, packed exactly when their
+    bound is below 2^15."""
     name, basis, coroots, nu0, tree = data.draw(st.sampled_from(_regular_trees()))
-    packed = {}
+    table = kernels.pack_orbit(tree, basis, coroots, len(nu0))
     with pytest.MonkeyPatch.context() as monkeypatch:
         scale = data.draw(st.integers(1, 2**70))
         if not tree.parent:
+            assert table is None
             key = tuple(x * scale for x in nu0)
-            width = _check_packed_replay(name, basis, coroots, key, tree, packed, monkeypatch)
-            assert width is None
-            assert packed == {}
+            assert not _check_packed_replay(name, basis, coroots, key, tree, table, monkeypatch)
             return
-        table = kernels.pack_orbit(tree, basis, coroots, len(nu0))
         edge = data.draw(st.one_of(st.none(), st.sampled_from(_EDGES)))
         if edge is None:
             key = tuple(x * scale for x in nu0)
         else:
             key = _key_at_bound(table.bounds, nu0, edge)
-        width = _check_packed_replay(name, basis, coroots, key, tree, packed, monkeypatch)
-        bound = _bound(table.bounds, key)
-        assert width == next((w for w in (16, 32, 64) if bound < 2 ** (w - 1)), None)
-        assert packed[16] == table
+        packed = _check_packed_replay(name, basis, coroots, key, tree, table, monkeypatch)
+        assert packed == (_bound(table.bounds, key) < 2**15)
 
 
-def test_packed_replay_at_every_width_edge():
-    """Each regular tree at each edge bound: the smallest width that holds
-    the bound, the node replay from 2^63 on; each width's table is built
-    once and kept."""
+def test_packed_replay_at_the_edge():
+    """Each regular tree at each edge bound: packed below 2^15, node by node
+    from there on; the rows and bounds are the orbits of the unit vectors."""
     for name, basis, coroots, nu0, tree in _regular_trees():
         if not tree.parent:
             continue
-        packed = {}
         table = kernels.pack_orbit(tree, basis, coroots, len(nu0))
         # column m of every w_j is the orbit of e_m, replayed node by node:
         # the rows hold its coordinates and the bound is its largest one
@@ -380,17 +376,16 @@ def test_packed_replay_at_every_width_edge():
             images = kernels._orbit_replay(unit, tree, basis, coroots)
             assert max(abs(x) for image in images for x in image) == c, name
             for r, row in enumerate(table.rows):
-                assert list(kernels._digits(row[m], 16, table.bias)) == [x[r] for x in images]
-        widths = []
+                assert list(kernels._digits(row[m], table.bias)) == [x[r] for x in images]
         with pytest.MonkeyPatch.context() as monkeypatch:
-            for edge in _EDGES:
-                key = _key_at_bound(table.bounds, nu0, edge)
-                widths.append(
-                    _check_packed_replay(name, basis, coroots, key, tree, packed, monkeypatch)
+            packed = [
+                _check_packed_replay(
+                    name, basis, coroots, _key_at_bound(table.bounds, nu0, edge), tree, table,
+                    monkeypatch,
                 )
-        assert widths == [16, 32, 32, 64, 64, None, None], name
-        assert sorted(packed) == [16, 32, 64]
-        assert all(packed[w].width == w and packed[w].bounds == table.bounds for w in packed)
+                for edge in _EDGES
+            ]
+        assert packed == [True, False, False, False, False], name
 
 
 def test_packed_replay_falls_back_on_large_matrices():
@@ -399,18 +394,18 @@ def test_packed_replay_falls_back_on_large_matrices():
     basis, coroots = ((1, 2**15),), ((2, 0),)
     points, tree = kernels._orbit_walk((1, 0), basis, coroots)
     assert points == [(1, 0), (-1, -(2**16))]
-    packed = {}
-    assert kernels.signed_orbit([((3, 5), 2)], basis, coroots, {(): tree}, packed) == {
+    assert kernels.pack_orbit(tree, basis, coroots, 2) is None
+    assert kernels.signed_orbit([((3, 5), 2)], basis, coroots, {(): tree}, None) == {
         (3, 5): 2, (-3, 5 - 3 * 2**16): -2,
     }
-    assert packed == {16: None}
     # just below: entries below 2^15 pack
     assert kernels.pack_orbit(tree, ((1, 2**13),), coroots, 2) is not None
 
 
 def test_f4_packed_orbit_table_is_built_once(monkeypatch):
-    """A second J_G on F4 builds no new table; the table is immutable, made
-    of tuples and ints."""
+    """The first J_G on F4 walks the regular tree, the second packs it and
+    later ones build no new table; the table is immutable, made of tuples
+    and ints."""
     import spinduct.weyl as weyl
     from spinduct.charring import TorusElement
     from spinduct.weyl import apply_antisymmetrizer
@@ -425,17 +420,15 @@ def test_f4_packed_orbit_table_is_built_once(monkeypatch):
 
     monkeypatch.setattr(kernels, "pack_orbit", counting_pack)
     f4 = build_root_datum("F4")
-    # two regular weights: the first is walked, the second replayed packed
     a = TorusElement.monomial(f4, f4.rho) + TorusElement.monomial(f4, f4.rho.scale(2))
     first = apply_antisymmetrizer("J_G", a)
-    packed = generate_weyl(f4).packed_orbits
-    assert len(builds) == 1 and list(packed) == [16]
-    table = packed[16]
+    assert builds == [] and list(generate_weyl(f4).orbit_trees) == [()]
     second = apply_antisymmetrizer("J_G", a)
+    table = generate_weyl(f4).packed_orbit
     assert second == first and len(builds) == 1
-    assert generate_weyl(f4).packed_orbits == {16: table} and packed[16] is table
-    assert type(table) is kernels.PackedOrbit
-    assert type(table.width) is int and type(table.bias) is int
+    third = apply_antisymmetrizer("J_G", a)
+    assert third == first and len(builds) == 1 and generate_weyl(f4).packed_orbit is table
+    assert type(table) is kernels.PackedOrbit and type(table.bias) is int
     assert type(table.bounds) is tuple and all(type(c) is int for c in table.bounds)
     assert type(table.rows) is tuple and len(table.rows) == 4
     for row in table.rows:
