@@ -43,6 +43,7 @@ from .serialize import (
     check_weight,
     group_to_json,
     is_int,
+    is_int_list,
     is_int_vector,
     rational_from_json,
     rational_to_json,
@@ -147,7 +148,8 @@ def _check_fields(doc: Dict) -> None:
                 continue
             _require(isinstance(value, list), "subgroup must be a name or a list", p)
             for i, item in enumerate(value):
-                if not is_int(item):
+                # the pointer is formatted only for an item that fails
+                if not (is_int(item) or is_int_list(item)):
                     check_int_list(item, f"{p}/{i}")
         else:
             escaped = key.replace("~", "~0").replace("/", "~1")

@@ -419,15 +419,24 @@ def test_f4_packed_orbit_table_is_built_once(monkeypatch):
         return pack(*args)
 
     monkeypatch.setattr(kernels, "pack_orbit", counting_pack)
+    replays = []
+    replay = kernels._packed_replay
+
+    def counting_replay(key, table):
+        replays.append(key)
+        return replay(key, table)
+
+    monkeypatch.setattr(kernels, "_packed_replay", counting_replay)
     f4 = build_root_datum("F4")
     a = TorusElement.monomial(f4, f4.rho) + TorusElement.monomial(f4, f4.rho.scale(2))
     first = apply_antisymmetrizer("J_G", a)
-    assert builds == [] and list(generate_weyl(f4).orbit_trees) == [()]
+    assert builds == [] and replays == [] and list(generate_weyl(f4).orbit_trees) == [()]
     second = apply_antisymmetrizer("J_G", a)
-    table = generate_weyl(f4).packed_orbit
-    assert second == first and len(builds) == 1
+    assert second == first and len(builds) == 1 and len(replays) == 2
     third = apply_antisymmetrizer("J_G", a)
-    assert third == first and len(builds) == 1 and generate_weyl(f4).packed_orbit is table
+    assert third == first and len(builds) == 1 and len(replays) == 4
+    table = generate_weyl(f4).packed_orbit
+    assert len(builds) == 1
     assert type(table) is kernels.PackedOrbit and type(table.bias) is int
     assert type(table.bounds) is tuple and all(type(c) is int for c in table.bounds)
     assert type(table.rows) is tuple and len(table.rows) == 4
