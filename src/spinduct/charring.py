@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cache
 from operator import mul
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -141,7 +142,7 @@ class _Shifted:
     def __eq__(self, other) -> bool:
         return (
             type(other) is type(self)
-            and self.scope.scope_key() == other.scope.scope_key()
+            and self.scope == other.scope
             and self.shift == other.shift
             and self.coeffs == other.coeffs
         )
@@ -155,7 +156,7 @@ class _Shifted:
     # --- module operations --------------------------------------------------
 
     def _check_compatible(self, other: "_Shifted") -> None:
-        if type(other) is not type(self) or self.scope.scope_key() != other.scope.scope_key():
+        if type(other) is not type(self) or self.scope != other.scope:
             raise DatumMismatch("elements live over different scopes")
 
     def __add__(self, other):
@@ -220,10 +221,6 @@ def is_scope_invariant(a: TorusElement, scope: Scope) -> bool:
 # --- denominators and Euler classes ----------------------------------------
 
 
-_DENOM_CACHE: Dict[object, TorusElement] = {}
-_EULER_CACHE: Dict[object, TorusElement] = {}
-
-
 def _product_over(datum: RootDatum, factors: Iterable[Dict[Weight, int]]) -> Dict[Weight, int]:
     acc = {(0,) * datum.rank: 1}
     for f in factors:
@@ -231,24 +228,20 @@ def _product_over(datum: RootDatum, factors: Iterable[Dict[Weight, int]]) -> Dic
     return acc
 
 
+@cache
 def weyl_denominator(scope: Scope) -> TorusElement:
     """d = e^rho * prod over positive roots of (1 - e^(-alpha)).
 
     Anti-invariant under the scope's Weyl group; twist class [rho]."""
-    key = scope.scope_key()
-    out = _DENOM_CACHE.get(key)
-    if out is None:
-        datum = scope.datum
-        zero = (0,) * datum.rank
-        prod = _product_over(
-            datum, ({zero: 1, vneg(a): -1} for a in scope.positive)
-        )
-        out = multiply(
-            TorusElement(datum, RationalWeight.zero(datum.rank), prod),
-            TorusElement.monomial(datum, scope.rho_vec),
-        )
-        _DENOM_CACHE[key] = out
-    return out
+    datum = scope.datum
+    zero = (0,) * datum.rank
+    prod = _product_over(
+        datum, ({zero: 1, vneg(a): -1} for a in scope.positive)
+    )
+    return multiply(
+        TorusElement(datum, RationalWeight.zero(datum.rank), prod),
+        TorusElement.monomial(datum, scope.rho_vec),
+    )
 
 
 def euler_class_from_complement(
@@ -265,16 +258,10 @@ def euler_class_from_complement(
     )
 
 
+@cache
 def euler_class(sub: SubgroupDatum) -> TorusElement:
     """Euler class of the twisted Dirac operator of G/H, restricted to T."""
-    key = sub.key
-    out = _EULER_CACHE.get(key)
-    if out is None:
-        out = euler_class_from_complement(
-            sub.parent, sub.complement_positive, sub.rho_m
-        )
-        _EULER_CACHE[key] = out
-    return out
+    return euler_class_from_complement(sub.parent, sub.complement_positive, sub.rho_m)
 
 
 # --- highest-weight elements -------------------------------------------------
@@ -333,9 +320,6 @@ def dimension(a: GroupElement) -> int:
 
 
 # --- characters of irreducibles (Freudenthal) ---------------------------------
-
-
-_CHAR_CACHE: Dict[object, TorusElement] = {}
 
 
 def _scope_pairings_ok(scope: Scope, lam: RationalWeight) -> None:
@@ -428,6 +412,7 @@ def _freudenthal(
     return mult
 
 
+@cache
 def irreducible_restriction(scope: Scope, lam: RationalWeight) -> TorusElement:
     """Full T-character of the irreducible with highest weight lam: the
     dominant weights by positive-root search, their multiplicities by the
@@ -436,10 +421,6 @@ def irreducible_restriction(scope: Scope, lam: RationalWeight) -> TorusElement:
     The result is Weyl-invariant for the scope and has coefficient 1 at
     lam.  Results are cached per (scope, weight).
     """
-    key = (scope.scope_key(), lam)
-    cached = _CHAR_CACHE.get(key)
-    if cached is not None:
-        return cached
     _scope_pairings_ok(scope, lam)
     # everything is scaled by a common denominator D, so weights are integral
     den = math.lcm(lam.den, scope.rho_vec.den)
@@ -448,9 +429,7 @@ def irreducible_restriction(scope: Scope, lam: RationalWeight) -> TorusElement:
         list(mult.items()), scope.basis, scope.basis_coroots, generate_weyl(scope).orbit_trees
     )
     shift = lam.residue_mod_one()
-    out = TorusElement(scope.datum, shift, from_scaled(expanded, scaled(shift, den), den))
-    _CHAR_CACHE[key] = out
-    return out
+    return TorusElement(scope.datum, shift, from_scaled(expanded, scaled(shift, den), den))
 
 
 # --- anti-invariants ------------------------------------------------------------

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 from typing import Dict, List, Optional
 
 from . import kernels, rootdata
@@ -371,6 +372,8 @@ def _group_from_doc(problem, obj) -> GroupElement:
     return GroupElement.from_weights(scope, weights)
 
 
+# built on the first call of main and reused: parsing keeps no state in it
+@cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="spinduct",
@@ -454,15 +457,8 @@ def _doc_from_args(args) -> Dict:
     return doc
 
 
-# built on the first call of main and reused: parsing keeps no state in it
-_PARSER: Optional[argparse.ArgumentParser] = None
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
     saved_cap = rootdata.WEYL_ORDER_CAP
     try:

@@ -9,9 +9,10 @@ import cmath
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from functools import cache
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from . import kernels
+from . import kernels, rootdata
 from .charring import (
     GroupElement,
     TorusElement,
@@ -48,7 +49,6 @@ from .rootdata import (
     vneg,
 )
 from .weyl import (
-    SINGULAR,
     CosetReps,
     WeylElement,
     coset_representatives,
@@ -66,7 +66,7 @@ class InductionProblem:
     when first read."""
 
     def __init__(self, datum: RootDatum, sub: SubgroupDatum, sigma: Optional[TwistClass] = None):
-        if sub.parent is not datum and sub.parent.key != datum.key:
+        if sub.parent != datum:
             raise DatumMismatch("subgroup belongs to a different datum")
         self.datum = datum
         self.sub = sub
@@ -89,13 +89,7 @@ class InductionProblem:
         return euler_class(self.sub)
 
     def twist_rho(self, which: str) -> TwistClass:
-        if which == "G":
-            return TwistClass.of(self.datum.rho)
-        if which == "H":
-            return TwistClass.of(self.sub.rho_h)
-        if which == "M":
-            return TwistClass.of(self.sub.rho_m)
-        raise ValueError(which)
+        return TwistClass.of(rootdata.rho(self.sub, which))
 
     def __repr__(self):
         return (
@@ -103,42 +97,33 @@ class InductionProblem:
         )
 
 
-_PROBLEM_CACHE: Dict[object, InductionProblem] = {}
-
-
 def make_problem(datum: RootDatum, sub: SubgroupDatum, sigma: Optional[TwistClass] = None) -> InductionProblem:
-    key = (datum.key, sub.key, sigma.shift if sigma else None)
-    p = _PROBLEM_CACHE.get(key)
-    if p is None:
-        p = InductionProblem(datum, sub, sigma)
-        _PROBLEM_CACHE[key] = p
-    return p
+    """The InductionProblem of (datum, sub, sigma), one object per equal
+    arguments however they are passed."""
+    return _cached_problem(datum, sub, sigma)
+
+
+_cached_problem = cache(InductionProblem)
 
 
 # --- chamber collection (the partial / boundary operators) -----------------
 
 
-_TWIST_OK: Set[object] = set()
-
-
-def _check_partial_twist(scope: Scope, a: TorusElement) -> None:
+@cache
+def _check_partial_twist(scope: Scope, shift: RationalWeight) -> None:
     """The shifted-module typing: the shift must be stable under the scope
     group and pair integrally with scope coroots.  Passing (scope, shift)
     pairs are remembered; a failing pair raises on every call."""
-    key = (scope.scope_key(), a.shift)
-    if key in _TWIST_OK:
-        return
     for g, cv in zip(generate_weyl(scope).generators, scope.basis_coroots):
         try:
-            g.adjustment(a.shift)
+            g.adjustment(shift)
         except ShiftNotStable as exc:
             raise BadTwist(str(exc))
-        if a.shift.pair(cv).denominator != 1:
+        if shift.pair(cv).denominator != 1:
             raise BadTwist(
                 "shift pairs non-integrally with a scope coroot; "
                 "the module has no chamber structure"
             )
-    _TWIST_OK.add(key)
 
 
 def collect_to_chamber(scope: Scope, a: TorusElement) -> GroupElement:
@@ -146,7 +131,7 @@ def collect_to_chamber(scope: Scope, a: TorusElement) -> GroupElement:
     send regular e^mu to det(w) times the class of w(mu) - rho.
 
     This is the operator a -> J(a)/d in the highest-weight basis."""
-    _check_partial_twist(scope, a)
+    _check_partial_twist(scope, a.shift)
     rho = scope.rho_vec
     den = math.lcm(a.shift.den, rho.den)
     collected = kernels.dominant_collect(
@@ -246,7 +231,7 @@ def bwb_irreducible(problem: InductionProblem, mu: RationalWeight) -> GroupEleme
     lam = mu + sub.rho_h
     res = to_dominant_chamber(problem.datum, lam)
     out_twist = TwistClass.of(lam - problem.datum.rho)
-    if res == SINGULAR:
+    if res is None:
         return GroupElement.zero(problem.datum, out_twist)
     hw = res.image - problem.datum.rho
     return GroupElement.from_weights(problem.datum, {hw: res.w.det})
@@ -278,7 +263,7 @@ def branch(problem: InductionProblem, a: GroupElement) -> GroupElement:
     H-highest weights; multiplicities are exact.  Branching an honest
     module (all coefficients positive) must never produce a negative
     intermediate, and that is enforced."""
-    if a.scope is not problem.datum and a.scope.scope_key() != problem.datum.scope_key():
+    if a.scope != problem.datum:
         raise DatumMismatch("branch expects a G-side element")
     honest = all(c > 0 for c in a.coeffs.values())
     return extract_highest_weights(problem.sub, a.to_torus(), allow_negative=not honest)
@@ -286,7 +271,7 @@ def branch(problem: InductionProblem, a: GroupElement) -> GroupElement:
 
 def group_multiply(x: GroupElement, y: GroupElement) -> GroupElement:
     """Product in R(G, .): expand both factors over T and re-extract."""
-    if x.scope.scope_key() != y.scope.scope_key():
+    if x.scope != y.scope:
         raise DatumMismatch("product of elements over different scopes")
     return extract_highest_weights(x.scope, multiply(x.to_torus(), y.to_torus()))
 
@@ -451,16 +436,16 @@ def lefschetz_check(
     rho_f = [n / sub.rho_m.den for n in sub.rho_m.nums]
     comp = sub.complement_positive
 
+    def one_minus(alpha: Sequence[int], ang: Sequence[float]) -> complex:
+        return 1 - cmath.exp(2j * cmath.pi * sum(x * t for x, t in zip(alpha, ang)))
+
     def dirac_eval(ang: Sequence[float]) -> complex:
         z = cmath.exp(-2j * cmath.pi * sum(x * t for x, t in zip(rho_f, ang)))
         for alpha in comp:
-            z *= 1 - cmath.exp(
-                2j * cmath.pi * sum(x * t for x, t in zip(alpha, ang))
-            )
+            z *= one_minus(alpha, ang)
         return z
 
-    r_m = list(sub.complement_positive) + [vneg(x) for x in sub.complement_positive]
-    denom_factors = r_m
+    r_m = list(comp) + [vneg(x) for x in comp]
     rng = random.Random(seed)
     rank = datum.rank
     samples = []
@@ -474,11 +459,8 @@ def lefschetz_check(
             ok = True
             for e in problem.reps.reps:
                 ang_w = _transform_angles(e, angles)
-                for alpha in denom_factors:
-                    z = 1 - cmath.exp(
-                        2j * cmath.pi * sum(x * t for x, t in zip(alpha, ang_w))
-                    )
-                    if abs(z) < margin:
+                for alpha in r_m:
+                    if abs(one_minus(alpha, ang_w)) < margin:
                         ok = False
                         break
                 if not ok:
@@ -493,10 +475,8 @@ def lefschetz_check(
             ang_w = _transform_angles(e, angles)
             num = dirac_eval(ang_w) * numeric_evaluate(payload, ang_w)
             den = 1 + 0j
-            for alpha in denom_factors:
-                den *= 1 - cmath.exp(
-                    2j * cmath.pi * sum(x * t for x, t in zip(alpha, ang_w))
-                )
+            for alpha in r_m:
+                den *= one_minus(alpha, ang_w)
             rhs += num / den
         err = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
         max_err = max(max_err, err)

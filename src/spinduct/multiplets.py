@@ -63,7 +63,7 @@ def multiplet(problem: InductionProblem, a: TorusElement) -> Multiplet:
     sub = problem.sub
     # H before G: a shift that fails both raises bad-twist, as collecting the
     # w = 1 member does before any other w is applied
-    _check_partial_twist(sub, a)
+    _check_partial_twist(sub, a.shift)
     for g in problem.weyl.generators:
         g.adjustment(a.shift)
     rho = sub.rho_h

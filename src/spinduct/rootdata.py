@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm, prod
 from operator import mul, sub
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -352,7 +352,22 @@ def parse_label(label: str) -> List[Tuple[str, int]]:
 class _ScopeConstants:
     """Per-scope constants of the Weyl dimension formula, computed on first
     read and kept on the (cached) scope object.  They are tuples and ints,
-    so no reader can change them."""
+    so no reader can change them.
+
+    Two scopes are equal, and hash alike, when their scope_key()s agree;
+    every cache keyed by a scope relies on this."""
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            isinstance(other, _ScopeConstants) and self.scope_key() == other.scope_key()
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.scope_key())
 
     @cached_property
     def positive_coroots(self) -> Tuple[Covector, ...]:
@@ -514,9 +529,6 @@ class RootDatum(_ScopeConstants):
         return f"RootDatum({self.cartan_label}, lattice={self.lattice_choice})"
 
 
-_DATUM_CACHE: Dict[Tuple[str, str], RootDatum] = {}
-
-
 def build_root_datum(label: str, lattice_choice="weight") -> RootDatum:
     """Construct a RootDatum for a product of simple series and central tori.
 
@@ -540,11 +552,7 @@ def build_root_datum(label: str, lattice_choice="weight") -> RootDatum:
         )
     if not isinstance(lattice_choice, str):
         return _build_root_datum(blocks, rank, order, lattice_choice)
-    key = (canonical_label(blocks), lattice_choice.lower())
-    datum = _DATUM_CACHE.get(key)
-    if datum is None:
-        datum = _DATUM_CACHE[key] = _build_root_datum(blocks, rank, order, lattice_choice)
-    return datum
+    return _named_root_datum(tuple(blocks), rank, order, lattice_choice.lower())
 
 
 def _build_root_datum(blocks, rank: int, order: int, lattice_choice) -> RootDatum:
@@ -619,6 +627,9 @@ def _build_root_datum(blocks, rank: int, order: int, lattice_choice) -> RootDatu
             f"generated {len(datum.roots)} roots for {datum.cartan_label}, expected {count}"
         )
     return datum
+
+
+_named_root_datum = lru_cache(maxsize=None)(_build_root_datum)
 
 
 def canonical_label(blocks: List[Tuple[str, int]]) -> str:
@@ -707,7 +718,6 @@ class SubgroupDatum(_ScopeConstants):
         )
 
 
-_SUBGROUP_CACHE: Dict[object, SubgroupDatum] = {}
 SUBGROUP_CACHE_SIZE = 256
 
 
@@ -715,19 +725,12 @@ def subgroup_from_roots(datum: RootDatum, generators: Iterable[Weight]) -> Subgr
     """The smallest symmetric, additively and reflection closed subsystem
     containing the generators (Borel-de Siebenthal subgroups included).
 
-    Cached per (datum, generators); the oldest entry goes once the cache
-    holds SUBGROUP_CACHE_SIZE subgroups."""
-    gens = tuple(tuple(a) for a in generators)
-    key = (datum.key, gens)
-    sub = _SUBGROUP_CACHE.get(key)
-    if sub is None:
-        sub = _subgroup_closure(datum, gens)
-        if len(_SUBGROUP_CACHE) >= SUBGROUP_CACHE_SIZE:
-            _SUBGROUP_CACHE.pop(next(iter(_SUBGROUP_CACHE)), None)
-        _SUBGROUP_CACHE[key] = sub
-    return sub
+    Cached per (datum, generators); the least recently used entry goes once
+    the cache holds SUBGROUP_CACHE_SIZE subgroups."""
+    return _subgroup_closure(datum, tuple(tuple(a) for a in generators))
 
 
+@lru_cache(maxsize=SUBGROUP_CACHE_SIZE)
 def _subgroup_closure(datum: RootDatum, gens: Tuple[Weight, ...]) -> SubgroupDatum:
     for a in gens:
         if not datum.is_root(a):

@@ -4,7 +4,7 @@ reduction, and the antisymmetrizer operators."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from . import kernels, rootdata
@@ -179,18 +179,11 @@ class WeylGroup:
         return self.order
 
 
-_WEYL_CACHE: Dict[object, WeylGroup] = {}
-
-
+@cache
 def generate_weyl(scope: Scope) -> WeylGroup:
     """The Weyl group of a RootDatum or SubgroupDatum (cached); its elements
     are enumerated only when first read."""
-    key = scope.scope_key()
-    w = _WEYL_CACHE.get(key)
-    if w is None:
-        w = WeylGroup(scope)
-        _WEYL_CACHE[key] = w
-    return w
+    return WeylGroup(scope)
 
 
 @dataclass(frozen=True)
@@ -203,23 +196,17 @@ class CosetReps:
     inverses: Tuple[WeylElement, ...]
 
 
-_COSET_CACHE: Dict[object, CosetReps] = {}
-
-
+@cache
 def coset_representatives(w: WeylGroup, sub: SubgroupDatum) -> CosetReps:
     """W^H by a breadth-first search from the identity over the simple
     reflections of G, keeping the elements that map R_H^+ into R^+ (cached
-    per pair).
+    per pair; a mismatched pair raises and is never stored).
 
     W^H is closed under left descents: if l(sw) < l(w) then w^{-1}(alpha_s)
     < 0, so sw still maps R_H^+ into R^+.  The search therefore reaches all
     of W^H, and its depth is the length."""
-    if sub.parent is not w.datum and sub.parent.key != w.datum.key:
+    if sub.parent != w.datum:
         raise MismatchedDatum("subgroup does not belong to this Weyl group")
-    key = (w.scope.scope_key(), sub.key)
-    cached = _COSET_CACHE.get(key)
-    if cached is not None:
-        return cached
     pos = set(w.datum.positive_roots)
     found = _closure(
         w.generators, w.datum.rank, lambda m: all(matvec(m, a) in pos for a in sub.basis_h)
@@ -228,8 +215,7 @@ def coset_representatives(w: WeylGroup, sub: SubgroupDatum) -> CosetReps:
     inverses = tuple(WeylElement(inv, l) for _, (l, inv) in found)
     if len(reps) * generate_weyl(sub).order != w.order:
         raise AssertionError("coset count mismatch")
-    out = _COSET_CACHE[key] = CosetReps(reps, sub, inverses)
-    return out
+    return CosetReps(reps, sub, inverses)
 
 
 @dataclass(frozen=True)
@@ -238,27 +224,11 @@ class Regular:
     image: RationalWeight
 
 
-class Singular:
-    """Marker result: the weight lies on a reflection wall."""
-
-    def __repr__(self):
-        return "Singular"
-
-    def __eq__(self, other):
-        return isinstance(other, Singular)
-
-    def __hash__(self):
-        return hash("Singular")
-
-
-SINGULAR = Singular()
-
-
-def to_dominant_chamber(scope: Scope, mu: RationalWeight):
+def to_dominant_chamber(scope: Scope, mu: RationalWeight) -> Optional[Regular]:
     """Unique strictly dominant representative of a regular weight.
 
-    Returns Regular(w, w(mu)) with w in the scope's Weyl group, or the
-    Singular marker when mu lies on a wall of the scope system.  One chamber
+    Returns Regular(w, w(mu)) with w in the scope's Weyl group, or None
+    when mu lies on a wall of the scope system.  One chamber
     walk, no group enumeration: w is the product of the reflections on the
     path, and its length is the number of steps.
     """
@@ -266,7 +236,7 @@ def to_dominant_chamber(scope: Scope, mu: RationalWeight):
         mu.nums, scope.basis, scope.basis_coroots, len(scope.positive)
     )
     if not regular:
-        return SINGULAR
+        return None
     gens = generate_weyl(scope).generators
     mat = identity(scope.datum.rank)
     for i in path:

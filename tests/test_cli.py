@@ -390,8 +390,8 @@ def test_e6_queries_build_the_root_datum_once(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(rd.RootDatum, "__init__", counting_init)
-    monkeypatch.setattr(rd, "_DATUM_CACHE", {})
-    monkeypatch.setattr(rd, "_SUBGROUP_CACHE", {})
+    rd._named_root_datum.cache_clear()
+    rd._subgroup_closure.cache_clear()
     a2_cubed = json.dumps([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
                            [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1], [1, 2, 2, 3, 2, 1]])
     for argv in (("info",), ("bwb", "--mu", "1,0,0,0,0,1")):

@@ -266,6 +266,20 @@ def test_problem_caches_consistent():
     assert [e.matrix for e in fresh.reps.reps] == [e.matrix for e in p.reps.reps]
 
 
+def test_make_problem_is_one_object_per_arguments():
+    """Equal arguments give one problem, however sigma is passed."""
+    d = build_root_datum("B3")
+    sub = subgroup_from_roots(d, d.positive_roots[:1])
+    p = make_problem(d, sub)
+    assert make_problem(d, sub, None) is p
+    assert make_problem(d, sub, sigma=None) is p
+    assert make_problem(build_root_datum("B3", "spin"), sub) is p
+    sigma = TwistClass.of(d.rho)
+    q = make_problem(d, sub, sigma)
+    assert q is not p and q.sigma == sigma
+    assert make_problem(d, sub, sigma=TwistClass.of(d.rho)) is q
+
+
 def test_extraction_of_bare_orbit_sum():
     # a virtual combination whose extraction walks far below the top weight
     from spinduct import kernels

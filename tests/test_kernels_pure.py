@@ -410,7 +410,7 @@ def test_f4_packed_orbit_table_is_built_once(monkeypatch):
     from spinduct.charring import TorusElement
     from spinduct.weyl import apply_antisymmetrizer
 
-    monkeypatch.setattr(weyl, "_WEYL_CACHE", {})
+    weyl.generate_weyl.cache_clear()
     builds = []
     pack = kernels.pack_orbit
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -373,22 +374,50 @@ def test_cached_data_are_immutable():
     assert d.is_root(d.simple_roots[0]) and not d.is_root((9, 9))
 
 
-def test_subgroup_cache_is_keyed_and_bounded(monkeypatch):
+def test_subgroup_cache_is_keyed_and_bounded():
     import spinduct.rootdata as rd
 
+    closure = rd._subgroup_closure
     d = build_root_datum("B3")
     a, b = d.positive_roots[0], d.positive_roots[1]
     assert subgroup_from_roots(d, [a]) is subgroup_from_roots(d, (a,))
     assert subgroup_from_roots(d, [a]) is not subgroup_from_roots(d, [a, b])
-    monkeypatch.setattr(rd, "_SUBGROUP_CACHE", {})
-    monkeypatch.setattr(rd, "SUBGROUP_CACHE_SIZE", 3)
-    for r in d.positive_roots[:5]:
-        subgroup_from_roots(d, [r])
-    assert len(rd._SUBGROUP_CACHE) == 3
-    assert (d.key, (d.positive_roots[4],)) in rd._SUBGROUP_CACHE
+    assert closure.cache_info().maxsize == rd.SUBGROUP_CACHE_SIZE == 256
+    closure.cache_clear()
+    gens = list(itertools.product(d.roots, repeat=2))[: rd.SUBGROUP_CACHE_SIZE + 1]
+    for g in gens[:-1]:
+        subgroup_from_roots(d, g)
+    first = subgroup_from_roots(d, gens[0])
+    # a full cache drops the least recently used entry, gens[1], not gens[0]
+    subgroup_from_roots(d, gens[-1])
+    assert closure.cache_info().currsize == 256
+    assert subgroup_from_roots(d, gens[0]) is first
+    misses = closure.cache_info().misses
+    subgroup_from_roots(d, gens[1])
+    assert closure.cache_info().misses == misses + 1
     with pytest.raises(NotASubsetOfRoots):
         subgroup_from_roots(d, [(9, 9, 9)])
-    assert len(rd._SUBGROUP_CACHE) == 3
+    assert closure.cache_info().misses == misses + 2
+    assert closure.cache_info().currsize == 256
+    with pytest.raises(NotASubsetOfRoots):
+        subgroup_from_roots(d, [(9, 9, 9)])
+    assert closure.cache_info().misses == misses + 3
+
+
+def test_scopes_compare_by_key():
+    """The weight, spin and sc lattices of B3 give three datums that are
+    equal, hash alike and share one Weyl group; a datum is never equal to a
+    subgroup, even H = G."""
+    from spinduct.weyl import generate_weyl
+
+    ds = [build_root_datum("B3", lattice) for lattice in ("weight", "spin", "sc")]
+    assert len({id(d) for d in ds}) == 3
+    assert ds[0] == ds[1] == ds[2]
+    assert len({hash(d) for d in ds}) == 1
+    assert generate_weyl(ds[0]) is generate_weyl(ds[1]) is generate_weyl(ds[2])
+    full = subgroup_from_roots(ds[0], ds[0].roots)
+    assert ds[0] != full and full != ds[0]
+    assert full == subgroup_from_roots(ds[1], list(reversed(ds[1].roots)))
 
 
 # E6 > A2xA2xA2: the extended Dynkin diagram of E6 minus its centre, in

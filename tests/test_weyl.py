@@ -10,7 +10,6 @@ from spinduct import kernels
 from spinduct.rootdata import RationalWeight, build_root_datum, dot, subgroup_from_roots
 from spinduct.verify import determinants_consistent
 from spinduct.weyl import (
-    SINGULAR,
     Regular,
     WeylElement,
     antisymmetrize,
@@ -124,15 +123,21 @@ def test_coset_unique_factorization():
 
 
 def test_mismatched_datum():
-    w = generate_weyl(build_root_datum("A2"))
+    """A mismatched pair raises even once the matching pair is cached, as
+    the check runs on every cache miss and a raising call is never stored."""
+    a2 = build_root_datum("A2")
+    w = generate_weyl(a2)
+    own = subgroup_from_roots(a2, [])
+    assert coset_representatives(w, own) is coset_representatives(w, own)
     sub = subgroup_from_roots(build_root_datum("B2"), [])
-    with pytest.raises(MismatchedDatum):
-        coset_representatives(w, sub)
+    for _ in range(2):
+        with pytest.raises(MismatchedDatum):
+            coset_representatives(w, sub)
 
 
 def test_chamber_examples():
     a1 = build_root_datum("A1")
-    assert to_dominant_chamber(a1, RationalWeight([0])) == SINGULAR
+    assert to_dominant_chamber(a1, RationalWeight([0])) is None
     r = to_dominant_chamber(a1, RationalWeight([-1]))
     assert isinstance(r, Regular)
     assert r.image == RationalWeight([1]) and r.w.det == -1
@@ -177,7 +182,7 @@ def test_chamber_uniqueness_exhaustive():
             den = rng.choice((1, 2))
             res = to_dominant_chamber(scope, RationalWeight(x, den))
             if not strict:
-                assert res == SINGULAR
+                assert res is None
             else:
                 assert len(strict) == 1
                 w = strict[0]
@@ -292,7 +297,7 @@ def test_second_j_g_makes_no_new_shift_adjustment(monkeypatch):
     real = weyl.shift_adjustment
     monkeypatch.setattr(weyl, "shift_adjustment", counting)
     # a fresh group cache: the elements start with no adjustments
-    monkeypatch.setattr(weyl, "_WEYL_CACHE", {})
+    weyl.generate_weyl.cache_clear()
     f4 = build_root_datum("F4")
     a = TorusElement.monomial(f4, RationalWeight([3, 1, 2, 1]), 2)
     # J_G by signed orbits checks the shift against the simple reflections only
@@ -357,22 +362,12 @@ def test_e6_problem_does_not_enumerate_w():
     assert "elements" not in vars(p.weyl)
 
 
-def test_antisymmetrizer_check_searches_each_pair_once(monkeypatch):
-    from spinduct import weyl
+def test_antisymmetrizer_check_searches_each_pair_once():
     from spinduct.verify import check_antisymmetrizers
     from spinduct.zoo import ZOO_PAIRS
 
-    class Recording(dict):
-        def __init__(self):
-            super().__init__()
-            self.stored = []
-
-        def __setitem__(self, key, value):
-            self.stored.append(key)
-            super().__setitem__(key, value)
-
-    cache = Recording()
-    monkeypatch.setattr(weyl, "_COSET_CACHE", cache)
+    coset_representatives.cache_clear()
     # every trial applies J_M and J_M_op; a few trials per pair suffice
     assert all(r.passed for r in check_antisymmetrizers(0, trials=3))
-    assert len(cache.stored) == len(set(cache.stored)) == len(ZOO_PAIRS)
+    info = coset_representatives.cache_info()
+    assert info.misses == info.currsize == len(ZOO_PAIRS)
