@@ -2,8 +2,9 @@
 """Time the kernels alone.
 
 Workloads mirror the hot paths of the verification suite on the largest
-zoo datum (F4 with its rank-4 subgroup), then compare the one-pass GKRS
-multiplet with the per-member algorithm on E6 > A2xA2xA2.  Run from the
+zoo datum (F4 with its rank-4 subgroup), time the subgroup closure of
+F4 > B4 and E6 > A2xA2xA2, then compare the one-pass GKRS multiplet with
+the per-member algorithm on E6 > A2xA2xA2.  Run from the
 repository root:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
@@ -16,7 +17,12 @@ from spinduct import kernels
 from spinduct.charring import TorusElement, irreducible_restriction, weyl_denominator
 from spinduct.induction import collect_to_chamber, make_problem
 from spinduct.multiplets import multiplet
-from spinduct.rootdata import RationalWeight, build_root_datum, subgroup_from_roots
+from spinduct.rootdata import (
+    RationalWeight,
+    _subgroup_closure,
+    build_root_datum,
+    subgroup_from_roots,
+)
 from spinduct.weyl import WeylElement, antisymmetrize, apply_weyl_sum, generate_weyl
 from spinduct.zoo import zoo_problem
 
@@ -110,12 +116,33 @@ def main():
         f"J(e^nu) F4 packed vs node: node by node {t_node*1e3:.2f} ms, packed {t_packed*1e3:.2f} ms"
         f" (8 orbits; table {t_build*1e3:.2f} ms)"
     )
+    bench_subgroup_closure()
     bench_e6_multiplet()
 
 
 # E6 > A2xA2xA2: the extended Dynkin diagram of E6 minus its centre
 E6_A2_CUBED = ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0),
                (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1), (1, 2, 2, 3, 2, 1))
+# F4 > B4, the zoo's preset
+F4_B4 = ((0, 1, 2, 2), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+
+
+def bench_subgroup_closure():
+    """Each closure cold: the subgroup cache is cleared before every call,
+    the root datum stays built."""
+    parts = []
+    for label, coords, size in (("F4 > B4", F4_B4, 32), ("E6 > A2^3", E6_A2_CUBED, 18)):
+        d = build_root_datum(label.split()[0])
+        gens = [d.root_from_simple_coordinates(sc) for sc in coords]
+
+        def cold():
+            _subgroup_closure.cache_clear()
+            return subgroup_from_roots(d, gens)
+
+        t, sub = timed(cold)
+        assert len(sub.roots_h) == size, (label, len(sub.roots_h))
+        parts.append(f"{label} {t*1e3:.2f} ms ({size} roots)")
+    print(f"{'subgroup closure':24s} cold " + ", ".join(parts))
 
 
 def per_member_multiplet(p, a, inverses):

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cache
 from operator import mul
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import kernels
 from .errors import (
@@ -43,8 +42,7 @@ from .weyl import antisymmetrize, generate_weyl
 Scope = Union[RootDatum, SubgroupDatum]
 
 
-@dataclass(frozen=True)
-class TwistClass:
+class TwistClass(NamedTuple):
     """A central-extension class, represented by its torus level shift
     delta modulo X(T) (canonical residue, each coordinate in [0,1))."""
 

@@ -8,9 +8,8 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
 from functools import cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import kernels, rootdata
 from .charring import (
@@ -319,8 +318,7 @@ def divide_exact(a: TorusElement, b: TorusElement) -> TorusElement:
 # --- duality pairing -----------------------------------------------------------
 
 
-@dataclass
-class PairingReport:
+class PairingReport(NamedTuple):
     basis_a: Tuple[TorusElement, ...]
     basis_b: Tuple[TorusElement, ...]
     gram: Tuple[Tuple[GroupElement, ...], ...]
@@ -404,11 +402,10 @@ def _is_unit_character(datum: RootDatum, det: TorusElement) -> bool:
 # --- Lefschetz fixed-point oracle ----------------------------------------------
 
 
-@dataclass
-class LefschetzReport:
+class LefschetzReport(NamedTuple):
     trials: int
     max_rel_error: float
-    samples: Tuple[Tuple[complex, complex], ...] = field(default_factory=tuple)
+    samples: Tuple[Tuple[complex, complex], ...] = ()
 
 
 def lefschetz_check(

@@ -5,7 +5,6 @@ operator identity behind it."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 from typing import Tuple
@@ -25,15 +24,30 @@ from .rootdata import from_scaled, scaled, to_scaled
 from .weyl import WeylElement, apply_weyl_sum
 
 
-@dataclass(frozen=True)
 class Multiplet:
     """Members a_w indexed by the coset representatives, with signs det(w);
-    member order follows the deterministic W^H enumeration."""
+    member order follows the deterministic W^H enumeration.  Immutable, and
+    equal and hashed by its four fields."""
 
-    source: TorusElement
-    reps: Tuple[WeylElement, ...]
-    members: Tuple[GroupElement, ...]
-    signs: Tuple[int, ...]
+    def __init__(self, source: TorusElement, reps: Tuple[WeylElement, ...],
+                 members: Tuple[GroupElement, ...], signs: Tuple[int, ...]):
+        vars(self).update(source=source, reps=reps, members=members, signs=signs)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Multiplet is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return (self.source, self.reps, self.members, self.signs)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Multiplet:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def __len__(self) -> int:
         return len(self.members)

@@ -10,12 +10,11 @@ other intermediate lattices are rebased so coordinates stay integral.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm, prod
 from operator import mul, sub
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     DimensionMismatch,
@@ -179,8 +178,7 @@ def from_scaled(keys: Dict[Weight, int], base: Weight, den: int) -> Dict[Weight,
     return out
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(NamedTuple):
     """Sublattice of the ambient coordinate lattice Z^rank, held as the
     column-Hermite canonical generating matrix (idempotent normal form)."""
 
@@ -722,8 +720,13 @@ SUBGROUP_CACHE_SIZE = 256
 
 
 def subgroup_from_roots(datum: RootDatum, generators: Iterable[Weight]) -> SubgroupDatum:
-    """The smallest symmetric, additively and reflection closed subsystem
-    containing the generators (Borel-de Siebenthal subgroups included).
+    """The smallest symmetric, additively closed set of roots containing the
+    generators (Borel-de Siebenthal subgroups included).
+
+    Such a set is a root subsystem, closed under its own reflections too:
+    in a reduced root system the a-string through a root b != +-a is
+    unbroken (Bourbaki, Lie VI.1.3), so s_a(b) = b - <b, a^vee> a is
+    reached from b by adding a or -a one step at a time, through roots.
 
     Cached per (datum, generators); the least recently used entry goes once
     the cache holds SUBGROUP_CACHE_SIZE subgroups."""
@@ -735,27 +738,20 @@ def _subgroup_closure(datum: RootDatum, gens: Tuple[Weight, ...]) -> SubgroupDat
     for a in gens:
         if not datum.is_root(a):
             raise NotASubsetOfRoots(f"{a} is not a root of the ambient datum")
-    s: Set[Weight] = set()
-    for a in gens:
-        s.add(a)
-        s.add(vneg(a))
-    changed = True
-    while changed:
-        changed = False
-        current = list(s)
-        for a in current:
-            av = datum.coroot(a)
-            for b in current:
-                r = vsub(b, tuple(dot(av, b) * x for x in a))
-                if r not in s:
-                    s.add(r)
-                    changed = True
-                c = vadd(a, b)
-                if c in datum.root_set and c not in s:
-                    s.add(c)
-                    s.add(vneg(c))
-                    changed = True
-    return SubgroupDatum(datum, s)
+    found = list(dict.fromkeys(x for a in gens for x in (a, vneg(a))))
+    seen = set(found)
+    # a worklist: the pair {found[j], found[i]}, j < i, is visited once, at
+    # i; the set stays symmetric, as -(a + b) = (-a) + (-b) is visited too
+    i = 0
+    while i < len(found):
+        a = found[i]
+        for b in found[:i]:
+            c = vadd(a, b)
+            if c in datum.root_set and c not in seen:
+                found.append(c)
+                seen.add(c)
+        i += 1
+    return SubgroupDatum(datum, seen)
 
 
 def rho(scope, which: str = "G") -> RationalWeight:

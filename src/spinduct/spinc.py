@@ -3,8 +3,7 @@ arithmetic: spinoriality, c-spinorial characters, and their Euler classes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .charring import TorusElement, euler_class_from_complement, multiply
 from .errors import LengthMismatch, NotCSpinorial, NotInXH
@@ -19,8 +18,7 @@ from .rootdata import (
 )
 
 
-@dataclass(frozen=True)
-class SpincClassification:
+class SpincClassification(NamedTuple):
     """Answer record: is G/H spin, is it Spin^c, and a witness character.
 
     When nonempty, the full set of c-spinorial characters is the coset

@@ -3,9 +3,8 @@ reduction, and the antisymmetrizer operators."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import kernels, rootdata
 from .errors import MismatchedDatum, OrderCapExceeded, ShiftNotStable
@@ -33,12 +32,15 @@ def reflection_matrix(rank: int, root: Weight, coroot: Weight) -> Matrix:
     )
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """A Weyl group element stored as its integer matrix on X(T)."""
-
+class _MatrixLength(NamedTuple):
     matrix: Matrix
     length: int
+
+
+class WeylElement(_MatrixLength):
+    """A Weyl group element stored as its integer matrix on X(T): an
+    immutable (matrix, length) pair, equal and hashed by both.  Its instance
+    dict holds only the per-shift adjustment table."""
 
     @property
     def det(self) -> int:
@@ -186,8 +188,7 @@ def generate_weyl(scope: Scope) -> WeylGroup:
     return WeylGroup(scope)
 
 
-@dataclass(frozen=True)
-class CosetReps:
+class CosetReps(NamedTuple):
     """The minimal representatives W^H = {w : w(R_H^+) in R_G^+}, with
     their inverses in the same order."""
 
@@ -218,8 +219,7 @@ def coset_representatives(w: WeylGroup, sub: SubgroupDatum) -> CosetReps:
     return CosetReps(reps, sub, inverses)
 
 
-@dataclass(frozen=True)
-class Regular:
+class Regular(NamedTuple):
     w: WeylElement
     image: RationalWeight
 

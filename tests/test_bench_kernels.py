@@ -1,6 +1,7 @@
 """The kernel benchmark asserts its oracles as it times (tree cold == warm,
 signed orbits == apply_weyl_sum, packed == node-by-node signed orbits,
-one-pass == per-member multiplet); running it here keeps those assertions,
+the sizes of the timed subgroup closures, one-pass == per-member
+multiplet); running it here keeps those assertions,
 and the script itself, in working order."""
 
 import os
@@ -20,3 +21,4 @@ def test_bench_kernels_runs_clean():
     assert proc.returncode == 0, proc.stderr
     assert "E6 multiplet" in proc.stdout
     assert "J(e^nu) F4 packed vs node" in proc.stdout
+    assert "subgroup closure" in proc.stdout

@@ -242,6 +242,24 @@ def test_cli_import_leaves_verify_unloaded():
     assert (proc.returncode, proc.stdout.strip()) == (0, b"False")
 
 
+def test_cli_cold_start_imports_no_dataclasses():
+    """`dataclasses` pulls in inspect, ast, dis and tokenize, which every
+    fresh CLI process would pay for; no module of the package uses it."""
+    import pathlib
+    import subprocess
+
+    proc = _python("-X", "importtime", "-m", "spinduct.cli", "info", "--group", "A1",
+                   stdout=subprocess.PIPE)
+    assert proc.returncode == 0
+    modules = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.decode().splitlines()]
+    assert "spinduct.rootdata" in modules
+    assert "dataclasses" not in modules
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "spinduct"
+    hits = [f"{path.name}:{n}" for path in sorted(src.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1) if "dataclass" in line]
+    assert hits == []
+
+
 def test_root_index_out_of_range(capsys):
     code, out = run_cli(capsys, "info", "--group", "A2", "--subgroup", "[9]")
     assert code == 1
@@ -451,7 +469,7 @@ _FLAG_VALUES = {
     "gamma": st.one_of(st.text(max_size=8), _WEIGHT_TEXT),
     "subgroup": st.one_of(
         st.text(max_size=8),
-        st.sampled_from(["t", "g", "levi1", "levi2"]),
+        st.sampled_from(["t", "g", "levi1", "levi2", "a2long", "so3xso4"]),
         st.lists(_JSON_ITEM, max_size=3).map(json.dumps),
     ),
     "input": st.one_of(
@@ -573,12 +591,13 @@ def _problem_schema():
 @settings(max_examples=100, deadline=None)
 @given(
     _COMMANDS,
-    st.sampled_from([None, "twisted", "spinc", "spin", "SpinC"]),
-    st.sampled_from(["A2", "B2"]),
+    st.sampled_from([None, "twisted", "holomorphic", "spinc", "spin", "SpinC"]),
+    st.sampled_from(["A2", "B2", "G2", "B3"]),
     st.fixed_dictionaries({}, optional=_FLAG_VALUES),
 )
 def test_cli_contract_on_drawn_flags(command, kind, group, flags):
-    """Flags alone, the late ones (--mu, --gamma, --twist) included: the
+    """Flags alone, the late ones (--mu, --gamma, --twist) included, on
+    rank-2 and rank-3 groups with their presets, and every induce kind: the
     problem an exit-0 run echoes validates against the shipped schema."""
     import jsonschema
 

@@ -15,6 +15,7 @@ from spinduct.rootdata import (
     Lattice,
     RationalWeight,
     build_root_datum,
+    dot,
     pair,
     rho,
     solve_in_lattice,
@@ -22,6 +23,7 @@ from spinduct.rootdata import (
     subgroup_from_roots,
     vadd,
     vneg,
+    vsub,
 )
 
 
@@ -444,3 +446,74 @@ def test_levi_flag_known_answers(group, subgroup, levi):
     else:
         sub = subgroup_by_name(datum, subgroup)
     assert sub.is_levi is levi
+
+
+def fixpoint_closure(datum, gens):
+    """Oracle: the former closure, which re-scans every pair of the growing
+    set until nothing changes, adding reflections and sums each time."""
+    s = set()
+    for a in gens:
+        s.add(a)
+        s.add(vneg(a))
+    changed = True
+    while changed:
+        changed = False
+        current = list(s)
+        for a in current:
+            av = datum.coroot(a)
+            for b in current:
+                r = vsub(b, tuple(dot(av, b) * x for x in a))
+                if r not in s:
+                    s.add(r)
+                    changed = True
+                c = vadd(a, b)
+                if c in datum.root_set and c not in s:
+                    s.add(c)
+                    s.add(vneg(c))
+                    changed = True
+    return s
+
+
+def _closure_cases():
+    from spinduct.zoo import ZOO_PAIRS, parse_group_spec, subgroup_by_name
+
+    for group, name in ZOO_PAIRS + (("B3:root", "so3xso4"),):
+        datum = parse_group_spec(group)
+        yield datum, subgroup_by_name(datum, name).positive_h
+    e6 = build_root_datum("E6")
+    yield e6, tuple(e6.root_from_simple_coordinates(sc) for sc in _E6_A2_CUBED)
+    yield build_root_datum("A2"), ()
+    rng = random.Random(20111)
+    for label in ("A3", "B3", "C3", "G2", "F4", "D4", "E6"):
+        datum = build_root_datum(label)
+        for _ in range(40):
+            yield datum, tuple(rng.sample(datum.roots, rng.randint(1, 3)))
+
+
+def test_additive_closure_matches_fixpoint_oracle():
+    """The one-pass additive closure gives the same subsystem as the old
+    fixpoint loop on every zoo pair, E6 > A2^3, B3 on its root lattice, no
+    generators, and 280 seeded random sets of one to three roots."""
+    from spinduct.rootdata import SubgroupDatum
+
+    for datum, gens in _closure_cases():
+        ours = subgroup_from_roots(datum, gens)
+        oracle = SubgroupDatum(datum, fixpoint_closure(datum, gens))
+        assert ours.roots_h == oracle.roots_h, (datum.cartan_label, gens)
+        assert ours.positive_h == oracle.positive_h
+        assert ours.basis_h == oracle.basis_h
+        assert ours.key == oracle.key
+
+
+def test_additive_closure_visits_each_pair_once(monkeypatch):
+    import spinduct.rootdata as rd
+
+    sums = []
+    monkeypatch.setattr(rd, "vadd", lambda a, b: sums.append((a, b)) or vadd(a, b))
+    f4 = build_root_datum("F4")
+    gens = [f4.root_from_simple_coordinates(sc)
+            for sc in [(0, 1, 2, 2), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]]
+    sub = rd._subgroup_closure.__wrapped__(f4, tuple(gens))
+    n = len(sub.roots_h)
+    assert n == 32 and len(sums) == n * (n - 1) // 2
+    assert len({frozenset(p) for p in sums}) == len(sums)
