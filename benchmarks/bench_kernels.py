@@ -2,10 +2,11 @@
 """Time the kernels alone.
 
 Workloads mirror the hot paths of the verification suite on the largest
-zoo datum (F4 with its rank-4 subgroup), time the subgroup closure of
-F4 > B4 and E6 > A2xA2xA2, then compare the one-pass GKRS multiplet with
-the per-member algorithm on E6 > A2xA2xA2.  Run from the
-repository root:
+zoo datum (F4 with its rank-4 subgroup), including the decomposition of
+an F4 J_G output against the filter-and-rebuild form it replaced, time
+the subgroup closure of F4 > B4 and E6 > A2xA2xA2, then compare the
+one-pass GKRS multiplet with the per-member algorithm on E6 > A2xA2xA2.
+Run from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
 """
@@ -14,13 +15,20 @@ import random
 import time
 
 from spinduct import kernels
-from spinduct.charring import TorusElement, irreducible_restriction, weyl_denominator
+from spinduct.charring import (
+    TorusElement,
+    anti_invariant_decompose,
+    irreducible_restriction,
+    weyl_denominator,
+)
+from spinduct.errors import NotAntiInvariant
 from spinduct.induction import collect_to_chamber, make_problem
 from spinduct.multiplets import multiplet
 from spinduct.rootdata import (
     RationalWeight,
     _subgroup_closure,
     build_root_datum,
+    dot,
     subgroup_from_roots,
 )
 from spinduct.weyl import WeylElement, antisymmetrize, apply_weyl_sum, generate_weyl
@@ -116,8 +124,33 @@ def main():
         f"J(e^nu) F4 packed vs node: node by node {t_node*1e3:.2f} ms, packed {t_packed*1e3:.2f} ms"
         f" (8 orbits; table {t_build*1e3:.2f} ms)"
     )
+    # the decomposition of J_G of the seeded terms above: one filter per
+    # simple coroot over every monomial and a rebuild, against one walk and
+    # one packed replay per orbit
+    ja = TorusElement(f4, zero, antisymmetrize(f4, zero, {**support, **dict(regular)}))
+    t_filter, dec_filter = timed(lambda: filter_then_rebuild(ja))
+    t_peel, dec_peel = timed(lambda: anti_invariant_decompose(ja))
+    assert list(dec_peel.items()) == list(dec_filter.items())
+    print(
+        f"anti_invariant_decompose F4: filter and rebuild {t_filter*1e3:.2f} ms,"
+        f" orbit by orbit {t_peel*1e3:.2f} ms ({len(dec_peel)} orbits, {len(ja.coeffs)} terms)"
+    )
     bench_subgroup_closure()
     bench_e6_multiplet()
+
+
+def filter_then_rebuild(a):
+    """anti_invariant_decompose before it peeled orbits: read each c_lam off
+    the strictly dominant monomials, rebuild sum c_lam J(e^lam) and compare."""
+    den = a.shift.den
+    strict = list(a.coeffs)
+    for cv in a.datum.basis_coroots:
+        b = -dot(cv, a.shift.nums)
+        strict = [k for k in strict if den * dot(cv, k) > b]
+    key_coeffs = {k: a.coeffs[k] for k in sorted(strict)}
+    if antisymmetrize(a.datum, a.shift, key_coeffs) != a.coeffs:
+        raise NotAntiInvariant("element is not in the span of J(e^lambda)")
+    return {a.weight_of(k): c for k, c in key_coeffs.items()}
 
 
 # E6 > A2xA2xA2: the extended Dynkin diagram of E6 minus its centre

@@ -15,7 +15,8 @@ from __future__ import annotations
 import cmath
 import math
 from functools import cache
-from operator import mul
+from itertools import repeat
+from operator import mul, ne
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -34,10 +35,11 @@ from .rootdata import (
     dot,
     from_scaled,
     scaled,
+    to_scaled,
     vadd,
     vneg,
 )
-from .weyl import antisymmetrize, generate_weyl
+from .weyl import generate_weyl
 
 Scope = Union[RootDatum, SubgroupDatum]
 
@@ -86,7 +88,9 @@ class _Shifted:
         # a lowest-terms shift is its own residue exactly when every
         # numerator lies in [0, den); such a shift is kept as it is
         if all(0 <= x < shift.den for x in shift.nums):
-            kept = {k: c for k, c in coeffs.items() if c}
+            kept = dict(coeffs)
+            if 0 in kept.values():
+                kept = {k: c for k, c in kept.items() if c}
         else:
             canon = shift.residue_mod_one()
             t = (shift - canon).ints()
@@ -437,25 +441,42 @@ def anti_invariant_decompose(
     a: TorusElement, scope: Optional[Scope] = None
 ) -> Dict[RationalWeight, int]:
     """Coefficients c_lam with a = sum of c_lam J(e^lam) over strictly
-    dominant lam; exact and unique.  Raises NotAntiInvariant when a is not
-    anti-invariant (or has the wrong twist class)."""
+    dominant lam, in sorted order; exact and unique.  Raises
+    NotAntiInvariant when a is not anti-invariant (or has the wrong twist
+    class).
+
+    The input is peeled one orbit at a time, on a working copy of its keys
+    scaled by the shift's denominator.  A regular W-orbit meets the open
+    dominant chamber exactly once (Humphreys, Reflection Groups and Coxeter
+    Groups, 1.12), and the orbits of distinct strictly dominant lam are
+    disjoint, so a is such a sum iff each monomial lies in the orbit of a
+    strictly dominant lam of the support, every point of which carries
+    det(w) c_lam.  Any remaining key is walked into the chamber; a key on a
+    wall, or an image lam outside the support, raises.  J(e^lam) is then
+    replayed once and each of its points popped against it, so every
+    monomial is popped exactly once.  Scaling keeps the order of the keys,
+    so the result comes sorted by offset."""
     scope = scope or a.datum
     if a.shift != scope.rho_vec.residue_mod_one():
         raise NotAntiInvariant("twist class must be [rho] for decomposition")
-    # only w = 1 keeps a strictly dominant lam strictly dominant, so c_lam is
-    # the coefficient at e^lam; <cv, shift + k> > 0 for every scope coroot
+    w = generate_weyl(scope)
     den = a.shift.den
-    walls = [(cv, -dot(cv, a.shift.nums)) for cv in scope.basis_coroots]
-    strict = list(a.coeffs)
-    for cv, b in walls:
-        strict = [k for k in strict if den * sum(map(mul, cv, k)) > b]
-    key_coeffs = {k: a.coeffs[k] for k in sorted(strict)}
-    # complete verification: rebuild sum of c_lam J(e^lam) by signed orbits
-    # and compare
-    rebuilt = antisymmetrize(scope, a.shift, key_coeffs, collect=False)
-    if rebuilt != a.coeffs:
-        raise NotAntiInvariant("element is not in the span of J(e^lambda)")
-    return {a.weight_of(k): c for k, c in key_coeffs.items()}
+    keys = to_scaled(a.shift, a.coeffs, den)
+    basis, coroots, cap = scope.basis, scope.basis_coroots, len(scope.positive)
+    trees = w.orbit_trees
+    found: Dict[Weight, int] = {}
+    while keys:
+        lam, _, regular = kernels.dominant_walk(next(iter(keys)), basis, coroots, cap)
+        c = keys.get(lam) if regular else None
+        if c is None:
+            raise NotAntiInvariant("a monomial's orbit has no strictly dominant term")
+        # the regular tree's table, once an earlier orbit has walked the tree
+        packed = w.packed_orbit if () in trees else None
+        orbit = kernels.signed_orbit([(lam, c)], basis, coroots, trees, packed)
+        if any(map(ne, map(keys.pop, orbit, repeat(None)), orbit.values())):
+            raise NotAntiInvariant("element is not in the span of J(e^lambda)")
+        found[lam] = c
+    return {RationalWeight(lam, den): found[lam] for lam in sorted(found)}
 
 
 # --- numeric evaluation -----------------------------------------------------------

@@ -156,7 +156,7 @@ def to_scaled(shift: RationalWeight, coeffs: Dict[Weight, int], den: int) -> Dic
     """Offsets from `shift` to keys den * (shift + offset); a fresh copy when
     that is the identity (den 1, zero shift)."""
     if den == 1 and not any(shift.nums):
-        return dict(coeffs)
+        return coeffs.copy()
     s = scaled(shift, den)
     return {tuple(x + den * o for x, o in zip(s, k)): c for k, c in coeffs.items()}
 
@@ -464,10 +464,6 @@ class RootDatum(_ScopeConstants):
 
     def len2(self, a: Sequence[int]) -> int:
         return self._records[tuple(a)][1]
-
-    def simple_coordinates(self, a: Sequence[int]) -> Weight:
-        """Coordinates of a root over the simple basis."""
-        return self._records[tuple(a)][2]
 
     def root_from_simple_coordinates(self, sc: Sequence[int]) -> Weight:
         v = (0,) * self.rank

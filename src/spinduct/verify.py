@@ -306,11 +306,7 @@ def check_appendix_c(seed: int = 0, trials: int = 100) -> List[CheckResult]:
             if full_division and datum.rank >= 2:
                 # keep quotient supports desk-scale
                 a = a.replace_coeffs(
-                    {
-                        k: c
-                        for k, c in a.coeffs.items()
-                        if all(abs(x) <= 1 for x in k)
-                    }
+                    {k: c for k, c in a.coeffs.items() if max(map(abs, k)) <= 1}
                 )
                 if a.is_zero():
                     continue

@@ -269,7 +269,7 @@ def apply_weyl_sum(
 
 
 def antisymmetrize(
-    scope: Scope, shift: RationalWeight, coeffs: Dict[Weight, int], collect: bool = True
+    scope: Scope, shift: RationalWeight, coeffs: Dict[Weight, int]
 ) -> Dict[Weight, int]:
     """Sum of det(w) * w(.) over the scope's Weyl group, acting on offset maps
     relative to the shift, without enumerating the group.
@@ -278,16 +278,14 @@ def antisymmetrize(
     them iff under W).  Each monomial is collected to the strictly dominant
     chamber with sign det(w), since J(e^(w nu)) = det(w) J(e^nu); singular
     ones drop out, as J kills them.  Each strictly dominant nu then expands
-    to its signed orbit J(e^nu).  With collect=False the keys must already
-    be strictly dominant."""
+    to its signed orbit J(e^nu)."""
     w = generate_weyl(scope)
     for g in w.generators:
         g.adjustment(shift)
     den = shift.den
     keys = to_scaled(shift, coeffs, den)
     basis, coroots = scope.basis, scope.basis_coroots
-    if collect:
-        keys = kernels.dominant_collect(keys, basis, coroots, len(scope.positive))
+    keys = kernels.dominant_collect(keys, basis, coroots, len(scope.positive))
     # the regular tree's table, once an earlier call has walked the tree
     packed = w.packed_orbit if keys and () in w.orbit_trees else None
     orbits = kernels.signed_orbit(list(keys.items()), basis, coroots, w.orbit_trees, packed)

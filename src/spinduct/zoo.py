@@ -133,9 +133,10 @@ def random_torus_element(
     shift = (twist or TwistClass.zero(rank)).shift
     bound = _coord_bound(rank)
     coeffs = {}
-    for _ in range(rng.randint(1, max_support)):
-        key = tuple(rng.randint(-bound, bound) for _ in range(rank))
-        c = rng.randint(1, max_coeff) * rng.choice((1, -1))
+    # randrange(a, b + 1) is randint(a, b) by definition, one call shallower
+    for _ in range(rng.randrange(1, max_support + 1)):
+        key = tuple(rng.randrange(-bound, bound + 1) for _ in range(rank))
+        c = rng.randrange(1, max_coeff + 1) * rng.choice((1, -1))
         coeffs[key] = coeffs.get(key, 0) + c
     return TorusElement(datum, shift, coeffs)
 

@@ -1,8 +1,8 @@
 """The kernel benchmark asserts its oracles as it times (tree cold == warm,
 signed orbits == apply_weyl_sum, packed == node-by-node signed orbits,
-the sizes of the timed subgroup closures, one-pass == per-member
-multiplet); running it here keeps those assertions,
-and the script itself, in working order."""
+orbit-by-orbit == filter-and-rebuild decomposition, the sizes of the
+timed subgroup closures, one-pass == per-member multiplet); running it
+here keeps those assertions, and the script itself, in working order."""
 
 import os
 import subprocess
@@ -21,4 +21,5 @@ def test_bench_kernels_runs_clean():
     assert proc.returncode == 0, proc.stderr
     assert "E6 multiplet" in proc.stdout
     assert "J(e^nu) F4 packed vs node" in proc.stdout
+    assert "anti_invariant_decompose F4" in proc.stdout
     assert "subgroup closure" in proc.stdout

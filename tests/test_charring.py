@@ -35,7 +35,7 @@ from spinduct.rootdata import (
     vsub,
 )
 from spinduct.serialize import torus_to_text
-from spinduct.weyl import apply_antisymmetrizer, generate_weyl
+from spinduct.weyl import antisymmetrize, apply_antisymmetrizer, generate_weyl
 from spinduct.zoo import (
     ZOO_PAIRS,
     random_dominant_weight,
@@ -99,6 +99,26 @@ def test_elements_keep_a_canonical_shift_and_canonicalize_any_other():
                     other = cls(where, moved, moved_coeffs)
                     assert other == canon, name
                     assert other.shift == shift
+
+
+def test_elements_drop_zeros_and_own_their_coefficients():
+    """On both constructor branches, a canonical shift kept as it is and any
+    other moved to its residue, zero coefficients are dropped, and writing
+    into the caller's dict afterwards leaves the element unchanged, with or
+    without zeros to drop."""
+    a2 = build_root_datum("A2")
+    for shift, moved in ((RationalWeight([1, 0], 2), (0, 0)), (RationalWeight([3, -2], 2), (1, -1))):
+        for zeros in ({}, {(1, 0): 0, (2, 1): 0}):
+            for cls in (TorusElement, GroupElement):
+                coeffs = {(0, 0): 2, **zeros, (0, 1): -1}
+                a = cls(a2, shift, coeffs)
+                expect = {vadd((0, 0), moved): 2, vadd((0, 1), moved): -1}
+                assert a.coeffs == expect
+                coeffs[(0, 0)] = 5
+                coeffs[(2, 2)] = 1
+                del coeffs[(0, 1)]
+                assert a.coeffs == expect
+                assert a == cls(a2, shift, {(0, 0): 2, (0, 1): -1})
 
 
 def test_datum_mismatch():
@@ -383,6 +403,111 @@ def test_anti_invariant_decompose_matches_collect_then_divide():
             dec = anti_invariant_decompose(ja)
             # same coefficients, same (sorted) order
             assert list(dec.items()) == list(_collect_then_divide(ja).items())
+
+
+def _filter_then_rebuild(a, scope=None):
+    """Oracle decomposition, the form before orbit peeling: read each c_lam
+    off the strictly dominant monomials (one filter per simple coroot over
+    every key), rebuild sum c_lam J(e^lam) by antisymmetrize and compare."""
+    scope = scope or a.datum
+    if a.shift != scope.rho_vec.residue_mod_one():
+        raise NotAntiInvariant("twist class must be [rho] for decomposition")
+    den = a.shift.den
+    strict = list(a.coeffs)
+    for cv in scope.basis_coroots:
+        b = -dot(cv, a.shift.nums)
+        strict = [k for k in strict if den * dot(cv, k) > b]
+    key_coeffs = {k: a.coeffs[k] for k in sorted(strict)}
+    if antisymmetrize(scope, a.shift, key_coeffs) != a.coeffs:
+        raise NotAntiInvariant("element is not in the span of J(e^lambda)")
+    return {a.weight_of(k): c for k, c in key_coeffs.items()}
+
+
+def _decomposition(fn, a, scope):
+    try:
+        return list(fn(a, scope).items())
+    except NotAntiInvariant:
+        return "NotAntiInvariant"
+
+
+def _seeded_anti_invariants(rng, count):
+    """(scope, J(a)) for `count` random a with J(a) != 0 per zoo group, for
+    the group and for its subgroup (J_H), each in the scope's [rho] class."""
+    for p in _zoo_groups():
+        for scope, kind in ((p.datum, "J_G"), (p.sub, "J_H")):
+            found = 0
+            while found < count:
+                a = random_torus_element(p, rng, twist=TwistClass.of(scope.rho_vec), max_support=4)
+                ja = apply_antisymmetrizer(kind, a, p.sub)
+                if not ja.is_zero():
+                    found += 1
+                    yield scope, ja
+
+
+def _walk(scope, a, key):
+    """The chamber walk of the scaled weight of a's offset key."""
+    den = a.shift.den
+    x = tuple(den * k + s for k, s in zip(key, a.shift.nums))
+    return kernels.dominant_walk(x, scope.basis, scope.basis_coroots, len(scope.positive))
+
+
+def _new_offset(scope, a, wall):
+    """An offset in the box [-2, 2]^rank outside a's support whose weight
+    lies on a wall (wall=True) or is regular and off the chamber, or None
+    when there is none (the class [rho] can miss every wall)."""
+    rank = scope.datum.rank
+    for i in range(5 ** rank):
+        off = tuple((i // 5 ** j) % 5 - 2 for j in range(rank))
+        _, path, regular = _walk(scope, a, off)
+        if off not in a.coeffs and (not regular if wall else regular and path):
+            return off
+    return None
+
+
+def test_orbit_peeling_matches_filter_then_rebuild():
+    """The same coefficients in the same order on seeded J_G and J_H outputs
+    of every zoo group, F4 included."""
+    rng = random.Random(12)
+    groups = set()
+    for scope, ja in _seeded_anti_invariants(rng, 3):
+        expect = _decomposition(_filter_then_rebuild, ja, scope)
+        assert expect != "NotAntiInvariant" and expect
+        assert _decomposition(anti_invariant_decompose, ja, scope) == expect
+        groups.add(scope.datum.cartan_label)
+    assert "F4" in groups
+
+
+@pytest.mark.parametrize("change", ["coefficient", "deleted", "wall", "off-chamber"])
+def test_orbit_peeling_and_filter_then_rebuild_refuse_the_same_perturbations(change):
+    """One changed coefficient at a non-dominant orbit point, one deleted
+    orbit point, one monomial added on a wall or off the chamber: both
+    decompositions give the same outcome, NotAntiInvariant unless the scope
+    has no roots."""
+    rng = random.Random(13)
+    tried = set()
+    for scope, ja in _seeded_anti_invariants(rng, 2):
+        coeffs = dict(ja.coeffs)
+        keys = sorted(coeffs)
+        if change == "coefficient":
+            moved = [k for k in keys if _walk(scope, ja, k)[1]]
+            if not moved:
+                continue
+            coeffs[rng.choice(moved)] *= 2
+        elif change == "deleted":
+            del coeffs[rng.choice(keys)]
+        else:
+            key = _new_offset(scope, ja, wall=change == "wall")
+            if key is None:
+                continue
+            coeffs[key] = 1
+        bad = ja.replace_coeffs(coeffs)
+        expect = _decomposition(_filter_then_rebuild, bad, scope)
+        assert _decomposition(anti_invariant_decompose, bad, scope) == expect
+        # with a root, every orbit J(e^lam) has more than one point, so each
+        # change leaves the span; a torus scope's orbits are single points
+        assert (expect == "NotAntiInvariant") == bool(scope.basis)
+        tried.add(scope.datum.cartan_label)
+    assert "F4" in tried
 
 
 @pytest.mark.parametrize("where", ["dominant", "antidominant", "reflected"])
