@@ -4,7 +4,8 @@
 Workloads mirror the hot paths of the verification suite on the largest
 zoo datum (F4 with its rank-4 subgroup), including the decomposition of
 an F4 J_G output against the filter-and-rebuild form it replaced, time
-the subgroup closure of F4 > B4 and E6 > A2xA2xA2, then compare the
+the subgroup closure of F4 > B4 and E6 > A2xA2xA2, time the descent walks
+for W^H of E6 > A2xA2xA2 and for the whole of W(F4), then compare the
 one-pass GKRS multiplet with the per-member algorithm on E6 > A2xA2xA2.
 Run from the repository root:
 
@@ -31,7 +32,13 @@ from spinduct.rootdata import (
     dot,
     subgroup_from_roots,
 )
-from spinduct.weyl import WeylElement, antisymmetrize, apply_weyl_sum, generate_weyl
+from spinduct.weyl import (
+    WeylElement,
+    antisymmetrize,
+    apply_weyl_sum,
+    coset_representatives,
+    generate_weyl,
+)
 from spinduct.zoo import zoo_problem
 
 
@@ -136,6 +143,7 @@ def main():
         f" orbit by orbit {t_peel*1e3:.2f} ms ({len(dec_peel)} orbits, {len(ja.coeffs)} terms)"
     )
     bench_subgroup_closure()
+    bench_weyl_walks()
     bench_e6_multiplet()
 
 
@@ -176,6 +184,29 @@ def bench_subgroup_closure():
         assert len(sub.roots_h) == size, (label, len(sub.roots_h))
         parts.append(f"{label} {t*1e3:.2f} ms ({size} roots)")
     print(f"{'subgroup closure':24s} cold " + ", ".join(parts))
+
+
+def bench_weyl_walks():
+    """Each walk cold: its cache is cleared before every call, the root data
+    and the subgroup stay built."""
+    e6 = build_root_datum("E6")
+    sub = subgroup_from_roots(e6, [e6.root_from_simple_coordinates(sc) for sc in E6_A2_CUBED])
+    w = generate_weyl(e6)
+
+    def cosets():
+        coset_representatives.cache_clear()
+        return coset_representatives(w, sub).reps
+
+    f4 = build_root_datum("F4")
+
+    def whole():
+        generate_weyl.cache_clear()
+        return generate_weyl(f4).elements
+
+    for name, fn, size in (("coset search E6 > A2xA2xA2", cosets, 240), ("Weyl group F4", whole, 1152)):
+        t, out = timed(fn)
+        assert len(out) == size, (name, len(out))
+        print(f"{name:24s} cold {t*1e3:9.2f} ms ({size} elements)")
 
 
 def per_member_multiplet(p, a, inverses):

@@ -4,11 +4,11 @@ reduction, and the antisymmetrizer operators."""
 from __future__ import annotations
 
 from functools import cache, cached_property
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import kernels, rootdata
 from .errors import MismatchedDatum, OrderCapExceeded, ShiftNotStable
-from .intlinalg import identity, matmul, matvec, smith_normal_form
+from .intlinalg import identity, matvec
 from .rootdata import (
     RationalWeight,
     RootDatum,
@@ -25,11 +25,9 @@ Matrix = Tuple[Tuple[int, ...], ...]
 Scope = Union[RootDatum, SubgroupDatum]
 
 
-def reflection_matrix(rank: int, root: Weight, coroot: Weight) -> Matrix:
-    return tuple(
-        tuple((1 if i == j else 0) - root[i] * coroot[j] for j in range(rank))
-        for i in range(rank)
-    )
+def _rank_one(m: Matrix, col: Sequence[int], row: Sequence[int]) -> Matrix:
+    """m - col (x) row; the rows where col is zero are kept as they are."""
+    return tuple(tuple([x - c * y for x, y in zip(r, row)]) if c else r for r, c in zip(m, col))
 
 
 class _MatrixLength(NamedTuple):
@@ -62,34 +60,48 @@ class WeylElement(_MatrixLength):
             adj = self._adjust[key] = shift_adjustment(self.matrix, shift)
         return adj
 
-    def inverse(self) -> "WeylElement":
-        # u m v = 1 for a unimodular m, so m^{-1} = v u; length and
-        # determinant are invariant under inversion
-        _, u, v = smith_normal_form(self.matrix)
-        return WeylElement(matmul(v, u), self.length)
 
-
-def _closure(gens: Sequence[WeylElement], rank: int, keep) -> list:
-    """Breadth-first search from the identity, multiplying by the generators
-    on the left and keeping only the matrices that `keep` accepts.  Returns
-    (matrix, (length, inverse)) pairs sorted by length, then matrix; the
-    inverse comes along for free, as (s w)^{-1} = w^{-1} s."""
-    ident = identity(rank)
-    found: Dict[Matrix, Tuple[int, Matrix]] = {ident: (0, ident)}
-    frontier = [ident]
-    while frontier:
+def _closure(scope: Scope, avoid: FrozenSet[Weight] = frozenset()) -> Tuple[tuple, tuple]:
+    """The elements w of the scope's Weyl group with w(R_H^+) in R^+, R_H^+
+    the positive roots in `avoid`, and their inverses, both sorted by
+    length, then matrix.  A walk by length over left descents: l(s w) > l(w)
+    iff U_s = w^{-1}(alpha_s) > 0 (Humphreys, Reflection Groups and Coxeter
+    Groups, 1.6-1.7), and s w keeps R_H^+ positive iff U_s is not in R_H^+,
+    as s makes only alpha_s negative.  Each w carries U_t for every simple
+    root t; s w is taken only from its canonical parent, s its least left
+    descent, so it is reached once: t is a left descent of s w iff
+    U_t - <alpha_s^vee, alpha_t> U_s < 0.  An accepted s w costs two
+    rank-one updates, s m = m - alpha_s (x) U_s^vee (alpha_s^vee^T m is the
+    coroot of U_s) and m^{-1} s = m^{-1} - U_s (x) alpha_s^vee."""
+    basis, coroots = scope.basis, scope.basis_coroots
+    pos, coroot = frozenset(scope.positive), scope.datum.coroot
+    cartan = [[rootdata.dot(av, a) for a in basis] for av in coroots]
+    one = WeylElement(identity(scope.datum.rank), 0)
+    elements, inverses, level = [one], [one], [(one, one, basis)]
+    while level:
         nxt = []
-        for m in frontier:
-            length, inv = found[m]
-            for g in gens:
-                nm = matmul(g.matrix, m)
-                if nm not in found and keep(nm):
-                    found[nm] = (length + 1, matmul(inv, g.matrix))
-                    nxt.append(nm)
-        frontier = nxt
-        if len(found) > rootdata.WEYL_ORDER_CAP:
+        for e, inv, us in level:
+            ascent = [u in pos for u in us]
+            for s, (a, av, u, cs) in enumerate(zip(basis, coroots, us, cartan)):
+                if not ascent[s] or u in avoid:
+                    continue
+                vs = []
+                for t, (ut, c) in enumerate(zip(us, cs)):
+                    if c:
+                        ut = tuple([x - c * y for x, y in zip(ut, u)])
+                    if t < s and not (ut in pos if c else ascent[t]):
+                        break
+                    vs.append(ut)
+                else:
+                    m, mi = _rank_one(e.matrix, a, coroot(u)), _rank_one(inv.matrix, u, av)
+                    nxt.append((WeylElement(m, e.length + 1), WeylElement(mi, e.length + 1), vs))
+        nxt.sort()
+        elements += [e for e, _, _ in nxt]
+        inverses += [inv for _, inv, _ in nxt]
+        level = nxt
+        if len(elements) > rootdata.WEYL_ORDER_CAP:
             raise OrderCapExceeded("Weyl group enumeration exceeded cap")
-    return sorted(found.items(), key=lambda kv: (kv[1][0], kv[0]))
+    return tuple(elements), tuple(inverses)
 
 
 def _order_from_heights(positive: Sequence[Weight], basis: Sequence[Weight]) -> int:
@@ -132,9 +144,9 @@ class WeylGroup:
     def __init__(self, scope: Scope):
         self.scope = scope
         self.datum = scope.datum
-        rank = self.datum.rank
+        ident = identity(self.datum.rank)
         pairs = zip(scope.basis, scope.basis_coroots)
-        self.generators = tuple(WeylElement(reflection_matrix(rank, a, av), 1) for a, av in pairs)
+        self.generators = tuple(WeylElement(_rank_one(ident, a, av), 1) for a, av in pairs)
 
     @cached_property
     def order(self) -> int:
@@ -158,11 +170,20 @@ class WeylGroup:
         return kernels.pack_orbit(tree, scope.basis, scope.basis_coroots, self.datum.rank)
 
     @cached_property
-    def elements(self) -> Tuple[WeylElement, ...]:
-        found = _closure(self.generators, self.datum.rank, lambda m: True)
-        if len(found) != self.order:
+    def _walk(self) -> Tuple[Tuple[WeylElement, ...], Tuple[WeylElement, ...]]:
+        found = _closure(self.scope)
+        if len(found[0]) != self.order:
             raise AssertionError("Weyl group enumeration disagrees with the order formula")
-        return tuple(WeylElement(m, l) for m, (l, _) in found)
+        return found
+
+    @cached_property
+    def elements(self) -> Tuple[WeylElement, ...]:
+        return self._walk[0]
+
+    @cached_property
+    def inverses(self) -> Tuple[WeylElement, ...]:
+        """The inverse of each element, in element order, from the same walk."""
+        return self._walk[1]
 
     @cached_property
     def _index(self) -> Dict[Matrix, int]:
@@ -170,15 +191,6 @@ class WeylGroup:
 
     def element(self, matrix: Matrix) -> WeylElement:
         return self.elements[self._index[matrix]]
-
-    def __contains__(self, e: WeylElement) -> bool:
-        return e.matrix in self._index
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return self.order
 
 
 @cache
@@ -199,21 +211,15 @@ class CosetReps(NamedTuple):
 
 @cache
 def coset_representatives(w: WeylGroup, sub: SubgroupDatum) -> CosetReps:
-    """W^H by a breadth-first search from the identity over the simple
-    reflections of G, keeping the elements that map R_H^+ into R^+ (cached
-    per pair; a mismatched pair raises and is never stored).
-
-    W^H is closed under left descents: if l(sw) < l(w) then w^{-1}(alpha_s)
-    < 0, so sw still maps R_H^+ into R^+.  The search therefore reaches all
-    of W^H, and its depth is the length."""
+    """W^H by the descent walk of `_closure` with R_H^+ avoided (cached per
+    pair; a mismatched pair, or one over the order cap, raises and is never
+    stored).  Each coset w W_H has one element in W^H, as W_H acts simply
+    transitively on the positive systems of R_H (Humphreys 1.8).  If w is
+    in W^H and l(s w) < l(w), then w^{-1}(alpha_s) < 0 is not in R_H^+, so
+    s w is in W^H too: the walk reaches all of W^H, each element once."""
     if sub.parent != w.datum:
         raise MismatchedDatum("subgroup does not belong to this Weyl group")
-    pos = set(w.datum.positive_roots)
-    found = _closure(
-        w.generators, w.datum.rank, lambda m: all(matvec(m, a) in pos for a in sub.basis_h)
-    )
-    reps = tuple(WeylElement(m, l) for m, (l, _) in found)
-    inverses = tuple(WeylElement(inv, l) for _, (l, inv) in found)
+    reps, inverses = _closure(w.scope, sub.roots_h)
     if len(reps) * generate_weyl(sub).order != w.order:
         raise AssertionError("coset count mismatch")
     return CosetReps(reps, sub, inverses)
@@ -228,19 +234,17 @@ def to_dominant_chamber(scope: Scope, mu: RationalWeight) -> Optional[Regular]:
     """Unique strictly dominant representative of a regular weight.
 
     Returns Regular(w, w(mu)) with w in the scope's Weyl group, or None
-    when mu lies on a wall of the scope system.  One chamber
-    walk, no group enumeration: w is the product of the reflections on the
-    path, and its length is the number of steps.
-    """
+    when mu lies on a wall of the scope system.  One chamber walk, no group
+    enumeration: w is the product of the reflections on the path, one
+    rank-one left multiplication each, and its length is the number of steps."""
     image, path, regular = kernels.dominant_walk(
         mu.nums, scope.basis, scope.basis_coroots, len(scope.positive)
     )
     if not regular:
         return None
-    gens = generate_weyl(scope).generators
     mat = identity(scope.datum.rank)
     for i in path:
-        mat = matmul(gens[i].matrix, mat)
+        mat = _rank_one(mat, scope.basis[i], matvec(tuple(zip(*mat)), scope.basis_coroots[i]))
     return Regular(WeylElement(mat, len(path)), RationalWeight(image, mu.den))
 
 

@@ -212,17 +212,13 @@ def steinberg_weights(datum: RootDatum) -> List[RationalWeight]:
     """The weights theta_w = sum of w^{-1}(omega_i) over the descents of
     w^{-1}; the monomials e^(theta_w) form a module basis of R(T) over
     R(G) when pi_1 is torsion-free."""
-    W = generate_weyl(datum)
     pos = set(datum.positive_roots)
     out = []
-    for e in W.elements:
-        inv = e.inverse()
+    for inv in generate_weyl(datum).inverses:
         th = RationalWeight.zero(datum.rank)
-        for i in range(datum.rank):
-            al = datum.simple_roots[i] if i < len(datum.simple_roots) else None
-            if al is not None and inv.apply(al) not in pos:
-                wi = _fundamental_weight(datum, i)
-                th = th + RationalWeight.from_ints(inv.apply(wi))
+        for i, al in enumerate(datum.simple_roots):
+            if inv.apply(al) not in pos:
+                th = th + RationalWeight.from_ints(inv.apply(_fundamental_weight(datum, i)))
         out.append(th)
     return out
 

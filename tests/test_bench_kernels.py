@@ -1,8 +1,9 @@
 """The kernel benchmark asserts its oracles as it times (tree cold == warm,
 signed orbits == apply_weyl_sum, packed == node-by-node signed orbits,
 orbit-by-orbit == filter-and-rebuild decomposition, the sizes of the
-timed subgroup closures, one-pass == per-member multiplet); running it
-here keeps those assertions, and the script itself, in working order."""
+timed subgroup closures and Weyl walks, one-pass == per-member
+multiplet); running it here keeps those assertions, and the script
+itself, in working order."""
 
 import os
 import subprocess
@@ -23,3 +24,5 @@ def test_bench_kernels_runs_clean():
     assert "J(e^nu) F4 packed vs node" in proc.stdout
     assert "anti_invariant_decompose F4" in proc.stdout
     assert "subgroup closure" in proc.stdout
+    assert "coset search E6 > A2xA2xA2" in proc.stdout
+    assert "Weyl group F4" in proc.stdout

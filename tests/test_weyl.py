@@ -5,13 +5,14 @@ import pytest
 from spinduct.errors import MismatchedDatum, OrderCapExceeded, ShiftNotStable
 from spinduct.charring import TorusElement, is_scope_invariant, weyl_denominator
 from spinduct.induction import make_problem
-from spinduct.intlinalg import determinant
+from spinduct.intlinalg import determinant, identity, matmul, matvec
 from spinduct import kernels
 from spinduct.rootdata import RationalWeight, build_root_datum, dot, subgroup_from_roots
 from spinduct.verify import determinants_consistent
 from spinduct.weyl import (
     Regular,
     WeylElement,
+    WeylGroup,
     antisymmetrize,
     apply_antisymmetrizer,
     apply_weyl_sum,
@@ -342,8 +343,10 @@ def test_coset_bfs_matches_filter_oracle():
         ]
         assert len(cosets.reps) * p.weyl_h.order == len(p.weyl.elements)
         assert len(cosets.inverses) == len(cosets.reps)
+        ident = identity(p.datum.rank)
         for e, inv in zip(cosets.reps, cosets.inverses):
-            assert inv == e.inverse()
+            assert matmul(e.matrix, inv.matrix) == ident
+            assert inv.length == e.length
     assert len(problems[-1].reps.reps) == 12
 
 
@@ -371,3 +374,98 @@ def test_antisymmetrizer_check_searches_each_pair_once():
     assert all(r.passed for r in check_antisymmetrizers(0, trials=3))
     info = coset_representatives.cache_info()
     assert info.misses == info.currsize == len(ZOO_PAIRS)
+
+
+def _matrix_product_bfs(gens, rank, keep):
+    """The enumeration the descent walk replaced, kept as its oracle: a
+    breadth-first search from the identity, multiplying by the generators on
+    the left and keeping the new matrices `keep` accepts, the inverse
+    carried along as (s w)^{-1} = w^{-1} s.  (matrix, inverse, length,
+    length) rows sorted by length, then matrix."""
+    ident = identity(rank)
+    found = {ident: (0, ident)}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            length, inv = found[m]
+            for g in gens:
+                nm = matmul(g.matrix, m)
+                if nm not in found and keep(nm):
+                    found[nm] = (length + 1, matmul(inv, g.matrix))
+                    nxt.append(nm)
+        frontier = nxt
+    rows = [(m, inv, length, length) for m, (length, inv) in found.items()]
+    return sorted(rows, key=lambda row: (row[2], row[0]))
+
+
+def _walked(elements, inverses):
+    """The walk's output as oracle rows; every inverse checked by a product."""
+    ident = identity(len(elements[0].matrix))
+    for e, inv in zip(elements, inverses, strict=True):
+        assert matmul(e.matrix, inv.matrix) == ident
+    return [(e.matrix, inv.matrix, e.length, inv.length) for e, inv in zip(elements, inverses)]
+
+
+def _e6_a2_cubed():
+    # E6 > A2^3: the extended Dynkin diagram of E6 minus its centre node
+    d = build_root_datum("E6")
+    gens = [
+        (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0),
+        (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1), (1, 2, 2, 3, 2, 1),
+    ]
+    return make_problem(d, subgroup_from_roots(d, [d.root_from_simple_coordinates(g) for g in gens]))
+
+
+def _oracle_problems():
+    problems = [p for _, p in zoo_problems()]
+    return problems + [zoo_problem("B3:root", "so3xso4"), _d4_a1_four(), _e6_a2_cubed()]
+
+
+def test_descent_walk_matches_matrix_product_bfs_on_cosets():
+    """W^H: the same reps, inverses and lengths, in the same order, on every
+    zoo pair, B3:root > so3xso4, D4 > A1^4 and E6 > A2^3."""
+    for p in _oracle_problems():
+        pos = set(p.datum.positive_roots)
+        keep = lambda m: all(matvec(m, a) in pos for a in p.sub.basis_h)  # noqa: E731
+        oracle = _matrix_product_bfs(p.weyl.generators, p.datum.rank, keep)
+        cosets = coset_representatives(p.weyl, p.sub)
+        assert _walked(cosets.reps, cosets.inverses) == oracle, p.datum.cartan_label
+    assert len(oracle) == 240
+
+
+def test_descent_walk_matches_matrix_product_bfs_on_whole_groups():
+    for label in ("A1", "A2", "B2", "G2", "B3", "C3", "D4", "F4"):
+        w = WeylGroup(build_root_datum(label))
+        oracle = _matrix_product_bfs(w.generators, w.datum.rank, lambda m: True)
+        assert _walked(w.elements, w.inverses) == oracle, label
+        assert len(oracle) == w.order
+
+
+def test_descent_walk_matches_matrix_product_bfs_on_subgroups():
+    """W_H is walked over H's own simple and positive roots."""
+    subs = [p.sub for p in _oracle_problems()]
+    # H = G as a subgroup scope, on G2 and on B3 with the root lattice
+    subs += [subgroup_from_roots(d, d.roots) for d in (build_root_datum("G2"), subs[-4].parent)]
+    for sub in subs:
+        w = WeylGroup(sub)
+        oracle = _matrix_product_bfs(w.generators, sub.parent.rank, lambda m: True)
+        assert _walked(w.elements, w.inverses) == oracle, sub.key
+        assert len(oracle) == w.order
+
+
+def test_coset_search_over_the_cap_raises_and_stores_nothing(monkeypatch):
+    import spinduct.rootdata as rd
+
+    p = _e6_a2_cubed()
+    assert len(p.reps.reps) == 240
+    size = coset_representatives.cache_info().currsize
+    # a fresh Weyl group is a new cache key, so the search runs again
+    monkeypatch.setattr(rd, "WEYL_ORDER_CAP", 239)
+    with pytest.raises(OrderCapExceeded):
+        coset_representatives(WeylGroup(p.datum), p.sub)
+    assert coset_representatives.cache_info().currsize == size
+    monkeypatch.setattr(rd, "WEYL_ORDER_CAP", 240)
+    assert coset_representatives(WeylGroup(p.datum), p.sub) == p.reps
+    monkeypatch.undo()
+    assert rd.WEYL_ORDER_CAP == 1 << 21
