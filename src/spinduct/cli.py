@@ -37,7 +37,7 @@ from .induction import (
     pairing_report,
 )
 from .multiplets import alternating_dimension_sum, multiplet
-from .rootdata import RationalWeight, RootDatum
+from .rootdata import RootDatum
 from .serialize import (
     check_element,
     check_int_list,
@@ -76,8 +76,6 @@ def parse_problem(text: str) -> Dict:
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"invalid JSON: {exc}", pointer="")
     _check_fields(doc)
-    doc.setdefault("seed", 0)
-    doc.setdefault("trials", 20)
     return doc
 
 
@@ -187,21 +185,13 @@ def _resolve_input(doc: Dict, problem) -> TorusElement:
     if s == "hodge":
         e = euler_class(problem.sub)
         return multiply(e, dualize(e))
-    if s.startswith("e^[") and "]" in s:
-        body, _, den = s[3:].partition("]")
-        den = den.lstrip("/") or "1"
+    body, bracket, den = s[3:].partition("]")
+    if s.startswith("e^[") and bracket and den[:1] in ("", "/"):
         try:
-            nums = [int(x) for x in body.split(",")]
-            d = int(den)
-        except ValueError:
-            raise SchemaViolation(f"cannot parse monomial {s!r}", "/input")
-        if d == 0:
-            raise SchemaViolation(f"monomial {s!r} has a zero denominator", "/input")
-        if len(nums) != datum.rank:
-            raise SchemaViolation(
-                f"monomial needs {datum.rank} coordinates", "/input"
-            )
-        return TorusElement.monomial(datum, RationalWeight(nums, d))
+            weight = rational_from_json(parse_weight(body + den, "/input"), datum.rank)
+        except SchemaViolation as exc:
+            raise SchemaViolation(f"monomial {s!r}: {exc}", "/input")
+        return TorusElement.monomial(datum, weight)
     raise SchemaViolation(f"unknown input shortcut {s!r}", "/input")
 
 
@@ -232,10 +222,9 @@ def _run_command(doc: Dict, command: str) -> Dict:
         # the identity suites load only for this command
         from .verify import run_suite
 
-        suite = doc.get("suite", "all")
-        results = run_suite(suite, seed=doc["seed"])
+        results = run_suite(doc["suite"], seed=doc["seed"])
         return {
-            "suite": suite,
+            "suite": doc["suite"],
             "seed": doc["seed"],
             "passed": all(r.passed for r in results),
             "checks": [
@@ -250,7 +239,7 @@ def _run_command(doc: Dict, command: str) -> Dict:
         }
 
     datum = _resolve_datum(doc)
-    sub = subgroup_from_spec(datum, doc.get("subgroup", "t"))
+    sub = subgroup_from_spec(datum, doc["subgroup"])
     sigma = None
     if "twist" in doc:
         sigma = TwistClass.of(rational_from_json(doc["twist"], datum.rank, "/twist"))
@@ -321,11 +310,10 @@ def _run_command(doc: Dict, command: str) -> Dict:
         }
 
     if command == "pairing":
-        tau_name = doc.get("tau", "0")
-        basis_a, basis_b, tau = steinberg_pairing_bases(problem, tau_name)
+        basis_a, basis_b, tau = steinberg_pairing_bases(problem, doc["tau"])
         rep = pairing_report(problem, tau, basis_a, basis_b)
         return {
-            "tau": tau_name,
+            "tau": doc["tau"],
             "basis_a": [torus_to_json(x) for x in rep.basis_a],
             "basis_b": [torus_to_json(x) for x in rep.basis_b],
             "gram": [[group_to_json(g) for g in row] for row in rep.gram],
@@ -348,10 +336,12 @@ def _run_command(doc: Dict, command: str) -> Dict:
         return {"result": payload, "diagnostics": _diagnostics(problem)}
 
     if command == "lefschetz":
+        kind = doc.get("kind", "twisted")
+        if kind not in ("twisted", "hodge"):
+            raise SchemaViolation(f"lefschetz takes kind twisted or hodge, not {kind!r}", "/kind")
         a = _resolve_input(doc, problem)
-        euler_name = doc.get("kind", "twisted")
         e = euler_class(problem.sub)
-        if euler_name == "hodge":
+        if kind == "hodge":
             e = multiply(e, dualize(e))
         rep = lefschetz_check(
             problem, e, a, trials=doc["trials"], seed=doc["seed"]
@@ -372,6 +362,61 @@ def _group_from_doc(problem, obj) -> GroupElement:
     return GroupElement.from_weights(scope, weights)
 
 
+def _json_flag(text: str, pointer: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaViolation(f"invalid JSON: {exc}", pointer)
+
+
+def _text_flag(text: str, pointer: str) -> str:
+    return text
+
+
+def _json_or_text_flag(text: str, pointer: str, parse_text=_text_flag):
+    """JSON for a flag's text that opens a list or an object, `parse_text`
+    of it otherwise."""
+    if text.lstrip().startswith(("[", "{")):
+        return _json_flag(text, pointer)
+    return parse_text(text, pointer)
+
+
+def parse_weight(text: str, pointer: str) -> Dict:
+    """`c1,...,cr[/den]` as a weight field {num, den}.  The field rules
+    check its values, and whoever reads it checks the rank, as for a weight
+    in a problem document."""
+    body, _, den = text.partition("/")
+    try:
+        return {"num": [int(x) for x in body.split(",")], "den": int(den or 1)}
+    except ValueError:
+        raise SchemaViolation(f"cannot parse weight {text!r}", pointer)
+
+
+# every flag that sets a field of the problem document: the field (the flag
+# is --field, with - for _), the parser of the flag's text and its help
+_FLAGS = (
+    ("group", _text_flag, "series label, e.g. G2 or B3:spin"),
+    ("subgroup", _json_or_text_flag, "preset name, t, g, or JSON list (default t)"),
+    ("input", _json_or_text_flag,
+     "element: 1, e^rhoG, e^rhoM, spinor, euler, dual-euler, hodge, e^[c,...]/d, or JSON"),
+    ("mu", lambda text, pointer: _json_or_text_flag(text, pointer, parse_weight),
+     "weight for bwb, as JSON or c1,c2,...[/den]"),
+    ("kind", _text_flag, "induce: twisted|holomorphic|spin|spinc; lefschetz: twisted|hodge"),
+    ("gamma", lambda text, pointer: _json_flag(f"[{text}]", pointer),
+     "character for spinc induction, c1,c2,..."),
+    ("tau", _text_flag, "pairing twist, 0 or rhoM (default 0)"),
+    ("twist", parse_weight, "G-side twist shift, c1,c2,...[/den]"),
+    ("suite", _text_flag, "verify suite name (default all)"),
+    ("seed", _json_flag, "random seed (default 0)"),
+    ("trials", _json_flag, "lefschetz sample count (default 20)"),
+    ("max_weyl_order", _json_flag, "cap on the Weyl group orders a command enumerates"),
+)
+# what a problem gets for a field that both its flags and its document leave
+# out: every command echoes the first four, and pairing, which alone reads
+# it, also tau
+_DEFAULTS = {"seed": 0, "trials": 20, "suite": "all", "subgroup": "t", "tau": "0"}
+
+
 # built on the first call of main and reused: parsing keeps no state in it
 @cache
 def build_parser() -> argparse.ArgumentParser:
@@ -380,41 +425,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact twisted Spin^c induction calculus for compact Lie groups",
     )
     ap.add_argument("command", choices=COMMANDS)
-    ap.add_argument("--group", help="series label, e.g. G2 or B3:spin")
-    ap.add_argument("--subgroup", default="t", help="preset name, t, g, or JSON list")
-    ap.add_argument("--input", help="element: 1, e^rhoG, e^rhoM, spinor, euler, dual-euler, hodge, e^[c,...]/d, or JSON")
-    ap.add_argument("--mu", help="weight for bwb, as JSON or c1,c2,...[/den]")
-    ap.add_argument("--kind", default=None, help="induce: twisted|holomorphic|spin|spinc; lefschetz: twisted|hodge")
-    ap.add_argument("--gamma", help="character for spinc induction, c1,c2,...")
-    ap.add_argument("--tau", default="0", choices=["0", "rhoM"], help="pairing twist")
-    ap.add_argument("--twist", help="G-side twist shift, c1,c2,...[/den]")
-    ap.add_argument("--suite", default=None, help="verify suite name (default all)")
-    ap.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
-    ap.add_argument("--trials", type=int, default=None, help="lefschetz sample count (default 20)")
+    for field, _, help_text in _FLAGS:
+        ap.add_argument("--" + field.replace("_", "-"), help=help_text)
     ap.add_argument("--problem", help="path to a JSON problem document (- for stdin)")
-    ap.add_argument("--max-weyl-order", type=int, default=None)
     ap.add_argument("--timing", action="store_true", help="include wall time (breaks byte determinism)")
     ap.add_argument("--pretty", action="store_true", help="indent JSON output")
     return ap
-
-
-def _parse_weight_flag(text: str, rank: int, pointer: str) -> Dict:
-    body, _, den = text.partition("/")
-    try:
-        nums = [int(x) for x in body.split(",")]
-        d = int(den) if den else 1
-    except ValueError:
-        raise SchemaViolation(f"cannot parse weight {text!r}", pointer)
-    if len(nums) != rank:
-        raise SchemaViolation(f"weight needs {rank} coordinates", pointer)
-    return {"num": nums, "den": d}
-
-
-def _json_flag(text: str, pointer: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation(f"invalid JSON: {exc}", pointer)
 
 
 def _read_problem(path: str) -> str:
@@ -428,26 +444,16 @@ def _read_problem(path: str) -> str:
 
 
 def _doc_from_args(args) -> Dict:
+    """The problem document with every given flag written over its field;
+    the defaults fill only what both leave out."""
     doc = parse_problem(_read_problem(args.problem)) if args.problem else {}
-    if args.group:
-        doc["group"] = args.group
-    if args.subgroup and "subgroup" not in doc:
-        sg = args.subgroup
-        doc["subgroup"] = _json_flag(sg, "/subgroup") if sg.startswith("[") else sg
-    if args.input:
-        s = args.input
-        doc["input"] = _json_flag(s, "/input") if s.lstrip().startswith("{") else s
-    if args.kind:
-        doc["kind"] = args.kind
-    # flags override the document; the defaults fill only what both leave out
-    for key, flag, default in (
-        ("seed", args.seed, 0), ("trials", args.trials, 20), ("suite", args.suite, "all")
-    ):
-        if flag is not None:
-            doc[key] = flag
-        doc.setdefault(key, default)
-    if args.max_weyl_order is not None:
-        doc["max_weyl_order"] = args.max_weyl_order
+    for field, parse, _ in _FLAGS:
+        text = getattr(args, field)
+        if text is not None:
+            doc[field] = parse(text, "/" + field)
+    for field, value in _DEFAULTS.items():
+        if field != "tau" or args.command == "pairing":
+            doc.setdefault(field, value)
     _check_fields(doc)
     if doc.get("command", args.command) != args.command:
         raise SchemaViolation(
@@ -466,25 +472,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # the document's cap (or the flag's) holds for this call only
         if "max_weyl_order" in doc:
             rootdata.WEYL_ORDER_CAP = doc["max_weyl_order"]
-        # late flag parsing that needs the rank, under the same field rules
-        if args.mu or args.gamma or args.twist:
-            datum = _resolve_datum(doc)
-            late = {}
-            if args.mu:
-                late["mu"] = (
-                    _json_flag(args.mu, "/mu")
-                    if args.mu.lstrip().startswith("{")
-                    else _parse_weight_flag(args.mu, datum.rank, "/mu")
-                )
-            if args.gamma:
-                try:
-                    late["gamma"] = [int(x) for x in args.gamma.split(",")]
-                except ValueError:
-                    raise SchemaViolation(f"cannot parse gamma {args.gamma!r}", "/gamma")
-            if args.twist:
-                late["twist"] = _parse_weight_flag(args.twist, datum.rank, "/twist")
-            _check_fields(late)
-            doc.update(late)
         payload = _run_command(doc, args.command)
     except SchemaViolation as exc:
         _emit({"error": {"code": exc.code, "message": str(exc), "pointer": exc.pointer}})

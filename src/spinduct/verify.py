@@ -296,6 +296,7 @@ def check_appendix_c(seed: int = 0, trials: int = 100) -> List[CheckResult]:
         twist = TwistClass.of(datum.rho)
         full_division = datum.rank <= 3
         bad = None
+        reached = nonzero = 0
         for _ in range(trials):
             a = random_torus_element(
                 p,
@@ -310,7 +311,9 @@ def check_appendix_c(seed: int = 0, trials: int = 100) -> List[CheckResult]:
                 )
                 if a.is_zero():
                     continue
+            reached += 1
             ja = apply_antisymmetrizer("J_G", a)
+            nonzero += not ja.is_zero()
             try:
                 dec = anti_invariant_decompose(ja)
             except NotAntiInvariant:
@@ -327,9 +330,9 @@ def check_appendix_c(seed: int = 0, trials: int = 100) -> List[CheckResult]:
                     bad = torus_to_text(a)
                     break
         mode = "division+invariance" if full_division else "J(e^lam)-basis"
-        out.append(
-            CheckResult(f"appendix-c {g}", bad is None, f"{trials} inputs, {mode}", bad)
-        )
+        detail = (f"{reached} of {trials} inputs reached the check, {nonzero} with J_G != 0, "
+                  f"{mode}")
+        out.append(CheckResult(f"appendix-c {g}", bad is None, detail, bad))
     return out
 
 

@@ -157,8 +157,9 @@ def test_subgroup_by_indices(capsys):
 
 
 def test_parse_problem():
+    # the defaults are filled by main, after the flags, not by the parser
     doc = parse_problem(json.dumps({"group": "A2", "subgroup": "t", "seed": 5}))
-    assert doc["seed"] == 5 and doc["trials"] == 20
+    assert doc == {"group": "A2", "subgroup": "t", "seed": 5}
     with pytest.raises(SchemaViolation) as exc:
         parse_problem("{bad json")
     with pytest.raises(SchemaViolation) as exc:
@@ -377,6 +378,72 @@ def test_problem_document_keeps_seed_trials_and_suite(tmp_path, capsys, monkeypa
     assert json.loads(out)["problem"]["seed"] == 2
 
 
+# a value for every flag that sets a problem field, and the field it echoes
+_FLAG_SAMPLES = {
+    "--group": ("A2", "A2"),
+    "--subgroup": ("[0]", [0]),
+    "--input": ("e^rhoG", "e^rhoG"),
+    "--mu": ("1,1/2", {"num": [1, 1], "den": 2}),
+    "--kind": ("SpinC", "spinc"),
+    "--gamma": ("1,1", [1, 1]),
+    "--tau": ("rhoM", "rhoM"),
+    "--twist": ("0,0", {"num": [0, 0], "den": 1}),
+    "--suite": ("spinc", "spinc"),
+    "--seed": ("3", 3),
+    "--trials": ("5", 5),
+    "--max-weyl-order": ("100", 100),
+}
+
+
+def test_every_flag_reaches_the_problem(capsys):
+    """Each option of the parser is echoed as its field of the problem, or
+    shapes only the output (--timing, --pretty) or the document read
+    (--problem)."""
+    from spinduct.cli import build_parser
+
+    options = [opt for action in build_parser()._actions for opt in action.option_strings
+               if opt.startswith("--") and opt != "--help"]
+    assert set(options) - {"--timing", "--pretty", "--problem"} == set(_FLAG_SAMPLES)
+    for flag, (text, echoed) in _FLAG_SAMPLES.items():
+        argv = ["info", "--group", "A2", flag, text]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert json.loads(out)["problem"][flag[2:].replace("-", "_")] == echoed, argv
+
+
+def test_tau_flag_answers_as_the_document_does(capsys, monkeypatch):
+    import io
+
+    code, by_flag = run_cli(capsys, "pairing", "--group", "A2", "--subgroup", "t",
+                            "--tau", "rhoM")
+    assert code == 0
+    doc = {"group": "A2", "subgroup": "t", "tau": "rhoM"}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert run_cli(capsys, "pairing", "--problem", "-") == (0, by_flag)
+    result = json.loads(by_flag)
+    assert (result["tau"], result["problem"]["tau"], result["is_unit"]) == ("rhoM", "rhoM", True)
+    code, untwisted = run_cli(capsys, "pairing", "--group", "A2", "--subgroup", "t",
+                              "--tau", "0")
+    assert code == 0 and untwisted != by_flag
+    assert json.loads(untwisted)["basis_a"] != result["basis_a"]
+
+
+@pytest.mark.parametrize("flags, subgroup, cosets", [
+    ((), "levi1", 3),
+    (("--subgroup", "t"), "t", 6),
+])
+def test_subgroup_flag_overrides_the_document(capsys, monkeypatch, flags, subgroup, cosets):
+    import io
+
+    doc = {"group": "A2", "subgroup": "levi1"}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out = run_cli(capsys, "info", "--problem", "-", *flags)
+    assert code == 0
+    result = json.loads(out)
+    assert result["problem"]["subgroup"] == subgroup
+    assert result["diagnostics"]["coset_count"] == cosets
+
+
 @pytest.mark.parametrize("argv, field, pointer", [
     (("info", "--group", "A2", "--max-weyl-order", "0"), {"max_weyl_order": 0}, "/max_weyl_order"),
     (("info", "--group", "A2", "--max-weyl-order", "-1"), {"max_weyl_order": -1}, "/max_weyl_order"),
@@ -440,6 +507,7 @@ def test_e6_queries_build_the_root_datum_once(capsys, monkeypatch):
     (("info", "--group", "A2", "--subgroup", "[0, [1]]"), "/subgroup/1"),
     (("info", "--group", "A2", "--subgroup", "[x"), "/subgroup"),
     (("bwb", "--group", "A2", "--mu", "{x"), "/mu"),
+    (("lefschetz", "--group", "A2", "--kind", "spin", "--input", "spinor"), "/kind"),
     (("induce", "--group", "A2", "--input",
       '{"terms":[{"coeff":1,"weight":[1,0]},{"coeff":1,"weight":{"num":[1,0],"den":2}}]}'),
      "/input/terms/1/weight"),
@@ -554,7 +622,7 @@ _PROBLEM_DOC = _mostly(st.one_of(_NOISY_DOC, _CLEAN_DOC))
 
 def _assert_cli_contract(argv, stdin=""):
     """Exit 0 or 1, exactly one JSON document on stdout, never a traceback;
-    returns the exit code and the document."""
+    returns the exit code, the document and stdout."""
     import contextlib
     import io
     import sys
@@ -570,7 +638,7 @@ def _assert_cli_contract(argv, stdin=""):
     doc = json.loads(out.getvalue())
     assert len(out.getvalue().splitlines()) == 1
     assert "Traceback" not in err.getvalue()
-    return code, doc
+    return code, doc, out.getvalue()
 
 
 _COMMANDS = st.sampled_from(["info", "whset", "induce", "branch", "bwb", "multiplet"])
@@ -596,15 +664,29 @@ def _problem_schema():
     st.fixed_dictionaries({}, optional=_FLAG_VALUES),
 )
 def test_cli_contract_on_drawn_flags(command, kind, group, flags):
-    """Flags alone, the late ones (--mu, --gamma, --twist) included, on
-    rank-2 and rank-3 groups with their presets, and every induce kind: the
-    problem an exit-0 run echoes validates against the shipped schema."""
+    """Flags alone on rank-2 and rank-3 groups with their presets, and every
+    induce kind: the problem an exit-0 run echoes validates against the
+    shipped schema, and the same fields sent as a --problem - document give
+    the same exit code and bytes."""
     import jsonschema
 
-    argv = [command, "--group", group] + (["--kind", kind] if kind else [])
-    code, out = _assert_cli_contract(argv + [f"--{name}={value}" for name, value in flags.items()])
+    from spinduct.cli import _FLAGS
+
+    given = {"group": group, **({"kind": kind} if kind else {}), **flags}
+    argv = [command] + [f"--{name}={value}" for name, value in given.items()]
+    code, out, text = _assert_cli_contract(argv)
     if code == 0:
         jsonschema.validate(out["problem"], _problem_schema())
+    try:
+        # the document lists its fields in the table's order, as the flags
+        # enter the problem, so both meet a second bad field alike
+        doc = {field: parse(given[field], "/" + field)
+               for field, parse, _ in _FLAGS if field in given}
+    except SchemaViolation as exc:
+        assert (code, out["error"]["pointer"]) == (1, exc.pointer)
+        return
+    doc_code, _, doc_text = _assert_cli_contract([command, "--problem", "-"], json.dumps(doc))
+    assert (doc_code, doc_text) == (code, text)
 
 
 @settings(max_examples=300, deadline=None)
@@ -619,7 +701,7 @@ def test_cli_contract_on_drawn_problem_documents(command, group, doc, suite):
 
     if command == "verify" and isinstance(doc, dict):
         doc = {**doc, "suite": suite}
-    code, out = _assert_cli_contract(
+    code, out, _ = _assert_cli_contract(
         [command, "--problem", "-"] + (["--group", group] if group else []), json.dumps(doc)
     )
     if code == 0:
@@ -675,8 +757,8 @@ def test_booleans_are_not_integers_in_element_objects(capsys):
 
 
 def test_late_flags_follow_the_field_rules(capsys):
-    """--mu, --gamma and --twist are read once the rank is known, and then
-    checked as document fields, whatever the command does with them."""
+    """--mu, --gamma and --twist are checked as document fields, whatever
+    the command does with them."""
     for argv, pointer in [
         (("info", "--group", "A2", "--mu", '{"num":[true,1]}'), "/mu/num/0"),
         (("info", "--group", "A2", "--mu", '{"num":[1,1],"den":0}'), "/mu/den"),
