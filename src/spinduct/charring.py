@@ -2,10 +2,13 @@
 highest-weight picture of R(G) and R(H).
 
 A twist is stored as the canonical residue of its rational shift modulo
-X(T); elements of a shifted module keep integer offsets from that residue.
-TorusElement (a character of T) and GroupElement (a combination of
-irreducibles by highest weight) share one immutable body, `_Shifted`,
-whose constructor is the only place a shift is made canonical.
+X(T).  Every weight w of a class delta + X(T) has the denominator den of
+delta, and an element of the shifted module holds w as the integer key
+den * w.  The Weyl group acts on those keys by its matrices, linearly, and
+chamber walks and orbit replays read them as they are.  TorusElement (a
+character of T) and GroupElement (a combination of irreducibles by highest
+weight) share one immutable body, `_Shifted`, whose constructor is the
+only place a shift is made canonical.
 Coefficients are exact integers throughout; the only floating point lives
 in numeric_evaluate.
 """
@@ -33,13 +36,11 @@ from .rootdata import (
     SubgroupDatum,
     Weight,
     dot,
-    from_scaled,
+    rescale,
     scaled,
-    to_scaled,
-    vadd,
     vneg,
 )
-from .weyl import generate_weyl
+from .weyl import check_stable, generate_weyl
 
 Scope = Union[RootDatum, SubgroupDatum]
 
@@ -72,13 +73,13 @@ class TwistClass(NamedTuple):
 
 
 class _Shifted:
-    """An element of a shifted module: integer coefficients at the weights
-    shift + offset, offsets integral, over a scope (a root datum or a
-    subgroup).
+    """An element of a shifted module: integer coefficients at weights w of
+    the class shift + X(T), over a scope (a root datum or a subgroup), each
+    held at the key den * w, den = shift.den.
 
-    The constructor is the only canonicalization: it takes any rational
-    shift, moves it to its residue in [0,1)^rank with the offsets moved to
-    match, and drops zero coefficients.  `coeffs` is a read-only view, so
+    The constructor is the only canonicalization: it replaces the shift by
+    its residue in [0,1)^rank, which has the same denominator, so no key
+    moves, and drops zero coefficients.  `coeffs` is a read-only view, so
     an element never changes after construction and cached elements can
     be handed to every caller."""
 
@@ -86,16 +87,12 @@ class _Shifted:
 
     def __init__(self, scope: Scope, shift: RationalWeight, coeffs: Mapping[Weight, int]):
         # a lowest-terms shift is its own residue exactly when every
-        # numerator lies in [0, den); such a shift is kept as it is
-        if all(0 <= x < shift.den for x in shift.nums):
-            kept = dict(coeffs)
-            if 0 in kept.values():
-                kept = {k: c for k, c in kept.items() if c}
-        else:
-            canon = shift.residue_mod_one()
-            t = (shift - canon).ints()
-            kept = {vadd(k, t): c for k, c in coeffs.items() if c}
-            shift = canon
+        # numerator lies in [0, den)
+        if not all(0 <= x < shift.den for x in shift.nums):
+            shift = shift.residue_mod_one()
+        kept = dict(coeffs)
+        if 0 in kept.values():
+            kept = {k: c for k, c in kept.items() if c}
         self.scope = scope
         self.shift = shift
         self.coeffs = MappingProxyType(kept)
@@ -108,18 +105,20 @@ class _Shifted:
     @classmethod
     def from_weights(cls, scope: Scope, weights: Mapping[RationalWeight, int]):
         """The element sum c e^w over the given weights, which must lie in
-        one coset of X(T); offsets are taken from the first weight."""
+        the coset of X(T) of the first; each weight's key is its numerator."""
         if not weights:
             return cls.zero(scope)
         shift = next(iter(weights))
+        den = shift.den
         coeffs: Dict[Weight, int] = {}
         for w, c in weights.items():
-            off = (w - shift).ints()
-            coeffs[off] = coeffs.get(off, 0) + c
+            if w.den != den or any((x - y) % den for x, y in zip(w.nums, shift.nums)):
+                raise ValueError(f"{w} is not in the coset of {shift}")
+            coeffs[w.nums] = coeffs.get(w.nums, 0) + c
         return cls(scope, shift, coeffs)
 
     def replace_coeffs(self, coeffs: Mapping[Weight, int]):
-        """The element with the same scope and shift and these offsets."""
+        """The element with the same scope and shift and these keys."""
         return type(self)(self.scope, self.shift, coeffs)
 
     # --- views -------------------------------------------------------------
@@ -133,7 +132,7 @@ class _Shifted:
         return TwistClass(self.shift)
 
     def weight_of(self, key: Weight) -> RationalWeight:
-        return self.shift + RationalWeight.from_ints(key)
+        return RationalWeight(key, self.shift.den)
 
     def terms(self) -> List[Tuple[RationalWeight, int]]:
         return [(self.weight_of(k), c) for k, c in sorted(self.coeffs.items())]
@@ -181,9 +180,9 @@ class _Shifted:
 
 
 class TorusElement(_Shifted):
-    """Finitely supported integer combination of e^(shift + offset) with
-    integer offsets; models elements of R(T, tau) = Z[delta + X(T)].  The
-    scope is the root datum, also reached as `datum`."""
+    """Finitely supported integer combination of e^w over the weights w of
+    one class shift + X(T); models elements of R(T, tau) = Z[delta + X(T)].
+    The scope is the root datum, also reached as `datum`."""
 
     __slots__ = ()
 
@@ -193,13 +192,18 @@ class TorusElement(_Shifted):
 
     @classmethod
     def monomial(cls, datum: RootDatum, weight: RationalWeight, coeff: int = 1) -> "TorusElement":
-        return cls(datum, weight, {(0,) * datum.rank: coeff})
+        return cls(datum, weight, {weight.nums: coeff})
 
 
 def multiply(a: TorusElement, b: TorusElement) -> TorusElement:
-    """Convolution product; twists add."""
+    """Convolution product; twists add.  Both factors' keys are brought to
+    a common denominator, and the product's to that of its shift."""
     a._check_compatible(b)
-    return TorusElement(a.datum, a.shift + b.shift, kernels.convolve(a.coeffs, b.coeffs))
+    da, db = a.shift.den, b.shift.den
+    den = math.lcm(da, db)
+    prod = kernels.convolve(rescale(a.coeffs, da, den), rescale(b.coeffs, db, den))
+    shift = a.shift + b.shift
+    return TorusElement(a.datum, shift, rescale(prod, den, shift.den))
 
 
 def dualize(a: TorusElement) -> TorusElement:
@@ -209,13 +213,15 @@ def dualize(a: TorusElement) -> TorusElement:
 
 def is_scope_invariant(a: TorusElement, scope: Scope) -> bool:
     """Whether a is fixed by the scope's Weyl group, that is by each simple
-    reflection s: k -> M k + t.  That map is injective, so s(a) = a iff
-    every term c e^k has coefficient c at M k + t; the first miss decides."""
+    reflection s: k -> k - <alpha^vee, k> alpha, once check_stable has
+    passed.  s is injective, so s(a) = a iff every term c e^k has
+    coefficient c at s(k); the first miss decides."""
+    check_stable(scope, a.shift)
     coeffs = a.coeffs
-    for g in generate_weyl(scope).generators:
-        rows = list(zip(g.matrix, g.adjustment(a.shift)))
+    for al, av in zip(scope.basis, scope.basis_coroots):
         for k, c in coeffs.items():
-            if coeffs.get(tuple([sum(map(mul, row, k), t) for row, t in rows])) != c:
+            p = dot(av, k)
+            if p and coeffs.get(tuple([x - p * y for x, y in zip(k, al)])) != c:
                 return False
     return True
 
@@ -272,8 +278,8 @@ def euler_class(sub: SubgroupDatum) -> TorusElement:
 class GroupElement(_Shifted):
     """Virtual module in R(G, sigma) or R(H, tau), stored by highest weight.
 
-    Offsets are relative to the canonical residue of the highest-weight
-    lattice class; every supported weight is scope-dominant."""
+    Each highest weight is held at its key, as in TorusElement; every
+    supported weight is scope-dominant."""
 
     __slots__ = ()
 
@@ -430,8 +436,7 @@ def irreducible_restriction(scope: Scope, lam: RationalWeight) -> TorusElement:
     expanded = kernels.orbit_expand(
         list(mult.items()), scope.basis, scope.basis_coroots, generate_weyl(scope).orbit_trees
     )
-    shift = lam.residue_mod_one()
-    return TorusElement(scope.datum, shift, from_scaled(expanded, scaled(shift, den), den))
+    return TorusElement(scope.datum, lam, rescale(expanded, den, lam.den))
 
 
 # --- anti-invariants ------------------------------------------------------------
@@ -445,8 +450,8 @@ def anti_invariant_decompose(
     NotAntiInvariant when a is not anti-invariant (or has the wrong twist
     class).
 
-    The input is peeled one orbit at a time, on a working copy of its keys
-    scaled by the shift's denominator.  A regular W-orbit meets the open
+    The input is peeled one orbit at a time, on a working copy of its keys.
+    A regular W-orbit meets the open
     dominant chamber exactly once (Humphreys, Reflection Groups and Coxeter
     Groups, 1.12), and the orbits of distinct strictly dominant lam are
     disjoint, so a is such a sum iff each monomial lies in the orbit of a
@@ -454,14 +459,13 @@ def anti_invariant_decompose(
     det(w) c_lam.  Any remaining key is walked into the chamber; a key on a
     wall, or an image lam outside the support, raises.  J(e^lam) is then
     replayed once and each of its points popped against it, so every
-    monomial is popped exactly once.  Scaling keeps the order of the keys,
-    so the result comes sorted by offset."""
+    monomial is popped exactly once.  The result comes sorted by key, which
+    is the order of the weights."""
     scope = scope or a.datum
     if a.shift != scope.rho_vec.residue_mod_one():
         raise NotAntiInvariant("twist class must be [rho] for decomposition")
     w = generate_weyl(scope)
-    den = a.shift.den
-    keys = to_scaled(a.shift, a.coeffs, den)
+    keys = dict(a.coeffs)
     basis, coroots, cap = scope.basis, scope.basis_coroots, len(scope.positive)
     trees = w.orbit_trees
     found: Dict[Weight, int] = {}
@@ -476,7 +480,7 @@ def anti_invariant_decompose(
         if any(map(ne, map(keys.pop, orbit, repeat(None)), orbit.values())):
             raise NotAntiInvariant("element is not in the span of J(e^lambda)")
         found[lam] = c
-    return {RationalWeight(lam, den): found[lam] for lam in sorted(found)}
+    return {a.weight_of(lam): found[lam] for lam in sorted(found)}
 
 
 # --- numeric evaluation -----------------------------------------------------------
@@ -491,14 +495,16 @@ def numeric_evaluate(a: TorusElement, angles: Sequence[float]) -> complex:
     precision."""
     if len(angles) != a.datum.rank:
         raise DatumMismatch("angle vector has wrong length")
-    base = [n / a.shift.den for n in a.shift.nums]
+    den, nums = a.shift.den, a.shift.nums
+    base = [n / den for n in nums]
     reals: List[float] = []
     imags: List[float] = []
     two_pi = 2.0 * math.pi
     for k, c in a.coeffs.items():
         phase = 0.0
         for j, th in enumerate(angles):
-            phase += (base[j] + k[j]) * th
+            # the weight as the shift plus an integer offset, as summed before
+            phase += (base[j] + (k[j] - nums[j]) // den) * th
         z = cmath.exp(1j * (two_pi * phase))
         reals.append(c * z.real)
         imags.append(c * z.imag)

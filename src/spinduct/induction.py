@@ -42,14 +42,14 @@ from .rootdata import (
     RootDatum,
     SubgroupDatum,
     Weight,
-    from_scaled,
+    rescale,
     scaled,
-    to_scaled,
     vneg,
 )
 from .weyl import (
     CosetReps,
     WeylElement,
+    check_stable,
     coset_representatives,
     generate_weyl,
     to_dominant_chamber,
@@ -113,11 +113,11 @@ def _check_partial_twist(scope: Scope, shift: RationalWeight) -> None:
     """The shifted-module typing: the shift must be stable under the scope
     group and pair integrally with scope coroots.  Passing (scope, shift)
     pairs are remembered; a failing pair raises on every call."""
-    for g, cv in zip(generate_weyl(scope).generators, scope.basis_coroots):
-        try:
-            g.adjustment(shift)
-        except ShiftNotStable as exc:
-            raise BadTwist(str(exc))
+    try:
+        check_stable(scope, shift)
+    except ShiftNotStable as exc:
+        raise BadTwist(str(exc))
+    for cv in scope.basis_coroots:
         if shift.pair(cv).denominator != 1:
             raise BadTwist(
                 "shift pairs non-integrally with a scope coroot; "
@@ -134,12 +134,20 @@ def collect_to_chamber(scope: Scope, a: TorusElement) -> GroupElement:
     rho = scope.rho_vec
     den = math.lcm(a.shift.den, rho.den)
     collected = kernels.dominant_collect(
-        to_scaled(a.shift, a.coeffs, den), scope.basis, scope.basis_coroots,
+        rescale(a.coeffs, a.shift.den, den), scope.basis, scope.basis_coroots,
         len(scope.positive),
     )
-    out_shift = (a.shift - rho).residue_mod_one()
-    read_back = scaled(rho + out_shift, den)
-    return GroupElement(scope, out_shift, from_scaled(collected, read_back, den))
+    return _highest_weights(scope, a.shift - rho, collected, den)
+
+
+def _highest_weights(
+    scope: Scope, shift: RationalWeight, collected: Dict[Weight, int], den: int
+) -> GroupElement:
+    """The element of highest weights lam, of the class shift + X(T), given
+    the chamber images lam + rho of the scope held as keys den * (lam + rho)."""
+    r = scaled(scope.rho_vec, den)
+    keys = {tuple([x - y for x, y in zip(k, r)]): c for k, c in collected.items()}
+    return GroupElement(scope, shift, rescale(keys, den, shift.den))
 
 
 def partial(problem: InductionProblem, scope: str, a: TorusElement) -> GroupElement:
@@ -199,9 +207,7 @@ def induce_classical(
     elif kind == "spin":
         if not problem.rho_m.is_integral():
             raise NotSpin("rho_M is not a character; no invariant Spin structure")
-        m = TorusElement(
-            datum, problem.rho_m.residue_mod_one(), {(0,) * datum.rank: 1}
-        )
+        m = TorusElement.monomial(datum, problem.rho_m.residue_mod_one())
     elif kind == "spinc":
         if gamma is None:
             raise NotCSpinorial("spinc induction needs a character gamma")
@@ -284,8 +290,8 @@ def divide_exact(a: TorusElement, b: TorusElement) -> TorusElement:
     if b.is_zero():
         raise InexactDivision("division by zero")
     den = math.lcm(a.shift.den, b.shift.den)
-    ra = to_scaled(a.shift, a.coeffs, den)
-    rb = to_scaled(b.shift, b.coeffs, den)
+    ra = dict(rescale(a.coeffs, a.shift.den, den))
+    rb = rescale(b.coeffs, b.shift.den, den)
     ltb = max(rb)
     cb = rb[ltb]
     q: Dict[Weight, int] = {}
@@ -312,7 +318,7 @@ def divide_exact(a: TorusElement, b: TorusElement) -> TorusElement:
             elif nk in ra:
                 del ra[nk]
     out_shift = a.shift - b.shift
-    return TorusElement(a.datum, out_shift, from_scaled(q, scaled(out_shift, den), den))
+    return TorusElement(a.datum, out_shift, rescale(q, den, out_shift.den))
 
 
 # --- duality pairing -----------------------------------------------------------

@@ -19,9 +19,14 @@ from .charring import (
     multiply,
 )
 from .errors import BadTwist
-from .induction import InductionProblem, _check_partial_twist, collect_to_chamber
-from .rootdata import from_scaled, scaled, to_scaled
-from .weyl import WeylElement, apply_weyl_sum
+from .induction import (
+    InductionProblem,
+    _check_partial_twist,
+    _highest_weights,
+    collect_to_chamber,
+)
+from .rootdata import rescale
+from .weyl import WeylElement, apply_weyl_sum, check_stable
 
 
 class Multiplet:
@@ -69,29 +74,26 @@ def multiplet(problem: InductionProblem, a: TorusElement) -> Multiplet:
     image of w^{-1}(a).
 
     One pass over W^H: the twist checks run once (the shift must be stable
-    under the simple reflections of G, hence under W), the source is scaled
-    once by den to absolute integer keys, and each w^{-1} acts on those keys
-    by its matrix, Z-linearly.  Each image is collected to the H chamber and
-    read back against rho_H + out_shift, scaled once for all members."""
+    under W), the source's keys are brought once to the denominator of
+    rho_H, and each w^{-1} acts on those keys by its matrix, Z-linearly.
+    Each image is collected to the H chamber and read as highest weights."""
     _check_source_twist(problem, a)
     sub = problem.sub
     # H before G: a shift that fails both raises bad-twist, as collecting the
     # w = 1 member does before any other w is applied
     _check_partial_twist(sub, a.shift)
-    for g in problem.weyl.generators:
-        g.adjustment(a.shift)
+    check_stable(problem.datum, a.shift)
     rho = sub.rho_h
     den = math.lcm(a.shift.den, rho.den)
-    keys = list(to_scaled(a.shift, a.coeffs, den).items())
-    out_shift = (a.shift - rho).residue_mod_one()
-    read_back = scaled(rho + out_shift, den)
+    keys = list(rescale(a.coeffs, a.shift.den, den).items())
+    out_shift = a.shift - rho
     basis, coroots, steps = sub.basis, sub.basis_coroots, len(sub.positive)
     cosets = problem.reps
     members = []
     for inv in cosets.inverses:
         image = {tuple([sum(map(mul, row, k)) for row in inv.matrix]): c for k, c in keys}
         collected = kernels.dominant_collect(image, basis, coroots, steps)
-        members.append(GroupElement(sub, out_shift, from_scaled(collected, read_back, den)))
+        members.append(_highest_weights(sub, out_shift, collected, den))
     return Multiplet(a, cosets.reps, tuple(members), tuple(e.det for e in cosets.reps))
 
 
@@ -111,8 +113,6 @@ def gkrs_identity_check(problem: InductionProblem, a: TorusElement) -> bool:
     dual_euler = dualize(problem.euler)
     lhs = multiply(dual_euler, collect_to_chamber(problem.datum, a).to_torus())
     inverses = problem.reps.inverses
-    jmop = a.replace_coeffs(
-        apply_weyl_sum(inverses, [e.det for e in inverses], a.shift, a.coeffs)
-    )
+    jmop = a.replace_coeffs(apply_weyl_sum(inverses, [e.det for e in inverses], a.shift, a.coeffs))
     rhs = collect_to_chamber(problem.sub, jmop).to_torus()
     return lhs == rhs

@@ -13,8 +13,8 @@ import re
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm, prod
-from operator import mul, sub
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from operator import mul
+from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     DimensionMismatch,
@@ -140,11 +140,12 @@ class RationalWeight:
         return f"RationalWeight({list(self.nums)}, den={self.den})"
 
 
-# --- scaled weights ------------------------------------------------------------
+# --- weight keys ----------------------------------------------------------------
 #
-# Chamber walks and the Freudenthal recursion run on integer keys: the weight
-# shift + offset multiplied through by a common denominator `den` (a multiple
-# of every denominator involved), which commutes with all reflections.
+# Chamber walks, orbit replays and the Freudenthal recursion run on integer
+# keys: a weight w held as den * w, for a positive integer den that clears
+# its denominator.  Multiplying through by den commutes with every
+# reflection, and with the Weyl group's matrices.
 
 
 def scaled(w: RationalWeight, den: int) -> Weight:
@@ -152,30 +153,16 @@ def scaled(w: RationalWeight, den: int) -> Weight:
     return tuple(v * (den // w.den) for v in w.nums)
 
 
-def to_scaled(shift: RationalWeight, coeffs: Dict[Weight, int], den: int) -> Dict[Weight, int]:
-    """Offsets from `shift` to keys den * (shift + offset); a fresh copy when
-    that is the identity (den 1, zero shift)."""
-    if den == 1 and not any(shift.nums):
-        return coeffs.copy()
-    s = scaled(shift, den)
-    return {tuple(x + den * o for x, o in zip(s, k)): c for k, c in coeffs.items()}
-
-
-def from_scaled(keys: Dict[Weight, int], base: Weight, den: int) -> Dict[Weight, int]:
-    """Inverse of to_scaled, given base = scaled(shift, den) (a caller reading
-    back many maps against one shift scales it once); every key must lie in
-    den * (shift + X(T))."""
-    if den == 1 and not any(base):
-        return dict(keys)
-    out: Dict[Weight, int] = {}
-    for x, c in keys.items():
-        off = tuple(map(sub, x, base))
-        if den != 1:
-            if any(d % den for d in off):
-                raise AssertionError("scaled weight left its coset")
-            off = tuple([d // den for d in off])
-        out[off] = c
-    return out
+def rescale(keys: Mapping[Weight, int], old: int, new: int) -> Mapping[Weight, int]:
+    """Keys old * w as keys new * w, where one of old and new divides the
+    other; the input itself when old == new."""
+    if old == new:
+        return keys
+    if new % old == 0:
+        f = new // old
+        return {tuple([f * x for x in k]): c for k, c in keys.items()}
+    f = old // new
+    return {tuple([x // f for x in k]): c for k, c in keys.items()}
 
 
 class Lattice(NamedTuple):

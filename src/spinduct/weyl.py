@@ -4,7 +4,7 @@ reduction, and the antisymmetrizer operators."""
 from __future__ import annotations
 
 from functools import cache, cached_property
-from typing import Dict, FrozenSet, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import kernels, rootdata
 from .errors import MismatchedDatum, OrderCapExceeded, ShiftNotStable
@@ -14,9 +14,6 @@ from .rootdata import (
     RootDatum,
     SubgroupDatum,
     Weight,
-    from_scaled,
-    scaled,
-    to_scaled,
     vsub,
 )
 
@@ -30,15 +27,13 @@ def _rank_one(m: Matrix, col: Sequence[int], row: Sequence[int]) -> Matrix:
     return tuple(tuple([x - c * y for x, y in zip(r, row)]) if c else r for r, c in zip(m, col))
 
 
-class _MatrixLength(NamedTuple):
+class WeylElement(NamedTuple):
+    """A Weyl group element stored as its integer matrix on X(T): an
+    immutable (matrix, length) pair, equal and hashed by both.  It acts on
+    weight keys den * w by the matrix alone."""
+
     matrix: Matrix
     length: int
-
-
-class WeylElement(_MatrixLength):
-    """A Weyl group element stored as its integer matrix on X(T): an
-    immutable (matrix, length) pair, equal and hashed by both.  Its instance
-    dict holds only the per-shift adjustment table."""
 
     @property
     def det(self) -> int:
@@ -46,19 +41,6 @@ class WeylElement(_MatrixLength):
 
     def apply(self, v: Sequence[int]) -> Weight:
         return matvec(self.matrix, v)
-
-    @cached_property
-    def _adjust(self) -> Dict[Tuple[Weight, int], Weight]:
-        return {}
-
-    def adjustment(self, shift: RationalWeight) -> Weight:
-        """shift_adjustment(matrix, shift), kept per shift after first use; a
-        shift moved out of its class is never kept, so it raises every time."""
-        key = (shift.nums, shift.den)
-        adj = self._adjust.get(key)
-        if adj is None:
-            adj = self._adjust[key] = shift_adjustment(self.matrix, shift)
-        return adj
 
 
 def _closure(scope: Scope, avoid: FrozenSet[Weight] = frozenset()) -> Tuple[tuple, tuple]:
@@ -138,15 +120,11 @@ class WeylGroup:
     """A (sub)system's Weyl group.  The order of a root datum's group comes
     from the product formula, a subsystem's from its root heights; neither
     enumerates.  The elements are enumerated on first use, ordered by
-    length, then lexicographic matrix order.  The generators are the simple
-    reflections, one per basis root, in basis order."""
+    length, then lexicographic matrix order."""
 
     def __init__(self, scope: Scope):
         self.scope = scope
         self.datum = scope.datum
-        ident = identity(self.datum.rank)
-        pairs = zip(scope.basis, scope.basis_coroots)
-        self.generators = tuple(WeylElement(_rank_one(ident, a, av), 1) for a, av in pairs)
 
     @cached_property
     def order(self) -> int:
@@ -248,52 +226,56 @@ def to_dominant_chamber(scope: Scope, mu: RationalWeight) -> Optional[Regular]:
     return Regular(WeylElement(mat, len(path)), RationalWeight(image, mu.den))
 
 
-def shift_adjustment(w_matrix: Matrix, shift: RationalWeight) -> Weight:
-    """Integer vector w(delta) - delta; raises if the shift class moves."""
-    img = matvec(w_matrix, shift.nums)
-    diff = [x - y for x, y in zip(img, shift.nums)]
-    if any(d % shift.den for d in diff):
-        raise ShiftNotStable(
-            f"shift class {shift.nums}/{shift.den} is not stable under the group"
-        )
-    return tuple(d // shift.den for d in diff)
+@cache
+def check_stable(scope: Scope, shift: RationalWeight) -> None:
+    """Raise ShiftNotStable unless the scope's Weyl group keeps the class
+    shift + X(T): s_i(delta) - delta = -<delta, alpha_i^vee> alpha_i must
+    lie in X(T) for every simple root alpha_i (stable under the simple
+    reflections iff under W).  Passing pairs are remembered; a failing pair
+    raises on every call."""
+    for a, av in zip(scope.basis, scope.basis_coroots):
+        p = rootdata.dot(av, shift.nums)
+        if any(p * x % shift.den for x in a):
+            raise _not_stable(shift)
+
+
+def _not_stable(shift: RationalWeight) -> ShiftNotStable:
+    return ShiftNotStable(f"shift class {shift.nums}/{shift.den} is not stable under the group")
 
 
 def apply_weyl_sum(
     elements: Sequence[WeylElement],
     dets: Sequence[int],
     shift: RationalWeight,
-    coeffs: Dict[Weight, int],
+    coeffs: Mapping[Weight, int],
 ) -> Dict[Weight, int]:
-    """Sum of det(w) * w(.) over the listed elements, acting on offset maps
-    relative to the (stable) shift."""
+    """Sum of det(w) * w(.) over the listed elements, each acting on the
+    weight keys of the class shift + X(T) by its matrix; raises
+    ShiftNotStable when one of them moves the class (none can at den 1)."""
     mats = [e.matrix for e in elements]
-    adjusts = [e.adjustment(shift) for e in elements]
-    return kernels.weyl_sum(mats, dets, adjusts, coeffs)
+    nums, den = shift.nums, shift.den
+    if den > 1 and any(any((x - y) % den for x, y in zip(matvec(m, nums), nums)) for m in mats):
+        raise _not_stable(shift)
+    return kernels.weyl_sum(mats, dets, [(0,) * len(m) for m in mats], coeffs)
 
 
 def antisymmetrize(
-    scope: Scope, shift: RationalWeight, coeffs: Dict[Weight, int]
+    scope: Scope, shift: RationalWeight, coeffs: Mapping[Weight, int]
 ) -> Dict[Weight, int]:
-    """Sum of det(w) * w(.) over the scope's Weyl group, acting on offset maps
-    relative to the shift, without enumerating the group.
+    """Sum of det(w) * w(.) over the scope's Weyl group, acting on the weight
+    keys of the class shift + X(T), without enumerating the group.
 
-    The shift class is checked against the simple reflections (stable under
-    them iff under W).  Each monomial is collected to the strictly dominant
-    chamber with sign det(w), since J(e^(w nu)) = det(w) J(e^nu); singular
-    ones drop out, as J kills them.  Each strictly dominant nu then expands
-    to its signed orbit J(e^nu)."""
+    The shift class is checked by check_stable.  Each monomial is collected
+    to the strictly dominant chamber with sign det(w), since J(e^(w nu)) =
+    det(w) J(e^nu); singular ones drop out, as J kills them.  Each strictly
+    dominant nu then expands to its signed orbit J(e^nu)."""
+    check_stable(scope, shift)
     w = generate_weyl(scope)
-    for g in w.generators:
-        g.adjustment(shift)
-    den = shift.den
-    keys = to_scaled(shift, coeffs, den)
     basis, coroots = scope.basis, scope.basis_coroots
-    keys = kernels.dominant_collect(keys, basis, coroots, len(scope.positive))
+    keys = kernels.dominant_collect(coeffs, basis, coroots, len(scope.positive))
     # the regular tree's table, once an earlier call has walked the tree
     packed = w.packed_orbit if keys and () in w.orbit_trees else None
-    orbits = kernels.signed_orbit(list(keys.items()), basis, coroots, w.orbit_trees, packed)
-    return from_scaled(orbits, scaled(shift, den), den)
+    return kernels.signed_orbit(list(keys.items()), basis, coroots, w.orbit_trees, packed)
 
 
 def apply_antisymmetrizer(kind: str, a, sub: Optional[SubgroupDatum] = None):

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import kernels
 from .charring import TorusElement, TwistClass, _weight_dimension
-from .errors import DegenerateSample, SchemaViolation, UnknownSeries
+from .errors import DegenerateSample, NotDominant, SchemaViolation, UnknownSeries
 from .induction import InductionProblem, make_problem
 from .rootdata import (
     RationalWeight,
@@ -127,18 +127,20 @@ def random_torus_element(
     max_coeff: int = 9,
 ) -> TorusElement:
     """Seeded random element of a shifted module: support <= 12, integer
-    coefficients in [-9, 9], offsets in a small box around the origin."""
+    coefficients in [-9, 9], weights shift + v for the twist's residue shift
+    and integer vectors v in a small box around the origin."""
     datum = problem.datum
     rank = datum.rank
     shift = (twist or TwistClass.zero(rank)).shift
     bound = _coord_bound(rank)
-    coeffs = {}
+    weights: Dict[RationalWeight, int] = {}
     # randrange(a, b + 1) is randint(a, b) by definition, one call shallower
     for _ in range(rng.randrange(1, max_support + 1)):
-        key = tuple(rng.randrange(-bound, bound + 1) for _ in range(rank))
+        v = tuple(rng.randrange(-bound, bound + 1) for _ in range(rank))
+        w = shift + RationalWeight.from_ints(v)
         c = rng.randrange(1, max_coeff + 1) * rng.choice((1, -1))
-        coeffs[key] = coeffs.get(key, 0) + c
-    return TorusElement(datum, shift, coeffs)
+        weights[w] = weights.get(w, 0) + c
+    return TorusElement.from_weights(datum, weights)
 
 
 def random_wh_invariant(
@@ -187,7 +189,7 @@ def random_dominant_weight(
         mu = RationalWeight(x, mu.den)
         try:
             d = _weight_dimension(scope, mu)
-        except Exception:
+        except NotDominant:
             continue
         if d <= cap:
             return mu

@@ -22,19 +22,18 @@ from spinduct.charring import (
     weyl_denominator,
 )
 from spinduct.errors import DatumMismatch, DegenerateSample, NotAntiInvariant, NotDominant
+from spinduct.induction import divide_exact
 from spinduct.rootdata import (
     RationalWeight,
     build_root_datum,
     dot,
-    from_scaled,
     scaled,
     subgroup_from_roots,
-    to_scaled,
     vadd,
     vneg,
     vsub,
 )
-from spinduct.serialize import torus_to_text
+from spinduct.serialize import torus_from_json, torus_to_json, torus_to_text
 from spinduct.weyl import antisymmetrize, apply_antisymmetrizer, generate_weyl
 from spinduct.zoo import (
     ZOO_PAIRS,
@@ -78,47 +77,103 @@ def test_twists_add_and_negate():
 
 def test_elements_keep_a_canonical_shift_and_canonicalize_any_other():
     """An element built from the canonical residue keeps that shift object;
-    the same element built from shift + v, offsets moved by -v, is equal."""
+    the same keys den * w given with any other representative shift + v of
+    the class give an equal element: the keys never move, as every weight
+    of the class has the residue's denominator."""
     rng = random.Random(11)
     for name, p in zoo_problems():
         rank = p.datum.rank
         for scope in (p.datum, p.sub):
             for delta in (RationalWeight.zero(rank), p.datum.rho, scope.rho_vec, p.rho_m):
                 shift = delta.residue_mod_one()
-                coeffs = {
-                    tuple(rng.randint(-3, 3) for _ in range(rank)): rng.randint(-4, 4)
-                    for _ in range(5)
-                }
-                v = tuple(rng.randint(-3, 3) for _ in range(rank))
-                moved = shift + RationalWeight.from_ints(v)
-                moved_coeffs = {vsub(k, v): c for k, c in coeffs.items()}
+                weights = {shift + RationalWeight([rng.randint(-3, 3) for _ in range(rank)]):
+                           rng.randint(-4, 4) for _ in range(5)}
+                assert all(w.den == shift.den for w in weights)
+                coeffs = {scaled(w, shift.den): c for w, c in weights.items()}
+                moved = shift + RationalWeight([rng.randint(-3, 3) for _ in range(rank)])
                 for cls, where in ((GroupElement, scope), (TorusElement, p.datum)):
                     canon = cls(where, shift, coeffs)
                     assert canon.shift is shift, name
                     assert canon.coeffs == {k: c for k, c in coeffs.items() if c}
-                    other = cls(where, moved, moved_coeffs)
+                    other = cls(where, moved, coeffs)
                     assert other == canon, name
                     assert other.shift == shift
+                    assert dict(canon.terms()) == {w: c for w, c in weights.items() if c}
 
 
 def test_elements_drop_zeros_and_own_their_coefficients():
-    """On both constructor branches, a canonical shift kept as it is and any
-    other moved to its residue, zero coefficients are dropped, and writing
+    """With a canonical shift and with another representative of its class,
+    the keys are kept as given, zero coefficients are dropped, and writing
     into the caller's dict afterwards leaves the element unchanged, with or
-    without zeros to drop."""
+    without zeros to drop.  The keys are 2 w for weights w of (1/2, 0) + X(T)."""
     a2 = build_root_datum("A2")
-    for shift, moved in ((RationalWeight([1, 0], 2), (0, 0)), (RationalWeight([3, -2], 2), (1, -1))):
-        for zeros in ({}, {(1, 0): 0, (2, 1): 0}):
+    for shift in (RationalWeight([1, 0], 2), RationalWeight([3, -2], 2)):
+        for zeros in ({}, {(3, 0): 0, (5, 2): 0}):
             for cls in (TorusElement, GroupElement):
-                coeffs = {(0, 0): 2, **zeros, (0, 1): -1}
+                coeffs = {(1, 0): 2, **zeros, (1, 2): -1}
                 a = cls(a2, shift, coeffs)
-                expect = {vadd((0, 0), moved): 2, vadd((0, 1), moved): -1}
+                expect = {(1, 0): 2, (1, 2): -1}
                 assert a.coeffs == expect
-                coeffs[(0, 0)] = 5
-                coeffs[(2, 2)] = 1
-                del coeffs[(0, 1)]
+                assert a.shift == RationalWeight([1, 0], 2)
+                coeffs[(1, 0)] = 5
+                coeffs[(3, 2)] = 1
+                del coeffs[(1, 2)]
                 assert a.coeffs == expect
-                assert a == cls(a2, shift, {(0, 0): 2, (0, 1): -1})
+                assert a == cls(a2, shift, {(1, 0): 2, (1, 2): -1})
+
+
+def _weights(a):
+    """An element as {weight: coefficient}, read through terms()."""
+    return dict(a.terms())
+
+
+def _weight_sum(*parts):
+    out = {}
+    for part in parts:
+        for w, c in part:
+            out[w] = out.get(w, 0) + c
+    return {w: c for w, c in out.items() if c}
+
+
+# A2 shifts of denominator 1, 2 and 3; pairs from them whose sums drop the
+# denominator (1/3 + 2/3, 1/2 + 1/2) or raise it (1/2 + 1/3)
+_A2_SHIFTS = [RationalWeight([0, 0]), RationalWeight([1, 1], 2), RationalWeight([1, 0], 2),
+              RationalWeight([1, 0], 3), RationalWeight([2, 0], 3), RationalWeight([1, 2], 3)]
+
+
+def _random_a2_element(a2, shift, rng):
+    weights = {shift + RationalWeight([rng.randint(-2, 2), rng.randint(-2, 2)]):
+               rng.choice((1, -1)) * rng.randint(1, 5) for _ in range(rng.randint(1, 4))}
+    return TorusElement.from_weights(a2, weights)
+
+
+def test_key_format_agrees_with_weight_arithmetic():
+    """Sums, products, duals and exact quotients on A2 at shifts of
+    denominator 1, 2 and 3 agree with the same operations done on the
+    weights of terms() in RationalWeight arithmetic, and every element
+    survives the round trips through from_weights and the JSON form."""
+    a2 = build_root_datum("A2")
+    rng = random.Random(23)
+    dens = set()
+    for sa in _A2_SHIFTS:
+        for sb in _A2_SHIFTS:
+            for _ in range(3):
+                a, a2nd = _random_a2_element(a2, sa, rng), _random_a2_element(a2, sa, rng)
+                b = _random_a2_element(a2, sb, rng)
+                assert _weights(a + a2nd) == _weight_sum(a.terms(), a2nd.terms())
+                prod = multiply(a, b)
+                assert _weights(prod) == _weight_sum(
+                    [(u + v, c * d) for u, c in a.terms() for v, d in b.terms()])
+                assert prod.shift == (sa + sb).residue_mod_one()
+                dens.add((sa.den, sb.den, prod.shift.den))
+                assert _weights(dualize(a)) == {-w: c for w, c in a.terms()}
+                if not prod.is_zero():
+                    assert divide_exact(prod, b) == a and divide_exact(prod, a) == b
+                for x in (a, b, prod):
+                    assert TorusElement.from_weights(a2, _weights(x)) == x or x.is_zero()
+                    assert torus_from_json(a2, torus_to_json(x)) == x
+    # the denominator drops (1/3 + 2/3, 1/2 + 1/2) and rises (1/2 + 1/3)
+    assert {(3, 3, 1), (2, 2, 1), (2, 3, 6), (3, 3, 3), (1, 3, 3)} <= dens
 
 
 def test_datum_mismatch():
@@ -202,7 +257,7 @@ def test_wcf_selfcheck_random():
             assert multiply(weyl_denominator(d), chi) == apply_antisymmetrizer(
                 "J_G", TorusElement.monomial(d, lam + d.rho)
             )
-            assert chi.coeffs[tuple((lam - lam.residue_mod_one()).ints())] == 1
+            assert chi.coeffs[scaled(lam, chi.shift.den)] == 1
             assert is_scope_invariant(chi, d)
 
 
@@ -318,11 +373,14 @@ def test_dimension_constants_are_cached_immutable_values():
 
 def _image_comparison_invariant(a, scope):
     """is_scope_invariant as it was: the whole image of a under each simple
-    reflection, compared with a; kept as an oracle."""
-    return all(
-        kernels.weyl_sum([g.matrix], [1], [g.adjustment(a.shift)], a.coeffs) == a.coeffs
-        for g in generate_weyl(scope).generators
-    )
+    reflection's matrix, compared with a; kept as an oracle."""
+    rank = scope.datum.rank
+    zero = (0,) * rank
+    for al, av in zip(scope.basis, scope.basis_coroots):
+        m = [[int(r == c) - al[r] * av[c] for c in range(rank)] for r in range(rank)]
+        if kernels.weyl_sum([m], [1], [zero], a.coeffs) != a.coeffs:
+            return False
+    return True
 
 
 def test_is_scope_invariant_matches_image_comparison():
@@ -344,8 +402,8 @@ def test_is_scope_invariant_matches_image_comparison():
             for chi in chis:
                 k = next(iter(chi.coeffs))
                 inputs.append(chi + chi.replace_coeffs({k: 1}))  # one coefficient off
-                inputs.append(chi + TorusElement(p.datum, chi.shift, {
-                    tuple(rng.randint(-3, 3) for _ in range(rank)): 1}))
+                inputs.append(chi + TorusElement.monomial(p.datum, chi.shift + RationalWeight(
+                    [rng.randint(-3, 3) for _ in range(rank)])))
             verdicts = []
             for a in inputs:
                 expect = _image_comparison_invariant(a, scope)
@@ -377,13 +435,12 @@ def _collect_then_divide(a):
     monomial to the dominant chamber with sign; each orbit then collects to
     |W| * c_lam."""
     d = a.datum
-    den = a.shift.den
     collected = kernels.dominant_collect(
-        to_scaled(a.shift, a.coeffs, den), d.basis, d.basis_coroots, len(d.positive)
+        a.coeffs, d.basis, d.basis_coroots, len(d.positive)
     )
     order = generate_weyl(d).order
     out = {}
-    for k, c in sorted(from_scaled(collected, scaled(a.shift, den), den).items()):
+    for k, c in sorted(collected.items()):
         if c % order:
             raise NotAntiInvariant("orbit coefficients are inconsistent")
         out[a.weight_of(k)] = c // order
@@ -412,11 +469,9 @@ def _filter_then_rebuild(a, scope=None):
     scope = scope or a.datum
     if a.shift != scope.rho_vec.residue_mod_one():
         raise NotAntiInvariant("twist class must be [rho] for decomposition")
-    den = a.shift.den
     strict = list(a.coeffs)
     for cv in scope.basis_coroots:
-        b = -dot(cv, a.shift.nums)
-        strict = [k for k in strict if den * dot(cv, k) > b]
+        strict = [k for k in strict if dot(cv, k) > 0]
     key_coeffs = {k: a.coeffs[k] for k in sorted(strict)}
     if antisymmetrize(scope, a.shift, key_coeffs) != a.coeffs:
         raise NotAntiInvariant("element is not in the span of J(e^lambda)")
@@ -444,23 +499,23 @@ def _seeded_anti_invariants(rng, count):
                     yield scope, ja
 
 
-def _walk(scope, a, key):
-    """The chamber walk of the scaled weight of a's offset key."""
-    den = a.shift.den
-    x = tuple(den * k + s for k, s in zip(key, a.shift.nums))
-    return kernels.dominant_walk(x, scope.basis, scope.basis_coroots, len(scope.positive))
+def _walk(scope, key):
+    """The chamber walk of a weight key."""
+    return kernels.dominant_walk(key, scope.basis, scope.basis_coroots, len(scope.positive))
 
 
-def _new_offset(scope, a, wall):
-    """An offset in the box [-2, 2]^rank outside a's support whose weight
-    lies on a wall (wall=True) or is regular and off the chamber, or None
-    when there is none (the class [rho] can miss every wall)."""
+def _new_key(scope, a, wall):
+    """The key of a weight a.shift + v, v in the box [-2, 2]^rank, outside
+    a's support that lies on a wall (wall=True) or is regular and off the
+    chamber, or None when there is none (the class [rho] can miss every
+    wall)."""
     rank = scope.datum.rank
     for i in range(5 ** rank):
-        off = tuple((i // 5 ** j) % 5 - 2 for j in range(rank))
-        _, path, regular = _walk(scope, a, off)
-        if off not in a.coeffs and (not regular if wall else regular and path):
-            return off
+        v = RationalWeight([(i // 5 ** j) % 5 - 2 for j in range(rank)])
+        key = scaled(a.shift + v, a.shift.den)
+        _, path, regular = _walk(scope, key)
+        if key not in a.coeffs and (not regular if wall else regular and path):
+            return key
     return None
 
 
@@ -489,14 +544,14 @@ def test_orbit_peeling_and_filter_then_rebuild_refuse_the_same_perturbations(cha
         coeffs = dict(ja.coeffs)
         keys = sorted(coeffs)
         if change == "coefficient":
-            moved = [k for k in keys if _walk(scope, ja, k)[1]]
+            moved = [k for k in keys if _walk(scope, k)[1]]
             if not moved:
                 continue
             coeffs[rng.choice(moved)] *= 2
         elif change == "deleted":
             del coeffs[rng.choice(keys)]
         else:
-            key = _new_offset(scope, ja, wall=change == "wall")
+            key = _new_key(scope, ja, wall=change == "wall")
             if key is None:
                 continue
             coeffs[key] = 1
@@ -522,10 +577,11 @@ def test_anti_invariant_decompose_rejects_one_extra_monomial(where):
         # dominant; its negative and its image under a simple reflection
         # are off the chamber
         lam = RationalWeight([9 * x for x in d.rho.nums], d.rho.den)
+        p1 = dot(d.basis_coroots[0], lam.nums)
         extra = {
             "dominant": lam,
             "antidominant": -lam,
-            "reflected": RationalWeight(generate_weyl(d).generators[0].apply(lam.nums), lam.den),
+            "reflected": RationalWeight([x - p1 * y for x, y in zip(lam.nums, d.basis[0])], lam.den),
         }[where]
         with pytest.raises(NotAntiInvariant):
             anti_invariant_decompose(ja + TorusElement.monomial(d, extra))
@@ -634,10 +690,9 @@ def _assert_matches_box_oracle(scope, lam):
     assert charring._dominant_weights(scope, top, den) == box
     mult = charring._freudenthal(scope, box, den)
     expanded = kernels.orbit_expand(list(mult.items()), scope.basis, scope.basis_coroots)
-    shift = lam.residue_mod_one()
     chi = irreducible_restriction(scope, lam)
-    assert chi.shift == shift
-    assert chi.coeffs == from_scaled(expanded, scaled(shift, den), den)
+    assert chi.shift == lam.residue_mod_one()
+    assert dict(chi.terms()) == {RationalWeight(k, den): c for k, c in expanded.items()}
 
 
 def test_dominant_weights_match_box_oracle_on_zoo_groups():
@@ -691,7 +746,7 @@ def test_character_dimension_top_coefficient_and_invariance(which, seed, twisted
     lam = random_dominant_weight(scope, random.Random(seed), twist=twist, dim_cap=400)
     chi = irreducible_restriction(scope, lam)
     assert sum(chi.coeffs.values()) == dimension(GroupElement.from_weights(scope, {lam: 1}))
-    assert chi.coeffs[(lam - chi.shift).ints()] == 1
+    assert lam.den == chi.shift.den and chi.coeffs[lam.nums] == 1
     assert is_scope_invariant(chi, scope)
 
 
@@ -728,7 +783,7 @@ def test_torus_and_group_elements_share_one_body():
     half = RationalWeight([1, 1], 2)
     g = GroupElement.from_weights(a2, {half + RationalWeight([1, 1]): 3})
     t = TorusElement.from_weights(a2, {half + RationalWeight([1, 1]): 3})
-    assert g.shift == t.shift == half and g.coeffs == t.coeffs == {(1, 1): 3}
+    assert g.shift == t.shift == half and g.coeffs == t.coeffs == {(3, 3): 3}
     assert g != t and g.datum is t.datum is a2
     with pytest.raises(DatumMismatch):
         g + t

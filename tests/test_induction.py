@@ -66,7 +66,7 @@ def test_partial_basics():
     assert partial(p, "G", TorusElement.monomial(a1, RationalWeight([0]))).is_zero()
     assert partial(p, "G", TorusElement.monomial(a1, RationalWeight([-1]))) == one.scale(-1)
     with pytest.raises(BadTwist):
-        partial(p, "G", TorusElement(a1, RationalWeight([1], 3), {(0,): 1}))
+        partial(p, "G", TorusElement.monomial(a1, RationalWeight([1], 3)))
 
 
 def test_unit_induction_everywhere():

@@ -31,11 +31,12 @@ def test_antisymmetrizer_identities_at_half_shift():
     rng = random.Random(3)
     tw = TwistClass.of(p.datum.rho)
     for _ in range(40):
-        ks = {
-            tuple(rng.randint(-3, 3) for _ in range(3)): rng.randint(-9, 9) or 1
+        weights = {
+            tw.shift + RationalWeight([rng.randint(-3, 3) for _ in range(3)]): rng.randint(-9, 9) or 1
             for _ in range(rng.randint(1, 8))
         }
-        a = TorusElement(p.datum, tw.shift, ks)
+        a = TorusElement.from_weights(p.datum, weights)
+        assert a.shift == tw.shift
         jg = apply_antisymmetrizer("J_G", a)
         assert jg == apply_antisymmetrizer(
             "J_M", apply_antisymmetrizer("J_H", a, p.sub), p.sub

@@ -277,47 +277,30 @@ def test_e6_j_g_never_enumerates_w():
 
 def test_shift_stability_error():
     a1 = build_root_datum("A1")
-    bad = TorusElement(a1, RationalWeight([1], 3), {(0,): 1})
-    # a failing (element, shift) pair is never remembered
+    bad = TorusElement.monomial(a1, RationalWeight([1], 3))
+    # a failing (scope, shift) pair is never remembered
     for _ in range(2):
         with pytest.raises(ShiftNotStable):
             apply_antisymmetrizer("J_G", bad)
         with pytest.raises(ShiftNotStable):
             is_scope_invariant(bad, a1)
+    # A2 > levi1 at omega_1 / 3: s_1 moves the class, and s_1 lies in W_H and
+    # in W, so J_H and J_M refuse it as J_G does
+    p = zoo_problem("A2", "levi1")
+    bad = TorusElement.monomial(p.datum, RationalWeight([1, 0], 3))
+    for kind in ("J_G", "J_H", "J_M", "J_M_OP"):
+        for _ in range(2):
+            with pytest.raises(ShiftNotStable):
+                apply_antisymmetrizer(kind, bad, p.sub)
 
 
-def test_second_j_g_makes_no_new_shift_adjustment(monkeypatch):
-    from spinduct import weyl
-
-    calls = []
-
-    def counting(matrix, shift):
-        calls.append(matrix)
-        return real(matrix, shift)
-
-    real = weyl.shift_adjustment
-    monkeypatch.setattr(weyl, "shift_adjustment", counting)
-    # a fresh group cache: the elements start with no adjustments
-    weyl.generate_weyl.cache_clear()
-    f4 = build_root_datum("F4")
-    a = TorusElement.monomial(f4, RationalWeight([3, 1, 2, 1]), 2)
-    # J_G by signed orbits checks the shift against the simple reflections only
-    first = apply_antisymmetrizer("J_G", a)
-    assert len(calls) == f4.rank
-    assert apply_antisymmetrizer("J_G", a) == first
-    assert len(calls) == f4.rank
-    # the matrix sum over W adjusts each element once per shift
-    elements = generate_weyl(f4).elements
-    dets = [e.det for e in elements]
-    calls.clear()
-    assert apply_weyl_sum(elements, dets, a.shift, a.coeffs) == first.coeffs
-    assert len(calls) == 1152
-    assert apply_weyl_sum(elements, dets, a.shift, a.coeffs) == first.coeffs
-    assert len(calls) == 1152
-    # the kept adjustments are not part of an element's value
-    for e in elements[:5]:
-        fresh = WeylElement(e.matrix, e.length)
-        assert (e, hash(e), repr(e)) == (fresh, hash(fresh), repr(fresh))
+def test_weyl_elements_carry_no_instance_dict():
+    """A Weyl element is its (matrix, length) pair and nothing else, so the
+    cached elements of a group hold no per-element state."""
+    w = generate_weyl(build_root_datum("B3"))
+    for e in w.elements[:5] + w.inverses[-5:]:
+        assert not hasattr(e, "__dict__")
+        assert e == WeylElement(e.matrix, e.length) and hash(e) == hash(tuple(e))
 
 
 def _filtered_cosets(p):
@@ -360,7 +343,6 @@ def test_e6_problem_does_not_enumerate_w():
     assert p.weyl.order == 51840
     assert p.weyl_h.order == 216
     assert len(p.reps.reps) == 240
-    assert len(p.weyl.generators) == 6
     # the elements are a cached property: absent until first read
     assert "elements" not in vars(p.weyl)
 
@@ -376,10 +358,20 @@ def test_antisymmetrizer_check_searches_each_pair_once():
     assert info.misses == info.currsize == len(ZOO_PAIRS)
 
 
+def _simple_reflections(scope):
+    """The matrices of the scope's simple reflections, x -> x - <alpha^vee, x>
+    alpha, in basis order."""
+    rank = scope.datum.rank
+    return [
+        tuple(tuple(int(r == c) - a[r] * av[c] for c in range(rank)) for r in range(rank))
+        for a, av in zip(scope.basis, scope.basis_coroots)
+    ]
+
+
 def _matrix_product_bfs(gens, rank, keep):
     """The enumeration the descent walk replaced, kept as its oracle: a
-    breadth-first search from the identity, multiplying by the generators on
-    the left and keeping the new matrices `keep` accepts, the inverse
+    breadth-first search from the identity, multiplying by the generator
+    matrices on the left and keeping the new matrices `keep` accepts, the inverse
     carried along as (s w)^{-1} = w^{-1} s.  (matrix, inverse, length,
     length) rows sorted by length, then matrix."""
     ident = identity(rank)
@@ -390,9 +382,9 @@ def _matrix_product_bfs(gens, rank, keep):
         for m in frontier:
             length, inv = found[m]
             for g in gens:
-                nm = matmul(g.matrix, m)
+                nm = matmul(g, m)
                 if nm not in found and keep(nm):
-                    found[nm] = (length + 1, matmul(inv, g.matrix))
+                    found[nm] = (length + 1, matmul(inv, g))
                     nxt.append(nm)
         frontier = nxt
     rows = [(m, inv, length, length) for m, (length, inv) in found.items()]
@@ -428,7 +420,7 @@ def test_descent_walk_matches_matrix_product_bfs_on_cosets():
     for p in _oracle_problems():
         pos = set(p.datum.positive_roots)
         keep = lambda m: all(matvec(m, a) in pos for a in p.sub.basis_h)  # noqa: E731
-        oracle = _matrix_product_bfs(p.weyl.generators, p.datum.rank, keep)
+        oracle = _matrix_product_bfs(_simple_reflections(p.datum), p.datum.rank, keep)
         cosets = coset_representatives(p.weyl, p.sub)
         assert _walked(cosets.reps, cosets.inverses) == oracle, p.datum.cartan_label
     assert len(oracle) == 240
@@ -437,7 +429,7 @@ def test_descent_walk_matches_matrix_product_bfs_on_cosets():
 def test_descent_walk_matches_matrix_product_bfs_on_whole_groups():
     for label in ("A1", "A2", "B2", "G2", "B3", "C3", "D4", "F4"):
         w = WeylGroup(build_root_datum(label))
-        oracle = _matrix_product_bfs(w.generators, w.datum.rank, lambda m: True)
+        oracle = _matrix_product_bfs(_simple_reflections(w.scope), w.datum.rank, lambda m: True)
         assert _walked(w.elements, w.inverses) == oracle, label
         assert len(oracle) == w.order
 
@@ -449,7 +441,7 @@ def test_descent_walk_matches_matrix_product_bfs_on_subgroups():
     subs += [subgroup_from_roots(d, d.roots) for d in (build_root_datum("G2"), subs[-4].parent)]
     for sub in subs:
         w = WeylGroup(sub)
-        oracle = _matrix_product_bfs(w.generators, sub.parent.rank, lambda m: True)
+        oracle = _matrix_product_bfs(_simple_reflections(sub), sub.parent.rank, lambda m: True)
         assert _walked(w.elements, w.inverses) == oracle, sub.key
         assert len(oracle) == w.order
 

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from spinduct.charring import TwistClass
 from spinduct.zoo import ZOO_PAIRS, _coord_bound, random_torus_element, zoo_problem
 
@@ -33,3 +35,16 @@ def test_random_torus_element_draws_as_randint():
                     assert list(a.coeffs.items()) == list(expect.items()), (g, seed)
                     assert a.shift == twist.shift
                 assert ours.getstate() == ref.getstate(), (g, seed)
+
+
+def test_random_dominant_weight_lets_other_errors_through(monkeypatch):
+    """The sampler skips only the weights the dimension formula refuses
+    (NotDominant); any other error of the formula propagates."""
+    import spinduct.zoo as zoo
+
+    def broken(scope, lam):
+        raise ZeroDivisionError("broken dimension formula")
+
+    monkeypatch.setattr(zoo, "_weight_dimension", broken)
+    with pytest.raises(ZeroDivisionError):
+        zoo.random_dominant_weight(zoo_problem("A2", "t").datum, random.Random(0))
