@@ -165,7 +165,7 @@ def _resolve_datum(doc: Dict) -> RootDatum:
 
 
 def _resolve_input(doc: Dict, problem) -> TorusElement:
-    spec = doc.get("input", "1")
+    spec = doc["input"]
     datum = problem.datum
     if isinstance(spec, dict):
         return torus_from_json(datum, spec, pointer="/input")
@@ -259,7 +259,7 @@ def _run_command(doc: Dict, command: str) -> Dict:
 
     if command == "induce":
         a = _resolve_input(doc, problem)
-        kind = doc.get("kind", "twisted")
+        kind = doc["kind"]
         if kind == "twisted":
             out = induce_twisted_spinc(problem, a)
         elif kind in ("holomorphic", "spin", "spinc"):
@@ -276,7 +276,7 @@ def _run_command(doc: Dict, command: str) -> Dict:
         }
 
     if command == "branch":
-        spec = doc.get("input")
+        spec = doc["input"]
         if isinstance(spec, dict):
             ge = _group_from_doc(problem, spec)
         else:
@@ -336,7 +336,7 @@ def _run_command(doc: Dict, command: str) -> Dict:
         return {"result": payload, "diagnostics": _diagnostics(problem)}
 
     if command == "lefschetz":
-        kind = doc.get("kind", "twisted")
+        kind = doc["kind"]
         if kind not in ("twisted", "hodge"):
             raise SchemaViolation(f"lefschetz takes kind twisted or hodge, not {kind!r}", "/kind")
         a = _resolve_input(doc, problem)
@@ -412,9 +412,16 @@ _FLAGS = (
     ("max_weyl_order", _json_flag, "cap on the Weyl group orders a command enumerates"),
 )
 # what a problem gets for a field that both its flags and its document leave
-# out: every command echoes the first four, and pairing, which alone reads
-# it, also tau
-_DEFAULTS = {"seed": 0, "trials": 20, "suite": "all", "subgroup": "t", "tau": "0"}
+# out, and the commands that read it, which echo it
+_DEFAULTS = (
+    ("seed", 0, COMMANDS),
+    ("trials", 20, COMMANDS),
+    ("suite", "all", COMMANDS),
+    ("subgroup", "t", COMMANDS),
+    ("tau", "0", ("pairing",)),
+    ("kind", "twisted", ("induce", "lefschetz")),
+    ("input", "1", ("induce", "branch", "multiplet", "lefschetz")),
+)
 
 
 # built on the first call of main and reused: parsing keeps no state in it
@@ -451,8 +458,8 @@ def _doc_from_args(args) -> Dict:
         text = getattr(args, field)
         if text is not None:
             doc[field] = parse(text, "/" + field)
-    for field, value in _DEFAULTS.items():
-        if field != "tau" or args.command == "pairing":
+    for field, value, commands in _DEFAULTS:
+        if args.command in commands:
             doc.setdefault(field, value)
     _check_fields(doc)
     if doc.get("command", args.command) != args.command:

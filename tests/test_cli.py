@@ -411,6 +411,30 @@ def test_every_flag_reaches_the_problem(capsys):
         assert json.loads(out)["problem"][flag[2:].replace("-", "_")] == echoed, argv
 
 
+# the defaults that only some commands read, and those commands
+_READ_DEFAULTS = {
+    "tau": ("0", {"pairing"}),
+    "kind": ("twisted", {"induce", "lefschetz"}),
+    "input": ("1", {"induce", "branch", "multiplet", "lefschetz"}),
+}
+
+
+@pytest.mark.parametrize("command", ["info", "whset", "induce", "branch", "bwb",
+                                     "multiplet", "pairing", "spinc", "lefschetz"])
+def test_every_default_a_command_reads_is_echoed(capsys, command):
+    """A command echoes each default it answers with, and no default it
+    does not read; giving the default as a flag changes nothing."""
+    argv = [command, "--group", "A1"] + (["--mu", "0"] if command == "bwb" else [])
+    code, out = run_cli(capsys, *argv)
+    problem = json.loads(out)["problem"]
+    flags = []
+    for field, (value, readers) in _READ_DEFAULTS.items():
+        assert problem.get(field) == (value if command in readers else None), field
+        if command in readers:
+            flags += ["--" + field, value]
+    assert run_cli(capsys, *argv, *flags) == (code, out)
+
+
 def test_tau_flag_answers_as_the_document_does(capsys, monkeypatch):
     import io
 
