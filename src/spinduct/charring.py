@@ -451,16 +451,15 @@ def anti_invariant_decompose(
     class).
 
     The input is peeled one orbit at a time, on a working copy of its keys.
-    A regular W-orbit meets the open
-    dominant chamber exactly once (Humphreys, Reflection Groups and Coxeter
-    Groups, 1.12), and the orbits of distinct strictly dominant lam are
-    disjoint, so a is such a sum iff each monomial lies in the orbit of a
-    strictly dominant lam of the support, every point of which carries
-    det(w) c_lam.  Any remaining key is walked into the chamber; a key on a
-    wall, or an image lam outside the support, raises.  J(e^lam) is then
-    replayed once and each of its points popped against it, so every
-    monomial is popped exactly once.  The result comes sorted by key, which
-    is the order of the weights."""
+    A regular W-orbit meets the open dominant chamber exactly once
+    (Humphreys, Reflection Groups and Coxeter Groups, 1.12), and the orbits
+    of distinct strictly dominant lam are disjoint, so a is such a sum iff
+    each monomial lies in the orbit of a strictly dominant lam of the
+    support, every point of which carries det(w) c_lam.  Any remaining key
+    is walked into the chamber; a key on a wall, or an image lam outside the
+    support, raises.  J(e^lam) is then replayed once and each of its points
+    popped against it, so every monomial is popped exactly once.  The
+    result comes sorted by key, which is the order of the weights."""
     scope = scope or a.datum
     if a.shift != scope.rho_vec.residue_mod_one():
         raise NotAntiInvariant("twist class must be [rho] for decomposition")
@@ -503,7 +502,7 @@ def numeric_evaluate(a: TorusElement, angles: Sequence[float]) -> complex:
     for k, c in a.coeffs.items():
         phase = 0.0
         for j, th in enumerate(angles):
-            # the weight as the shift plus an integer offset, as summed before
+            # the residue's coordinate plus the weight's integer offset from it
             phase += (base[j] + (k[j] - nums[j]) // den) * th
         z = cmath.exp(1j * (two_pi * phase))
         reals.append(c * z.real)

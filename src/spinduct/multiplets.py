@@ -113,6 +113,8 @@ def gkrs_identity_check(problem: InductionProblem, a: TorusElement) -> bool:
     dual_euler = dualize(problem.euler)
     lhs = multiply(dual_euler, collect_to_chamber(problem.datum, a).to_torus())
     inverses = problem.reps.inverses
-    jmop = a.replace_coeffs(apply_weyl_sum(inverses, [e.det for e in inverses], a.shift, a.coeffs))
+    jmop = a.replace_coeffs(
+        apply_weyl_sum(inverses, [e.det for e in inverses], a.shift, a.coeffs)
+    )
     rhs = collect_to_chamber(problem.sub, jmop).to_torus()
     return lhs == rhs
