@@ -220,7 +220,7 @@ def is_scope_invariant(a: TorusElement, scope: Scope) -> bool:
     coeffs = a.coeffs
     for al, av in zip(scope.basis, scope.basis_coroots):
         for k, c in coeffs.items():
-            p = dot(av, k)
+            p = sum(map(mul, av, k))
             if p and coeffs.get(tuple([x - p * y for x, y in zip(k, al)])) != c:
                 return False
     return True
@@ -464,7 +464,7 @@ def anti_invariant_decompose(
     if a.shift != scope.rho_vec.residue_mod_one():
         raise NotAntiInvariant("twist class must be [rho] for decomposition")
     w = generate_weyl(scope)
-    keys = dict(a.coeffs)
+    keys = a.coeffs.copy()
     basis, coroots, cap = scope.basis, scope.basis_coroots, len(scope.positive)
     trees = w.orbit_trees
     found: Dict[Weight, int] = {}

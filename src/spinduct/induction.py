@@ -290,7 +290,7 @@ def divide_exact(a: TorusElement, b: TorusElement) -> TorusElement:
     if b.is_zero():
         raise InexactDivision("division by zero")
     den = math.lcm(a.shift.den, b.shift.den)
-    ra = dict(rescale(a.coeffs, a.shift.den, den))
+    ra = rescale(a.coeffs, a.shift.den, den).copy()
     rb = rescale(b.coeffs, b.shift.den, den)
     ltb = max(rb)
     cb = rb[ltb]

@@ -13,7 +13,7 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from . import kernels
-from .charring import TorusElement, TwistClass, _weight_dimension
+from .charring import TorusElement, TwistClass, _weight_dimension, multiply
 from .errors import DegenerateSample, NotDominant, SchemaViolation, UnknownSeries
 from .induction import InductionProblem, make_problem
 from .rootdata import (
@@ -127,20 +127,22 @@ def random_torus_element(
     max_coeff: int = 9,
 ) -> TorusElement:
     """Seeded random element of a shifted module: support <= 12, integer
-    coefficients in [-9, 9], weights shift + v for the twist's residue shift
-    and integer vectors v in a small box around the origin."""
+    coefficients in [-9, 9], the twist's residue shift times a random
+    element of R(T) with weights in a small box around the origin."""
     datum = problem.datum
     rank = datum.rank
     shift = (twist or TwistClass.zero(rank)).shift
     bound = _coord_bound(rank)
-    weights: Dict[RationalWeight, int] = {}
+    coeffs: Dict[Tuple[int, ...], int] = {}
     # randrange(a, b + 1) is randint(a, b) by definition, one call shallower
     for _ in range(rng.randrange(1, max_support + 1)):
-        v = tuple(rng.randrange(-bound, bound + 1) for _ in range(rank))
-        w = shift + RationalWeight.from_ints(v)
+        key = tuple(rng.randrange(-bound, bound + 1) for _ in range(rank))
         c = rng.randrange(1, max_coeff + 1) * rng.choice((1, -1))
-        weights[w] = weights.get(w, 0) + c
-    return TorusElement.from_weights(datum, weights)
+        coeffs[key] = coeffs.get(key, 0) + c
+    if shift.den == 1:  # the residue of an integral shift is 0
+        return TorusElement(datum, shift, coeffs)
+    untwisted = TorusElement(datum, RationalWeight.zero(rank), coeffs)
+    return multiply(TorusElement.monomial(datum, shift), untwisted)
 
 
 def random_wh_invariant(
