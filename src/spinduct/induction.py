@@ -137,16 +137,17 @@ def collect_to_chamber(scope: Scope, a: TorusElement) -> GroupElement:
         rescale(a.coeffs, a.shift.den, den), scope.basis, scope.basis_coroots,
         len(scope.positive),
     )
-    return _highest_weights(scope, a.shift - rho, collected, den)
+    out_shift = (a.shift - rho).residue_mod_one()
+    return _highest_weights(scope, out_shift, collected, scaled(rho, den), den)
 
 
 def _highest_weights(
-    scope: Scope, shift: RationalWeight, collected: Dict[Weight, int], den: int
+    scope: Scope, shift: RationalWeight, collected: Dict[Weight, int], rho: Weight, den: int
 ) -> GroupElement:
-    """The element of highest weights lam, of the class shift + X(T), given
-    the chamber images lam + rho of the scope held as keys den * (lam + rho)."""
-    r = scaled(scope.rho_vec, den)
-    keys = {tuple([x - y for x, y in zip(k, r)]): c for k, c in collected.items()}
+    """The element of highest weights lam, of the class shift + X(T) (shift
+    a canonical residue), given the chamber images lam + rho_S held as keys
+    den * (lam + rho_S) and rho = den * rho_S."""
+    keys = {tuple([x - y for x, y in zip(k, rho)]): c for k, c in collected.items()}
     return GroupElement(scope, shift, rescale(keys, den, shift.den))
 
 

@@ -25,7 +25,7 @@ from .induction import (
     _highest_weights,
     collect_to_chamber,
 )
-from .rootdata import rescale
+from .rootdata import rescale, scaled
 from .weyl import WeylElement, apply_weyl_sum, check_stable
 
 
@@ -86,14 +86,15 @@ def multiplet(problem: InductionProblem, a: TorusElement) -> Multiplet:
     rho = sub.rho_h
     den = math.lcm(a.shift.den, rho.den)
     keys = list(rescale(a.coeffs, a.shift.den, den).items())
-    out_shift = a.shift - rho
+    out_shift = (a.shift - rho).residue_mod_one()
+    rho_key = scaled(rho, den)
     basis, coroots, steps = sub.basis, sub.basis_coroots, len(sub.positive)
     cosets = problem.reps
     members = []
     for inv in cosets.inverses:
         image = {tuple([sum(map(mul, row, k)) for row in inv.matrix]): c for k, c in keys}
         collected = kernels.dominant_collect(image, basis, coroots, steps)
-        members.append(_highest_weights(sub, out_shift, collected, den))
+        members.append(_highest_weights(sub, out_shift, collected, rho_key, den))
     return Multiplet(a, cosets.reps, tuple(members), tuple(e.det for e in cosets.reps))
 
 

@@ -133,7 +133,7 @@ def random_torus_element(
     rank = datum.rank
     shift = (twist or TwistClass.zero(rank)).shift
     bound = _coord_bound(rank)
-    coeffs: Dict[Tuple[int, ...], int] = {}
+    coeffs = {}
     # randrange(a, b + 1) is randint(a, b) by definition, one call shallower
     for _ in range(rng.randrange(1, max_support + 1)):
         key = tuple(rng.randrange(-bound, bound + 1) for _ in range(rank))
