@@ -7,8 +7,9 @@ from spinduct.zoo import ZOO_PAIRS, _coord_bound, random_torus_element, zoo_prob
 
 
 def _randint_draw(problem, rng, max_support=12, max_coeff=9):
-    """random_torus_element's offsets and coefficients as drawn through
-    rng.randint, kept as the reference for its draws."""
+    """random_torus_element's weights and coefficients as drawn through
+    rng.randint, kept as the reference for its draws; every zoo twist [rho]
+    is 0, so they are the element's keys."""
     rank = problem.datum.rank
     bound = _coord_bound(rank)
     coeffs = {}
