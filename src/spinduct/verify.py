@@ -9,7 +9,8 @@ the criteria live in exactly one place.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, NamedTuple, Optional
+from types import SimpleNamespace
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .charring import (
     GroupElement,
@@ -60,6 +61,7 @@ from .zoo import (
     random_wh_invariant,
     steinberg_pairing_bases,
     zoo_problem,
+    zoo_problems,
 )
 
 
@@ -124,120 +126,137 @@ def check_unit_induction(seed: int = 0) -> List[CheckResult]:
     return out
 
 
+# --- the sampled checks: each is a Row, run by one loop ------------------------
+
+
+SKIP = object()  # a draw that reaches no check; its rng calls still happen
+
+
+def _groups():
+    """The first zoo pair of each group, labelled G."""
+    firsts: Dict[str, str] = {}
+    for g, h in ZOO_PAIRS:
+        firsts.setdefault(g, h)
+    return [(g, zoo_problem(g, h)) for g, h in firsts.items()]
+
+
+def _rho_twisted(p, max_support: int = 8, **extra) -> SimpleNamespace:
+    """A case whose drawn elements carry the [rho_G] twist."""
+    return SimpleNamespace(p=p, twist=TwistClass.of(p.datum.rho), max_support=max_support, **extra)
+
+
+def _draw_element(case, rng: random.Random) -> TorusElement:
+    return random_torus_element(case.p, rng, twist=case.twist, max_support=case.max_support)
+
+
+class Row(NamedTuple):
+    """A sampled check, run by calling it with (seed, trials).
+
+    One random.Random(seed + offset) draws for every case in turn.  `setup`
+    makes a case's namespace, `draw` an input or SKIP, and `test` returns
+    (holds, nontrivial): an input is trivial when its identity reads 0 = 0.
+    A case stops at its first counterexample, printed by `show`."""
+
+    name: str  # "{}" takes the case label
+    offset: int
+    trials: int
+    test: Callable[[SimpleNamespace, object], Tuple[bool, bool]]
+    setup: Callable[..., SimpleNamespace] = _rho_twisted
+    cases: Callable[[], Iterable[tuple]] = zoo_problems  # (label, *setup arguments)
+    draw: Callable[[SimpleNamespace, random.Random], object] = _draw_element
+    show: Callable[[object], str] = lambda a: torus_to_text(a)
+    detail: str = "{trials} inputs"  # also sees reached, nontrivial, trivial and case
+
+    def __call__(self, seed: int = 0, trials: Optional[int] = None) -> List[CheckResult]:
+        trials = self.trials if trials is None else trials
+        rng = random.Random(seed + self.offset)
+        out = []
+        for label, *args in self.cases():
+            case = self.setup(*args)
+            bad = None
+            reached = nontrivial = 0
+            for _ in range(trials):
+                x = self.draw(case, rng)
+                if x is SKIP:
+                    continue
+                reached += 1
+                holds, hit = self.test(case, x)
+                nontrivial += hit
+                if not holds:
+                    bad = self.show(x)
+                    break
+            detail = self.detail.format(
+                trials=trials, reached=reached, nontrivial=nontrivial,
+                trivial=reached - nontrivial, case=case,
+            )
+            out.append(CheckResult(self.name.format(label), bad is None, detail, bad))
+        return out
+
+
 # --- acceptance criterion 3: Borel-Weil-Bott agreement -----------------------
 
 
-def check_bwb_agreement(seed: int = 0, trials: int = 100) -> List[CheckResult]:
-    rng = random.Random(seed + 3)
-    out = []
-    for (g, h) in ZOO_PAIRS:
-        p = zoo_problem(g, h)
-        twist = TwistClass((p.sigma + p.twist_rho("M")).shift)
-        bad = None
-        zeros = 0
-        for _ in range(trials):
-            mu = random_dominant_weight(p.sub, rng, twist=twist)
-            lhs = bwb_irreducible(p, mu)
-            rhs = induce_twisted_spinc(p, irreducible_restriction(p.sub, mu))
-            if lhs != rhs:
-                bad = f"mu = {mu!r}"
-                break
-            if lhs.is_zero():
-                zeros += 1
-        out.append(
-            CheckResult(
-                f"bwb-agreement {g}/{h}",
-                bad is None,
-                f"{trials} weights, {zeros} singular",
-                bad,
-            )
-        )
-    return out
+def _bwb_test(case, mu):
+    lhs = bwb_irreducible(case.p, mu)
+    rhs = induce_twisted_spinc(case.p, irreducible_restriction(case.p.sub, mu))
+    return lhs == rhs, not (lhs.is_zero() and rhs.is_zero())
+
+
+check_bwb_agreement = Row(
+    "bwb-agreement {}", 3, 100, _bwb_test,
+    setup=lambda p: SimpleNamespace(p=p, twist=TwistClass((p.sigma + p.twist_rho("M")).shift)),
+    draw=lambda case, rng: random_dominant_weight(case.p.sub, rng, twist=case.twist),
+    show=lambda mu: f"mu = {mu!r}",
+    detail="{trials} weights, {trivial} singular",
+)
 
 
 # --- acceptance criterion 4: functoriality (induction in stages) -------------
 
 
-def check_functoriality(seed: int = 0, trials: int = 50) -> List[CheckResult]:
-    rng = random.Random(seed + 4)
-    out = []
-    for name, p, t in chain_triples():
-        twist = TwistClass.of(p.datum.rho)
-        max_support = 6 if p.datum.rank <= 3 else 3
-        bad = None
-        for i in range(trials):
-            a = random_torus_element(
-                make_problem(p.datum, t), rng, twist=twist, max_support=max_support
-            )
-            direct = induce_between(p.datum, t, a)
-            staged = induce_between(
-                p.datum, p.sub, induce_between(p.sub, t, a).to_torus()
-            )
-            if direct != staged:
-                bad = torus_to_text(a)
-                break
-        out.append(
-            CheckResult(
-                f"functoriality T<H<{name}",
-                bad is None,
-                f"{trials} inputs",
-                bad,
-            )
-        )
-    return out
+def _functoriality_test(case, a):
+    g, sub, t = case.chain.datum, case.chain.sub, case.p.sub
+    direct = induce_between(g, t, a)
+    staged = induce_between(g, sub, induce_between(sub, t, a).to_torus())
+    return direct == staged, not direct.is_zero()
+
+
+check_functoriality = Row(
+    "functoriality T<H<{}", 4, 50, _functoriality_test,
+    setup=lambda p, t: _rho_twisted(
+        make_problem(p.datum, t), 6 if p.datum.rank <= 3 else 3, chain=p
+    ),
+    cases=chain_triples,
+)
 
 
 # --- acceptance criterion 5: antisymmetrizer factorizations -------------------
 
 
-def check_antisymmetrizers(seed: int = 0, trials: int = 200) -> List[CheckResult]:
-    rng = random.Random(seed + 5)
-    out = []
-    for (g, h) in ZOO_PAIRS:
-        p = zoo_problem(g, h)
-        twist = TwistClass.of(p.datum.rho)
-        bad = None
-        for _ in range(trials):
-            a = random_torus_element(p, rng, twist=twist, max_support=8)
-            jg = apply_antisymmetrizer("J_G", a)
-            jmh = apply_antisymmetrizer(
-                "J_M", apply_antisymmetrizer("J_H", a, p.sub), p.sub
-            )
-            jhop = apply_antisymmetrizer(
-                "J_H", apply_antisymmetrizer("J_M_OP", a, p.sub), p.sub
-            )
-            if jg != jmh or jg != jhop:
-                bad = torus_to_text(a)
-                break
-        out.append(
-            CheckResult(
-                f"antisymmetrizers {g}/{h}", bad is None, f"{trials} inputs", bad
-            )
-        )
-    return out
+def _antisymmetrizer_test(case, a):
+    sub = case.p.sub
+    jg = apply_antisymmetrizer("J_G", a)
+    jmh = apply_antisymmetrizer("J_M", apply_antisymmetrizer("J_H", a, sub), sub)
+    jhop = apply_antisymmetrizer("J_H", apply_antisymmetrizer("J_M_OP", a, sub), sub)
+    return jg == jmh and jg == jhop, not jg.is_zero()
+
+
+check_antisymmetrizers = Row("antisymmetrizers {}", 5, 200, _antisymmetrizer_test)
 
 
 # --- acceptance criterion 6: GKRS dimension sums -------------------------------
 
 
-def check_gkrs_dimension_sum(seed: int = 0, trials: int = 100) -> List[CheckResult]:
-    rng = random.Random(seed + 6)
-    out = []
-    for (g, h) in ZOO_PAIRS:
-        p = zoo_problem(g, h)
-        twist = TwistClass.of(p.datum.rho)
-        bad = None
-        for _ in range(trials):
-            a = random_torus_element(p, rng, twist=twist, max_support=8)
-            m = multiplet(p, a)
-            if alternating_dimension_sum(m) != 0:
-                bad = torus_to_text(a)
-                break
-        out.append(
-            CheckResult(
-                f"gkrs-dimension-sum {g}/{h}", bad is None, f"{trials} multiplets", bad
-            )
-        )
+def _dimension_sum_test(case, a):
+    m = multiplet(case.p, a)
+    return alternating_dimension_sum(m) == 0, not all(ge.is_zero() for ge in m.members)
+
+
+DIMENSION_SUMS = Row("gkrs-dimension-sum {}", 6, 100, _dimension_sum_test, detail="{trials} multiplets")
+
+
+def check_gkrs_dimension_sum(seed: int = 0, trials: int = DIMENSION_SUMS.trials) -> List[CheckResult]:
+    out = DIMENSION_SUMS(seed, trials)
     # the F4 > B4 trivial-source multiplet, members cross-checked against the
     # independent dimension oracle (character expansion term count)
     p = zoo_problem("F4", "b4")
@@ -261,79 +280,55 @@ def check_gkrs_dimension_sum(seed: int = 0, trials: int = 100) -> List[CheckResu
 # --- acceptance criterion 7: GKRS operator identity -----------------------------
 
 
-def check_gkrs_identity(seed: int = 0, trials: int = 50) -> List[CheckResult]:
-    rng = random.Random(seed + 7)
-    out = []
-    for (g, h) in ZOO_PAIRS:
-        p = zoo_problem(g, h)
-        twist = TwistClass.of(p.datum.rho)
-        max_support = 6 if p.datum.rank <= 3 else 3
-        bad = None
-        for _ in range(trials):
-            a = random_torus_element(p, rng, twist=twist, max_support=max_support)
-            if not gkrs_identity_check(p, a):
-                bad = torus_to_text(a)
-                break
-        out.append(
-            CheckResult(f"gkrs-identity {g}/{h}", bad is None, f"{trials} inputs", bad)
-        )
-    return out
+check_gkrs_identity = Row(
+    "gkrs-identity {}", 7, 50,
+    lambda case, a: (gkrs_identity_check(case.p, a), True),
+    setup=lambda p: _rho_twisted(p, 6 if p.datum.rank <= 3 else 3),
+)
 
 
 # --- acceptance criterion 8: shifted anti-invariants (appendix C) ---------------
 
 
-def check_appendix_c(seed: int = 0, trials: int = 100) -> List[CheckResult]:
-    rng = random.Random(seed + 8)
-    seen = set()
-    out = []
-    for (g, h) in ZOO_PAIRS:
-        if g in seen:
-            continue
-        seen.add(g)
-        p = zoo_problem(g, h)
-        datum = p.datum
-        twist = TwistClass.of(datum.rho)
-        full_division = datum.rank <= 3
-        bad = None
-        reached = nonzero = 0
-        for _ in range(trials):
-            a = random_torus_element(
-                p,
-                rng,
-                twist=twist,
-                max_support=6 if full_division else 4,
-            )
-            if full_division and datum.rank >= 2:
-                # keep quotient supports desk-scale
-                a = a.replace_coeffs(
-                    {k: c for k, c in a.coeffs.items() if max(map(abs, k)) <= 1}
-                )
-                if a.is_zero():
-                    continue
-            reached += 1
-            ja = apply_antisymmetrizer("J_G", a)
-            nonzero += not ja.is_zero()
-            try:
-                dec = anti_invariant_decompose(ja)
-            except NotAntiInvariant:
-                bad = torus_to_text(a)
-                break
-            if full_division:
-                if ja.is_zero():
-                    continue
-                q = divide_exact(ja, weyl_denominator(datum))
-                if not is_scope_invariant(q, datum):
-                    bad = torus_to_text(a)
-                    break
-                if multiply(weyl_denominator(datum), q) != ja:
-                    bad = torus_to_text(a)
-                    break
-        mode = "division+invariance" if full_division else "J(e^lam)-basis"
-        detail = (f"{reached} of {trials} inputs reached the check, {nonzero} with J_G != 0, "
-                  f"{mode}")
-        out.append(CheckResult(f"appendix-c {g}", bad is None, detail, bad))
-    return out
+def _appendix_c_setup(p):
+    full = p.datum.rank <= 3
+    mode = "division+invariance" if full else "J(e^lam)-basis"
+    return _rho_twisted(p, 6 if full else 4, full_division=full, mode=mode)
+
+
+def _appendix_c_draw(case, rng):
+    a = _draw_element(case, rng)
+    if case.full_division and case.p.datum.rank >= 2:
+        # keep quotient supports desk-scale
+        a = a.replace_coeffs({k: c for k, c in a.coeffs.items() if max(map(abs, k)) <= 1})
+        if a.is_zero():
+            return SKIP
+    return a
+
+
+def _appendix_c_test(case, a):
+    datum = case.p.datum
+    ja = apply_antisymmetrizer("J_G", a)
+    nonzero = not ja.is_zero()
+    try:
+        anti_invariant_decompose(ja)
+    except NotAntiInvariant:
+        return False, nonzero
+    if not (case.full_division and nonzero):
+        return True, nonzero
+    d = weyl_denominator(datum)
+    q = divide_exact(ja, d)
+    return is_scope_invariant(q, datum) and multiply(d, q) == ja, True
+
+
+check_appendix_c = Row(
+    "appendix-c {}", 8, 100, _appendix_c_test,
+    setup=_appendix_c_setup,
+    cases=_groups,
+    draw=_appendix_c_draw,
+    detail="{reached} of {trials} inputs reached the check, {nontrivial} with J_G != 0, "
+    "{case.mode}",
+)
 
 
 # --- acceptance criterion 9: Spin^c classification --------------------------------
@@ -475,31 +470,20 @@ def check_lefschetz(seed: int = 0, trials: int = 20) -> List[CheckResult]:
 # --- acceptance criterion 13: Weyl character formula self-check -------------------------
 
 
-def check_wcf_selfcheck(seed: int = 0, trials: int = 50) -> List[CheckResult]:
-    rng = random.Random(seed + 13)
-    seen = set()
-    out = []
-    for (g, h) in ZOO_PAIRS:
-        if g in seen:
-            continue
-        seen.add(g)
-        datum = zoo_problem(g, h).datum
-        d = weyl_denominator(datum)
-        bad = None
-        for _ in range(trials):
-            lam = random_dominant_weight(datum, rng)
-            chi = irreducible_restriction(datum, lam)
-            lhs = multiply(d, chi)
-            rhs = apply_antisymmetrizer(
-                "J_G", TorusElement.monomial(datum, lam + datum.rho)
-            )
-            if lhs != rhs:
-                bad = repr(lam)
-                break
-        out.append(
-            CheckResult(f"wcf-selfcheck {g}", bad is None, f"{trials} weights", bad)
-        )
-    return out
+def _wcf_test(case, lam):
+    lhs = multiply(case.d, irreducible_restriction(case.datum, lam))
+    rhs = apply_antisymmetrizer("J_G", TorusElement.monomial(case.datum, lam + case.datum.rho))
+    return lhs == rhs, True
+
+
+check_wcf_selfcheck = Row(
+    "wcf-selfcheck {}", 13, 50, _wcf_test,
+    setup=lambda p: SimpleNamespace(datum=p.datum, d=weyl_denominator(p.datum)),
+    cases=_groups,
+    draw=lambda case, rng: random_dominant_weight(case.datum, rng),
+    show=repr,
+    detail="{trials} weights",
+)
 
 
 # --- extra invariants grouped by module ---------------------------------------------
