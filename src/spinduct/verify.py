@@ -47,6 +47,7 @@ from .multiplets import alternating_dimension_sum, gkrs_identity_check, multiple
 from .rootdata import (
     RationalWeight,
     build_root_datum,
+    scaled,
     subgroup_character_lattice,
     subgroup_from_roots,
 )
@@ -295,7 +296,9 @@ check_gkrs_identity = Row(
 def _appendix_c_setup(p):
     full = p.datum.rank <= 3
     mode = "division+invariance" if full else "J(e^lam)-basis"
-    return _rho_twisted(p, 6 if full else 4, full_division=full, mode=mode)
+    return _rho_twisted(
+        p, 6 if full else 4, full_division=full, order=generate_weyl(p.datum).order, mode=mode
+    )
 
 
 def _appendix_c_draw(case, rng):
@@ -313,8 +316,15 @@ def _appendix_c_test(case, a):
     ja = apply_antisymmetrizer("J_G", a)
     nonzero = not ja.is_zero()
     try:
-        anti_invariant_decompose(ja)
+        dec = anti_invariant_decompose(ja)
     except NotAntiInvariant:
+        return False, nonzero
+    # read the decomposition back: each c_lam is the coefficient of J_G(a)
+    # at lam, and the regular orbits of the lam, |W| points each, cover
+    # its support
+    if len(dec) * case.order != len(ja.coeffs) or any(
+        ja.coeffs.get(scaled(lam, ja.shift.den)) != c for lam, c in dec.items()
+    ):
         return False, nonzero
     if not (case.full_division and nonzero):
         return True, nonzero

@@ -1,10 +1,13 @@
-"""The verify driver: its rows, their counts and the registry."""
+"""The verify driver: its rows, their counts, the registry and the
+criterion-8 read-back under mutation."""
 
 import os
 import random
 import re
 import subprocess
 import sys
+
+import pytest
 
 from spinduct import verify
 from spinduct.charring import TwistClass
@@ -62,6 +65,40 @@ def test_nontrivial_counts_match_a_replay_of_the_draws():
     )
     # the F4 row tests something, and not everything
     assert 0 < got["functoriality T<H<F4/b4"] < 10
+
+
+def _failed(results):
+    return {r.name for r in results if not r.passed}
+
+
+@pytest.mark.parametrize("mutate", ["empty", "off-by-one"])
+def test_appendix_c_reads_back_its_decomposition(monkeypatch, mutate):
+    real = verify.anti_invariant_decompose
+    if mutate == "empty":
+        fake = lambda ja, scope=None: {}  # noqa: E731
+    else:
+        def fake(ja, scope=None):
+            dec = real(ja, scope)
+            first = next(iter(dec), None)
+            return {lam: c + (lam == first) for lam, c in dec.items()}
+    monkeypatch.setattr(verify, "anti_invariant_decompose", fake)
+    failed = _failed(verify.check_appendix_c(0))
+    # every group draws a nonzero J_G at seed 0, the first at A1
+    assert "appendix-c A1" in failed
+
+
+def test_appendix_c_catches_a_wrong_quotient(monkeypatch):
+    real = verify.divide_exact
+    monkeypatch.setattr(verify, "divide_exact", lambda a, b: real(a, b).scale(2))
+    failed = _failed(verify.check_appendix_c(0))
+    # F4 (rank 4) checks the J(e^lam) basis, not the division
+    assert "appendix-c A1" in failed and "appendix-c F4" not in failed
+
+
+def test_functoriality_catches_a_doubled_induction(monkeypatch):
+    real = verify.induce_between
+    monkeypatch.setattr(verify, "induce_between", lambda *args: real(*args).scale(2))
+    assert "functoriality T<H<F4/b4" in _failed(verify.check_functoriality(0))
 
 
 def _rows():
