@@ -25,6 +25,7 @@ from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 
 from . import kernels
 from .errors import (
+    BadTwist,
     DatumMismatch,
     NotAntiInvariant,
     NotDominant,
@@ -79,9 +80,11 @@ class _Shifted:
 
     The constructor is the only canonicalization: it replaces the shift by
     its residue in [0,1)^rank, which has the same denominator, so no key
-    moves, and drops zero coefficients.  `coeffs` is a read-only view, so
-    an element never changes after construction and cached elements can
-    be handed to every caller."""
+    moves, and drops zero coefficients.  At den > 1 it raises BadTwist for
+    a key of the wrong length or outside the class (k not congruent to
+    shift.nums mod den); the check is skipped at den = 1.  `coeffs` is a read-only view, so an element
+    never changes after construction and cached elements can be handed to
+    every caller."""
 
     __slots__ = ("scope", "shift", "coeffs")
 
@@ -93,6 +96,11 @@ class _Shifted:
         kept = dict(coeffs)
         if 0 in kept.values():
             kept = {k: c for k, c in kept.items() if c}
+        den, nums = shift.den, shift.nums
+        if den > 1:
+            for k in kept:
+                if len(k) != len(nums) or any((x - y) % den for x, y in zip(k, nums)):
+                    raise BadTwist(f"key {k} is not in the class {shift}")
         self.scope = scope
         self.shift = shift
         self.coeffs = MappingProxyType(kept)
@@ -105,15 +113,16 @@ class _Shifted:
     @classmethod
     def from_weights(cls, scope: Scope, weights: Mapping[RationalWeight, int]):
         """The element sum c e^w over the given weights, which must lie in
-        the coset of X(T) of the first; each weight's key is its numerator."""
+        the coset of X(T) of the first (BadTwist otherwise); each weight's
+        key is its numerator."""
         if not weights:
             return cls.zero(scope)
         shift = next(iter(weights))
-        den = shift.den
         coeffs: Dict[Weight, int] = {}
         for w, c in weights.items():
-            if w.den != den or any((x - y) % den for x, y in zip(w.nums, shift.nums)):
-                raise ValueError(f"{w} is not in the coset of {shift}")
+            # the constructor checks the numerators against the shift
+            if w.den != shift.den:
+                raise BadTwist(f"{w} is not in the coset of {shift}")
             coeffs[w.nums] = coeffs.get(w.nums, 0) + c
         return cls(scope, shift, coeffs)
 

@@ -4,7 +4,10 @@ closed Borel-Weil-Bott form must all hold with fractional shift residues."""
 
 import random
 
-from spinduct.charring import TorusElement, TwistClass, irreducible_restriction
+import pytest
+
+from spinduct.charring import GroupElement, TorusElement, TwistClass, irreducible_restriction
+from spinduct.errors import BadTwist
 from spinduct.induction import bwb_irreducible, induce_twisted_spinc, make_problem
 from spinduct.rootdata import RationalWeight, build_root_datum, subgroup_from_roots
 from spinduct.weyl import apply_antisymmetrizer
@@ -61,3 +64,17 @@ def test_bwb_agreement_at_half_shift():
         lhs = bwb_irreducible(p, mu)
         rhs = induce_twisted_spinc(p, irreducible_restriction(p.sub, mu))
         assert lhs == rhs
+
+
+def test_elements_refuse_keys_outside_their_class():
+    a1, a2 = build_root_datum("A1"), build_root_datum("A2")
+    with pytest.raises(BadTwist):  # weight 0 is not in 1/3 + Z
+        TorusElement(a1, RationalWeight([1], 3), {(0,): 1})
+    with pytest.raises(BadTwist):  # a rank-3 key over a rank-2 datum
+        TorusElement(a2, RationalWeight([1, 0], 2), {(1, 0, 0): 1})
+    with pytest.raises(BadTwist):
+        TorusElement.from_weights(a1, {RationalWeight([1], 3): 1, RationalWeight([2], 3): 1})
+    with pytest.raises(BadTwist):
+        GroupElement.from_weights(a1, {RationalWeight([1], 2): 1, RationalWeight([1]): 1})
+    a = TorusElement.from_weights(a1, {RationalWeight([1], 3): 2, RationalWeight([-2], 3): 1})
+    assert a.coeffs == {(1,): 2, (-2,): 1}
