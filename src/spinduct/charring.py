@@ -82,9 +82,9 @@ class _Shifted:
     its residue in [0,1)^rank, which has the same denominator, so no key
     moves, and drops zero coefficients.  At den > 1 it raises BadTwist for
     a key of the wrong length or outside the class (k not congruent to
-    shift.nums mod den); the check is skipped at den = 1.  `coeffs` is a read-only view, so an element
-    never changes after construction and cached elements can be handed to
-    every caller."""
+    shift.nums mod den); the check is skipped at den = 1.  `coeffs` is a
+    read-only view, so an element never changes after construction and
+    cached elements can be handed to every caller."""
 
     __slots__ = ("scope", "shift", "coeffs")
 
@@ -96,10 +96,12 @@ class _Shifted:
         kept = dict(coeffs)
         if 0 in kept.values():
             kept = {k: c for k, c in kept.items() if c}
-        den, nums = shift.den, shift.nums
+        den = shift.den
         if den > 1:
+            # a key's residues are the residue shift's numerators, which
+            # also tells a key of the wrong length
             for k in kept:
-                if len(k) != len(nums) or any((x - y) % den for x, y in zip(k, nums)):
+                if tuple([x % den for x in k]) != shift.nums:
                     raise BadTwist(f"key {k} is not in the class {shift}")
         self.scope = scope
         self.shift = shift
