@@ -4,6 +4,12 @@ Each check runs an exact (or, for the fixed-point oracle, numeric) identity
 and reports pass/fail with a counterexample serialization on failure.  The
 acceptance test module and the CLI `verify` command both dispatch here, so
 the criteria live in exactly one place.
+
+A sampled check is a `Row`; calling it with (seed, trials) runs it.  To add
+one, write a test (case, input) -> (holds, nontrivial), bind
+`check_<name> = Row(name, offset, trials, test, ...)` with whichever of
+cases, setup, draw, show and detail differ from the defaults, and list it
+in SUITES.
 """
 
 from __future__ import annotations
