@@ -98,8 +98,8 @@ class _Shifted:
             kept = {k: c for k, c in kept.items() if c}
         den = shift.den
         if den > 1:
-            # a key's residues are the residue shift's numerators, which
-            # also tells a key of the wrong length
+            # a key's residues mod den must be the residue shift's
+            # numerators; a key of the wrong length fails the comparison too
             for k in kept:
                 if tuple([x % den for x in k]) != shift.nums:
                     raise BadTwist(f"key {k} is not in the class {shift}")
