@@ -163,14 +163,16 @@ class Row(NamedTuple):
     One random.Random(seed + offset) draws for every case in turn.  `setup`
     makes a case's namespace, `draw` an input or SKIP, and `test` returns
     (holds, nontrivial): an input is trivial when its identity reads 0 = 0.
-    A case stops at its first counterexample, printed by `show`."""
+    A case stops at its first counterexample, printed by `show`.  Library
+    functions are looked up in this module's globals at call time, so a
+    test can monkeypatch them."""
 
     name: str  # "{}" takes the case label
     offset: int
     trials: int
     test: Callable[[SimpleNamespace, object], Tuple[bool, bool]]
     setup: Callable[..., SimpleNamespace] = _rho_twisted
-    cases: Callable[[], Iterable[tuple]] = zoo_problems  # (label, *setup arguments)
+    cases: Callable[[], Iterable[tuple]] = lambda: zoo_problems()  # (label, *setup arguments)
     draw: Callable[[SimpleNamespace, random.Random], object] = _draw_element
     show: Callable[[object], str] = lambda a: torus_to_text(a)
     detail: str = "{trials} inputs"  # also sees reached, nontrivial, trivial and case
@@ -234,7 +236,7 @@ check_functoriality = Row(
     setup=lambda p, t: _rho_twisted(
         make_problem(p.datum, t), 6 if p.datum.rank <= 3 else 3, chain=p
     ),
-    cases=chain_triples,
+    cases=lambda: chain_triples(),
     detail=NONTRIVIAL,
 )
 
