@@ -32,7 +32,7 @@ from .induction import (
     pairing_report,
     partial,
 )
-from .multiplets import Multiplet, alternating_dimension_sum, gkrs_identity_check, multiplet
+from .multiplets import Multiplet, alternating_dimension_sum, multiplet
 from .rootdata import (
     Lattice,
     RationalWeight,
@@ -87,7 +87,6 @@ __all__ = [
     "euler_class",
     "euler_class_for_character",
     "generate_weyl",
-    "gkrs_identity_check",
     "induce_classical",
     "induce_twisted_spinc",
     "irreducible_restriction",

@@ -105,11 +105,12 @@ def alternating_dimension_sum(m: Multiplet) -> int:
     return sum(s * d for s, d in zip(m.signs, m.dimensions))
 
 
-def gkrs_identity_check(problem: InductionProblem, a: TorusElement) -> bool:
-    """Exact check of the commuting square relating the two boundary
+def gkrs_identity_sides(problem: InductionProblem, a: TorusElement) -> Tuple[TorusElement, TorusElement]:
+    """Both sides of the commuting square relating the two boundary
     operators: multiplication by the dual Euler class after the G-side
-    boundary equals the H-side boundary after the opposite relative
-    antisymmetrizer."""
+    boundary, e(D)^* collect_G(a), and the H-side boundary after the
+    opposite relative antisymmetrizer, collect_H(J_M^op a).  GKRS says they
+    are equal; they are returned so a caller can compare and count them."""
     _check_source_twist(problem, a)
     dual_euler = dualize(problem.euler)
     lhs = multiply(dual_euler, collect_to_chamber(problem.datum, a).to_torus())
@@ -118,4 +119,4 @@ def gkrs_identity_check(problem: InductionProblem, a: TorusElement) -> bool:
         apply_weyl_sum(inverses, [e.det for e in inverses], a.shift, a.coeffs)
     )
     rhs = collect_to_chamber(problem.sub, jmop).to_torus()
-    return lhs == rhs
+    return lhs, rhs

@@ -193,6 +193,8 @@ def test_dualize():
     assert dualize(d) == d.scale(-1)  # three positive roots
     g2 = build_root_datum("G2")
     assert dualize(weyl_denominator(g2)) == weyl_denominator(g2)  # six
+    b3 = build_root_datum("B3")
+    assert dualize(weyl_denominator(b3)) == weyl_denominator(b3).scale(-1)  # nine
 
 
 def test_weyl_denominator_is_antisymmetrized_rho():
@@ -227,12 +229,6 @@ def test_euler_class_examples():
         assert is_scope_invariant(p.euler, p.sub)
 
 
-def test_denominator_factorization():
-    # restriction of the dual Euler class times d_H equals d_G
-    for name, p in zoo_problems():
-        assert multiply(dualize(p.euler), p.d_h) == p.d_g
-
-
 def test_irreducible_restriction_examples():
     a1 = build_root_datum("A1")
     assert irreducible_restriction(a1, RationalWeight([1])) == mono(a1, [1]) + mono(a1, [-1])
@@ -245,20 +241,6 @@ def test_irreducible_restriction_examples():
     assert sum(adj.coeffs.values()) == 8
     with pytest.raises(NotDominant):
         irreducible_restriction(a2, RationalWeight([-1, 0]))
-
-
-def test_wcf_selfcheck_random():
-    rng = random.Random(2)
-    for label in ("A1", "A2", "B2", "G2"):
-        d = build_root_datum(label)
-        for _ in range(10):
-            lam = random_dominant_weight(d, rng)
-            chi = irreducible_restriction(d, lam)
-            assert multiply(weyl_denominator(d), chi) == apply_antisymmetrizer(
-                "J_G", TorusElement.monomial(d, lam + d.rho)
-            )
-            assert chi.coeffs[scaled(lam, chi.shift.den)] == 1
-            assert is_scope_invariant(chi, d)
 
 
 def test_dimension():

@@ -28,8 +28,6 @@ from spinduct.induction import (
     bwb_irreducible,
     collect_to_chamber,
     divide_exact,
-    group_multiply,
-    induce_between,
     induce_classical,
     induce_twisted_spinc,
     lefschetz_check,
@@ -42,9 +40,7 @@ from spinduct.spinc import classify
 from spinduct.weyl import generate_weyl
 from spinduct.zoo import (
     ZOO_PAIRS,
-    chain_triples,
     random_dominant_weight,
-    random_torus_element,
     random_wh_invariant,
     steinberg_pairing_bases,
     zoo_problem,
@@ -67,18 +63,6 @@ def test_partial_basics():
     assert partial(p, "G", TorusElement.monomial(a1, RationalWeight([-1]))) == one.scale(-1)
     with pytest.raises(BadTwist):
         partial(p, "G", TorusElement.monomial(a1, RationalWeight([1], 3)))
-
-
-def test_unit_induction_everywhere():
-    for name, p in zoo_problems():
-        spinor = irreducible_restriction(p.sub, p.rho_m)
-        assert induce_twisted_spinc(p, spinor) == trivial_class(p), name
-
-
-def test_euler_characteristic_everywhere():
-    for name, p in zoo_problems():
-        got = induce_twisted_spinc(p, dualize(p.euler))
-        assert got == trivial_class(p, len(p.reps.reps)), name
 
 
 def test_h_equals_g_identity():
@@ -123,17 +107,6 @@ def test_induction_matches_denominator_oracle():
             assert induce_twisted_spinc(p, a) == _induce_by_denominator(p.datum, p.sub, a), name
 
 
-def test_bwb_agreement_random():
-    rng = random.Random(17)
-    for name, p in zoo_problems():
-        twist = TwistClass((p.sigma + p.twist_rho("M")).shift)
-        for _ in range(15):
-            mu = random_dominant_weight(p.sub, rng, twist=twist)
-            lhs = bwb_irreducible(p, mu)
-            rhs = induce_twisted_spinc(p, irreducible_restriction(p.sub, mu))
-            assert lhs == rhs, (name, mu)
-
-
 def test_bwb_examples():
     for name, p in zoo_problems():
         assert bwb_irreducible(p, p.rho_m) == trivial_class(p), name
@@ -166,6 +139,10 @@ def test_classical_kinds():
     assert induce_classical(
         p2, "holomorphic", TorusElement.monomial(p2.datum, lam)
     ).terms() == [(lam, 1)]
+    # (-1, 0) + rho lies on a wall, so it induces to zero
+    assert induce_classical(
+        p2, "holomorphic", TorusElement.monomial(p2.datum, RationalWeight([-1, 0]))
+    ).is_zero()
     # spin induction refuses when rho_M is not a weight
     pl = zoo_problem("A2", "levi1")
     with pytest.raises(NotSpin):
@@ -182,39 +159,6 @@ def test_classical_kinds():
         assert induce_classical(pl, "holomorphic", a) == induce_classical(
             pl, "spinc", a, gamma=gam
         )
-
-
-def test_functoriality_chains():
-    rng = random.Random(29)
-    for name, p, t in chain_triples():
-        twist = TwistClass.of(p.datum.rho)
-        for _ in range(10):
-            a = random_torus_element(
-                make_problem(p.datum, t), rng, twist=twist,
-                max_support=6 if p.datum.rank <= 3 else 3,
-            )
-            direct = induce_between(p.datum, t, a)
-            staged = induce_between(
-                p.datum, p.sub, induce_between(p.sub, t, a).to_torus()
-            )
-            assert direct == staged, name
-
-
-def test_rg_linearity():
-    rng = random.Random(31)
-    for name, p in zoo_problems():
-        if p.datum.rank > 2:
-            continue
-        twist = TwistClass((p.sigma + p.twist_rho("M")).shift)
-        for _ in range(5):
-            b = GroupElement.from_weights(
-                p.datum,
-                {random_dominant_weight(p.datum, rng, dim_cap=40): rng.randint(1, 3)},
-            )
-            a = random_wh_invariant(p, rng, twist=twist, max_support=2, dim_cap=40)
-            lhs = induce_twisted_spinc(p, multiply(b.to_torus(), a))
-            rhs = group_multiply(b, induce_twisted_spinc(p, a))
-            assert lhs == rhs, name
 
 
 def test_branch():

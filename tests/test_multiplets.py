@@ -5,7 +5,7 @@ import pytest
 from spinduct.charring import TorusElement, TwistClass, dimension
 from spinduct.errors import BadTwist
 from spinduct.induction import make_problem
-from spinduct.multiplets import alternating_dimension_sum, gkrs_identity_check, multiplet
+from spinduct.multiplets import alternating_dimension_sum, multiplet
 from spinduct.rootdata import RationalWeight, build_root_datum, subgroup_from_roots
 from spinduct.zoo import random_torus_element, zoo_problem, zoo_problems
 
@@ -44,24 +44,6 @@ def test_member_dimensions_are_computed_once(monkeypatch):
     assert len(calls) == len(m.members)
 
 
-def test_h_equals_g_multiplet():
-    a2 = build_root_datum("A2")
-    full = subgroup_from_roots(a2, list(a2.roots))
-    p = make_problem(a2, full)
-    m = multiplet(p, TorusElement.monomial(a2, a2.rho))
-    assert len(m) == 1 and m.signs == (1,)
-    assert alternating_dimension_sum(m) == 1
-
-
-def test_alternating_sums_vanish():
-    rng = random.Random(41)
-    for name, p in zoo_problems():
-        twist = TwistClass.of(p.datum.rho)
-        for _ in range(15):
-            a = random_torus_element(p, rng, twist=twist, max_support=8)
-            assert alternating_dimension_sum(multiplet(p, a)) == 0, name
-
-
 def test_members_recomputable():
     from spinduct.induction import collect_to_chamber
     from spinduct.intlinalg import identity, matmul
@@ -80,23 +62,6 @@ def test_bad_twist():
     p = zoo_problem("A2", "levi1")
     with pytest.raises(BadTwist):
         multiplet(p, TorusElement.monomial(p.datum, p.rho_m))
-
-
-def test_gkrs_identity():
-    rng = random.Random(43)
-    for name, p in zoo_problems():
-        twist = TwistClass.of(p.datum.rho)
-        n = 8 if p.datum.rank <= 3 else 3
-        for _ in range(n):
-            a = random_torus_element(
-                p, rng, twist=twist, max_support=4 if p.datum.rank > 3 else 8
-            )
-            assert gkrs_identity_check(p, a), name
-    # trivially true on anti-invariant inputs
-    p = zoo_problem("A2", "t")
-    from spinduct.charring import weyl_denominator
-
-    assert gkrs_identity_check(p, weyl_denominator(p.datum))
 
 
 def test_distinct_members_for_dominant_monomials():

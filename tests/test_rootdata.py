@@ -91,7 +91,7 @@ def test_cartan_matrix_reproduced():
 
 
 def test_root_system_closed_under_negation_and_reflection():
-    for label in ("A2", "G2", "B3", "C2"):
+    for label in ("A2", "B2", "G2", "B3", "C2", "F4"):
         d = build_root_datum(label)
         roots = d.root_set
         for a in d.roots:
@@ -139,17 +139,16 @@ def test_rho_examples():
 
 
 def test_rho_defining_identity_everywhere():
-    for label, gens in [
-        ("A2", [(1, 0)]),
-        ("G2", [(0, 1), (3, 1)]),
-        ("C2", [(0, 1), (2, 1)]),
-    ]:
-        d = build_root_datum(label)
-        sub = subgroup_from_roots(
-            d, [d.root_from_simple_coordinates(sc) for sc in gens]
-        )
-        assert rho(sub, "G") - rho(sub, "H") == rho(sub, "M")
-        assert rho(sub, "M").scale(2).is_integral()
+    from spinduct.charring import TwistClass
+    from spinduct.zoo import zoo_problems
+
+    for name, p in zoo_problems():
+        sub = p.sub
+        assert rho(sub, "G") - rho(sub, "H") == rho(sub, "M"), name
+        assert rho(sub, "M").scale(2).is_integral(), name
+        # the twist classes add up as the weights do
+        twists = {part: TwistClass.of(rho(sub, part)) for part in "GHM"}
+        assert twists["M"] + twists["H"] == twists["G"], name
 
 
 def test_pair_examples():
@@ -216,8 +215,10 @@ def test_subgroup_invariants():
                 s = vadd(a, b)
                 if d.is_root(s):
                     assert s in roots
-        # R_M splits evenly
-        assert len(d.roots) - len(roots) == 2 * len(sub.complement_positive)
+        # R_M splits evenly into R_M^+ and its negative
+        comp = set(sub.complement_positive)
+        assert not comp & {vneg(a) for a in comp}
+        assert len(d.roots) - len(roots) == 2 * len(comp)
 
 
 def test_additive_closure_forces_full_b2():

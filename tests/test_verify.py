@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from spinduct import verify
+from spinduct import induction, verify
 from spinduct.charring import TwistClass
 from spinduct.induction import induce_between, make_problem
 from spinduct.multiplets import multiplet
@@ -101,6 +101,33 @@ def test_functoriality_catches_a_doubled_induction(monkeypatch):
     assert "functoriality T<H<F4/b4" in _failed(verify.check_functoriality(0))
 
 
+def test_dimension_sum_control_catches_a_constant_sum(monkeypatch):
+    monkeypatch.setattr(verify, "alternating_dimension_sum", lambda m: 0)
+    # every proper-subgroup sum is 0 anyway; only the H = G control sees it
+    assert _failed(verify.check_gkrs_dimension_sum(0, trials=2)) == {"gkrs-h-equals-g A2"}
+
+
+def test_pairing_control_catches_a_constant_unit_test(monkeypatch):
+    monkeypatch.setattr(induction, "_is_unit_character", lambda datum, det: True)
+    failed = _failed(verify.check_pairing(0))
+    assert failed == {f"pairing-unit {g}/t tau={tau}" for g in ("A1", "A2") for tau in ("0", "rhoM")}
+
+
+def test_gkrs_identity_compares_values(monkeypatch):
+    real = verify.gkrs_identity_sides
+
+    def one_more_monomial(p, a):
+        lhs, rhs = real(p, a)
+        # a trivial input has no key to copy; it reads 0 = 0 either way
+        return lhs, rhs + lhs.replace_coeffs({k: 1 for k in list(lhs.coeffs)[:1]})
+
+    monkeypatch.setattr(verify, "gkrs_identity_sides", one_more_monomial)
+    results = verify.check_gkrs_identity(0, trials=4)
+    # a row fails at its first nontrivial input, so passes only if it has none
+    assert all(r.passed == r.detail.startswith("0 of") for r in results)
+    assert "gkrs-identity A1/t" in _failed(results)
+
+
 def _rows():
     return {name: v for name, v in vars(verify).items() if isinstance(v, verify.Row)}
 
@@ -116,12 +143,15 @@ def test_every_check_sits_in_one_suite(monkeypatch):
         monkeypatch.setattr(verify, name, short[id(row)])
     for key, fns in verify.SUITES.items():
         monkeypatch.setitem(verify.SUITES, key, [short.get(id(fn), fn) for fn in fns])
-    names = [r.name for r in verify.run_suite("all")]
+    results = verify.run_suite("all")
+    names = [r.name for r in results]
     assert len(names) == len(set(names))
+    # the checks outside the thirteen criteria reach tier-1 here
+    assert not _failed(results)
 
 
 ROW_LINES = """
-from spinduct import verify
+from spinduct import induction, verify
 for name, row in sorted(vars(verify).items()):
     if isinstance(row, verify.Row):
         for r in row(0, trials=2):

@@ -8,7 +8,6 @@ from spinduct.induction import make_problem
 from spinduct.intlinalg import determinant, identity, matmul, matvec
 from spinduct import kernels
 from spinduct.rootdata import RationalWeight, build_root_datum, dot, subgroup_from_roots
-from spinduct.verify import determinants_consistent
 from spinduct.weyl import (
     Regular,
     WeylElement,
@@ -55,15 +54,25 @@ def test_order_cap():
         build_root_datum("E8")
 
 
+def determinants_consistent(elements) -> bool:
+    """Whether each element's det, read off its length, is the determinant
+    of its matrix."""
+    return all(e.det == determinant(e.matrix) for e in elements)
+
+
 def test_element_invariants():
+    rng = random.Random(21)
     for label in ("A2", "G2", "B3"):
         d = build_root_datum(label)
         w = generate_weyl(d)
         roots = d.root_set
+        assert determinants_consistent(w.elements)
         for e in w.elements:
-            assert e.det == determinant(e.matrix)
             for a in d.roots:
                 assert e.apply(a) in roots
+        for _ in range(40):
+            e1, e2 = rng.choice(w.elements), rng.choice(w.elements)
+            assert w.element(matmul(e1.matrix, e2.matrix)).det == e1.det * e2.det
 
 
 def test_determinant_check_catches_wrong_matrix():
@@ -104,8 +113,6 @@ def test_coset_representatives_counts():
 
 def test_coset_unique_factorization():
     for name, p in zoo_problems():
-        if p.weyl.order > 200:
-            continue
         wh = generate_weyl(p.sub)
         seen = set()
         for rep in p.reps.reps:
@@ -200,24 +207,6 @@ def test_antisymmetrizer_small_examples():
     # anti-invariant inputs scale by the group order
     d = weyl_denominator(build_root_datum("A2"))
     assert apply_antisymmetrizer("J_G", d) == d.scale(6)
-
-
-def test_antisymmetrizer_factorizations():
-    rng = random.Random(3)
-    from spinduct.charring import TwistClass
-    from spinduct.zoo import random_torus_element
-
-    for name, p in zoo_problems():
-        twist = TwistClass.of(p.datum.rho)
-        for _ in range(20):
-            a = random_torus_element(p, rng, twist=twist, max_support=8)
-            jg = apply_antisymmetrizer("J_G", a)
-            assert jg == apply_antisymmetrizer(
-                "J_M", apply_antisymmetrizer("J_H", a, p.sub), p.sub
-            )
-            assert jg == apply_antisymmetrizer(
-                "J_H", apply_antisymmetrizer("J_M_OP", a, p.sub), p.sub
-            )
 
 
 def _so7_root_lattice():
