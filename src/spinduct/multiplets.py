@@ -23,7 +23,7 @@ from .induction import (
     InductionProblem,
     _check_partial_twist,
     _highest_weights,
-    collect_to_chamber,
+    partial,
 )
 from .rootdata import rescale, scaled
 from .weyl import WeylElement, apply_weyl_sum, check_stable
@@ -105,18 +105,20 @@ def alternating_dimension_sum(m: Multiplet) -> int:
     return sum(s * d for s, d in zip(m.signs, m.dimensions))
 
 
-def gkrs_identity_sides(problem: InductionProblem, a: TorusElement) -> Tuple[TorusElement, TorusElement]:
+def gkrs_identity_sides(
+    problem: InductionProblem, a: TorusElement
+) -> Tuple[TorusElement, TorusElement]:
     """Both sides of the commuting square relating the two boundary
-    operators: multiplication by the dual Euler class after the G-side
-    boundary, e(D)^* collect_G(a), and the H-side boundary after the
+    operators `partial`: multiplication by the dual Euler class after the
+    G-side boundary, e(D)^* collect_G(a), and the H-side boundary after the
     opposite relative antisymmetrizer, collect_H(J_M^op a).  GKRS says they
     are equal; they are returned so a caller can compare and count them."""
     _check_source_twist(problem, a)
     dual_euler = dualize(problem.euler)
-    lhs = multiply(dual_euler, collect_to_chamber(problem.datum, a).to_torus())
+    lhs = multiply(dual_euler, partial(problem, "G", a).to_torus())
     inverses = problem.reps.inverses
     jmop = a.replace_coeffs(
         apply_weyl_sum(inverses, [e.det for e in inverses], a.shift, a.coeffs)
     )
-    rhs = collect_to_chamber(problem.sub, jmop).to_torus()
+    rhs = partial(problem, "H", jmop).to_torus()
     return lhs, rhs
