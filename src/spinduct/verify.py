@@ -522,10 +522,6 @@ check_wcf_selfcheck = Row(
 
 
 # --- the paper's further identities, outside the thirteen criteria -------------------
-#
-# An identity from the paper is checked here, once; an implementation
-# invariant (root-system closure, group orders, dualize being an involution)
-# is a unit test under tests/ and nowhere else.
 
 
 def check_charring_invariants(seed: int = 0) -> List[CheckResult]:
