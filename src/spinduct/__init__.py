@@ -39,7 +39,6 @@ from .rootdata import (
     RootDatum,
     SubgroupDatum,
     build_root_datum,
-    pair,
     rho,
     solve_in_lattice,
     subgroup_character_lattice,
@@ -96,7 +95,6 @@ __all__ = [
     "multiply",
     "nu",
     "numeric_evaluate",
-    "pair",
     "pairing_report",
     "partial",
     "rho",

@@ -27,6 +27,7 @@ from . import kernels
 from .errors import (
     BadTwist,
     DatumMismatch,
+    InternalInconsistency,
     NotAntiInvariant,
     NotDominant,
 )
@@ -37,6 +38,7 @@ from .rootdata import (
     SubgroupDatum,
     Weight,
     dot,
+    ratio_text,
     rescale,
     scaled,
     vneg,
@@ -80,29 +82,35 @@ class _Shifted:
 
     The constructor is the only canonicalization: it replaces the shift by
     its residue in [0,1)^rank, which has the same denominator, so no key
-    moves, and drops zero coefficients.  At den > 1 it raises BadTwist for
-    a key of the wrong length or outside the class (k not congruent to
-    shift.nums mod den); the check is skipped at den = 1.  `coeffs` is a
-    read-only view, so an element never changes after construction and
-    cached elements can be handed to every caller."""
+    moves, and drops zero coefficients.  It raises BadTwist for a shift
+    that is not a RationalWeight of the scope's rank, for a key of another
+    length, and at den > 1 for a key outside the class (k not congruent to
+    shift.nums mod den).  `coeffs` is a read-only view, so an element never
+    changes after construction and cached elements can be handed to every
+    caller."""
 
     __slots__ = ("scope", "shift", "coeffs")
 
     def __init__(self, scope: Scope, shift: RationalWeight, coeffs: Mapping[Weight, int]):
+        rank = scope.datum.rank
+        if not isinstance(shift, RationalWeight) or len(shift.nums) != rank:
+            raise BadTwist(f"shift {shift!r} is not a rational weight of rank {rank}")
         # a lowest-terms shift is its own residue exactly when every
         # numerator lies in [0, den)
-        if not all(0 <= x < shift.den for x in shift.nums):
+        den = shift.den
+        if min(shift.nums) < 0 or max(shift.nums) >= den:
             shift = shift.residue_mod_one()
         kept = dict(coeffs)
         if 0 in kept.values():
             kept = {k: c for k, c in kept.items() if c}
-        den = shift.den
         if den > 1:
             # a key's residues mod den must be the residue shift's
             # numerators; a key of the wrong length fails the comparison too
             for k in kept:
                 if tuple([x % den for x in k]) != shift.nums:
                     raise BadTwist(f"key {k} is not in the class {shift}")
+        elif {*map(len, kept)} - {rank}:
+            raise BadTwist(f"keys {[k for k in kept if len(k) != rank]} are not of length {rank}")
         self.scope = scope
         self.shift = shift
         self.coeffs = MappingProxyType(kept)
@@ -343,10 +351,10 @@ def dimension(a: GroupElement) -> int:
 
 def _scope_pairings_ok(scope: Scope, lam: RationalWeight) -> None:
     for cv in scope.basis_coroots:
-        p = lam.pair(cv)
-        if p.denominator != 1:
+        p = dot(cv, lam.nums)
+        if p % lam.den:
             raise NotDominant(
-                f"weight {lam} has non-integral pairing {p} with a scope coroot"
+                f"weight {lam} has non-integral pairing {ratio_text(p, lam.den)} with a scope coroot"
             )
         if p < 0:
             raise NotDominant(f"weight {lam} is not dominant for the scope")
@@ -426,7 +434,7 @@ def _freudenthal(
                 k += 1
         q, r = divmod(2 * num, denom)
         if r:
-            raise AssertionError("Freudenthal produced a non-integer multiplicity")
+            raise InternalInconsistency("Freudenthal produced a non-integer multiplicity")
         mult[x] = q
     return mult
 

@@ -41,10 +41,6 @@ class OrderCapExceeded(SpinductError):
     code = "order-cap-exceeded"
 
 
-class MismatchedDatum(SpinductError):
-    code = "mismatched-datum"
-
-
 class ShiftNotStable(SpinductError):
     code = "shift-not-stable"
 

@@ -42,6 +42,7 @@ from .rootdata import (
     RootDatum,
     SubgroupDatum,
     Weight,
+    dot,
     rescale,
     scaled,
     vneg,
@@ -118,7 +119,7 @@ def _check_partial_twist(scope: Scope, shift: RationalWeight) -> None:
     except ShiftNotStable as exc:
         raise BadTwist(str(exc))
     for cv in scope.basis_coroots:
-        if shift.pair(cv).denominator != 1:
+        if dot(cv, shift.nums) % shift.den:
             raise BadTwist(
                 "shift pairs non-integrally with a scope coroot; "
                 "the module has no chamber structure"
@@ -228,8 +229,8 @@ def bwb_irreducible(problem: InductionProblem, mu: RationalWeight) -> GroupEleme
     w(mu + rho_H) - rho_G."""
     sub = problem.sub
     for cv in sub.basis_h_coroots:
-        p = mu.pair(cv)
-        if p.denominator != 1 or p < 0:
+        p = dot(cv, mu.nums)
+        if p % mu.den or p < 0:
             raise NotHDominant(f"{mu} is not H-dominant")
     expected = problem.sigma + problem.twist_rho("M")
     if TwistClass.of(mu) != expected:
@@ -402,8 +403,7 @@ def _is_unit_character(datum: RootDatum, det: TorusElement) -> bool:
     (key, c), = det.coeffs.items()
     if c not in (1, -1):
         return False
-    mu = det.weight_of(key)
-    return all(mu.pair(cv) == 0 for cv in datum.simple_coroots)
+    return all(dot(cv, key) == 0 for cv in datum.simple_coroots)
 
 
 # --- Lefschetz fixed-point oracle ----------------------------------------------

@@ -28,6 +28,8 @@ from itertools import repeat
 from operator import add, mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from .errors import InternalInconsistency
+
 Key = Tuple[int, ...]
 Support = Dict[Key, int]
 
@@ -109,7 +111,7 @@ def dominant_walk(
         if not moved:
             return tuple(y), path, regular
         if len(path) > max_steps:
-            raise AssertionError("chamber walk exceeded its step bound")
+            raise InternalInconsistency("chamber walk exceeded its step bound")
 
 
 def dominant_collect(

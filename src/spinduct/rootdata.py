@@ -10,7 +10,6 @@ other intermediate lattices are rebased so coordinates stay integral.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm, prod
 from operator import mul
@@ -18,6 +17,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optiona
 
 from .errors import (
     DimensionMismatch,
+    InternalInconsistency,
     LatticeNotIntermediate,
     NotARoot,
     NotASubsetOfRoots,
@@ -48,6 +48,12 @@ def vneg(a: Weight) -> Weight:
 
 def dot(cv: Covector, v: Sequence[int]) -> int:
     return sum(map(mul, cv, v))
+
+
+def ratio_text(num: int, den: int) -> str:
+    """num/den in lowest terms as text: "p/q", or "p" when q is 1."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 class RationalWeight:
@@ -105,9 +111,6 @@ class RationalWeight:
     def scale(self, num: int, den: int = 1) -> "RationalWeight":
         return RationalWeight([x * num for x in self.nums], self.den * den)
 
-    def pair(self, cv: Covector) -> Fraction:
-        return Fraction(dot(cv, self.nums), self.den)
-
     def is_integral(self) -> bool:
         return self.den == 1
 
@@ -120,9 +123,6 @@ class RationalWeight:
         """Canonical representative modulo the integer lattice: every
         coordinate lies in [0, 1)."""
         return RationalWeight([x % self.den for x in self.nums], self.den)
-
-    def fractions(self) -> Tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def __eq__(self, other) -> bool:
         return (
@@ -284,24 +284,26 @@ def _cartan_matrix(series: str, n: int) -> List[List[int]]:
 
 
 def _symmetrizer(c: List[List[int]]) -> List[int]:
-    """Minimal positive integers d with d_i c_ij = d_j c_ji."""
+    """Minimal positive integers d with d_i c_ij = d_j c_ji.  Each component
+    of the diagram is walked from d = top, the lcm of the nonzero entries,
+    setting d_j = d_i c_ij / c_ji; a component has two root lengths at most,
+    whose ratio divides top, so every d_j is an integer."""
     n = len(c)
-    d: List[Optional[Fraction]] = [None] * n
+    top = lcm(*(abs(x) for row in c for x in row if x))
+    d = [0] * n
     for start in range(n):
-        if d[start] is not None:
+        if d[start]:
             continue
-        d[start] = Fraction(1)
+        d[start] = top
         stack = [start]
         while stack:
             i = stack.pop()
             for j in range(n):
-                if c[i][j] and d[j] is None:
-                    d[j] = d[i] * Fraction(c[i][j], c[j][i])
+                if c[i][j] and not d[j]:
+                    d[j] = d[i] * c[i][j] // c[j][i]
                     stack.append(j)
-    den = lcm(*(x.denominator for x in d))
-    ints = [int(x * den) for x in d]
-    g = gcd(*ints)
-    return [x // g for x in ints]
+    g = gcd(*d)
+    return [x // g for x in d]
 
 
 _LABEL_RE = re.compile(r"^([A-GT])([0-9]+)$")
@@ -436,7 +438,7 @@ class RootDatum(_ScopeConstants):
         self._records = records
         self.root_set: FrozenSet[Weight] = frozenset(records)
         if len(records) != 2 * len(self.positive_roots):
-            raise AssertionError("root system not symmetric")
+            raise InternalInconsistency("root system not symmetric")
 
     # --- lookups ---------------------------------------------------------
 
@@ -604,7 +606,7 @@ def _build_root_datum(blocks, rank: int, order: int, lattice_choice) -> RootDatu
     )
     count = sum(_ROOT_COUNTS[s](n) for s, n in blocks if s != "T")
     if len(datum.roots) != count:
-        raise AssertionError(
+        raise InternalInconsistency(
             f"generated {len(datum.roots)} roots for {datum.cartan_label}, expected {count}"
         )
     return datum
@@ -630,7 +632,7 @@ class SubgroupDatum(_ScopeConstants):
             a for a in parent.positive_roots if a not in root_set
         )
         if len(root_set) != 2 * len(self.positive_h):
-            raise AssertionError("subsystem is not symmetric")
+            raise InternalInconsistency("subsystem is not symmetric")
         # basis = indecomposable positive elements
         basis = []
         pos_h = set(self.positive_h)
@@ -751,14 +753,6 @@ def rho(scope, which: str = "G") -> RationalWeight:
     if which == "M":
         return scope.rho_m
     raise ValueError(f"unknown rho scope {which!r}")
-
-
-def pair(datum: RootDatum, lam, alpha: Weight) -> Fraction:
-    """Exact coroot pairing <lambda, alpha^vee>."""
-    cv = datum.coroot(alpha)
-    if isinstance(lam, RationalWeight):
-        return lam.pair(cv)
-    return Fraction(dot(cv, lam))
 
 
 def subgroup_character_lattice(sub: SubgroupDatum) -> Lattice:

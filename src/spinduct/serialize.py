@@ -3,20 +3,15 @@ form for the CLI (weights as integer arrays, rationals as {num, den})."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Optional
 
 from .charring import GroupElement, TorusElement, TwistClass
 from .errors import SchemaViolation
-from .rootdata import RationalWeight, RootDatum
-
-
-def _format_fraction(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+from .rootdata import RationalWeight, RootDatum, ratio_text
 
 
 def rational_to_text(w: RationalWeight) -> str:
-    return ",".join(_format_fraction(f) for f in w.fractions())
+    return ",".join(ratio_text(x, w.den) for x in w.nums)
 
 
 def torus_to_text(a: TorusElement) -> str:

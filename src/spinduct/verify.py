@@ -316,8 +316,12 @@ check_gkrs_identity = Row(
 def _appendix_c_setup(p):
     full = p.datum.rank <= 3
     mode = "division+invariance" if full else "J(e^lam)-basis"
+    # negative control for the invariance test: e^rho has a W-stable class
+    # but is not W-invariant, so a full-division case must see it refused
+    e_rho = TorusElement.monomial(p.datum, p.datum.rho)
     return _rho_twisted(
-        p, 6 if full else 4, full_division=full, order=generate_weyl(p.datum).order, mode=mode
+        p, 6 if full else 4, full_division=full, order=generate_weyl(p.datum).order, mode=mode,
+        control=not (full and is_scope_invariant(e_rho, p.datum)),
     )
 
 
@@ -332,6 +336,8 @@ def _appendix_c_draw(case, rng):
 
 
 def _appendix_c_test(case, a):
+    if not case.control:
+        return False, False
     datum = case.p.datum
     ja = apply_antisymmetrizer("J_G", a)
     nonzero = not ja.is_zero()

@@ -7,7 +7,7 @@ from functools import cache, cached_property
 from typing import Dict, FrozenSet, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import kernels, rootdata
-from .errors import MismatchedDatum, OrderCapExceeded, ShiftNotStable
+from .errors import DatumMismatch, InternalInconsistency, OrderCapExceeded, ShiftNotStable
 from .intlinalg import identity, matvec
 from .rootdata import (
     RationalWeight,
@@ -105,7 +105,7 @@ def _order_from_heights(positive: Sequence[Weight], basis: Sequence[Weight]) -> 
             else:
                 rest.append(a)
         if len(rest) == len(pending):
-            raise AssertionError("positive roots not reached from the basis")
+            raise InternalInconsistency("positive roots not reached from the basis")
         pending = rest
     count = [0] * (max(height.values(), default=0) + 2)
     for h in height.values():
@@ -151,7 +151,7 @@ class WeylGroup:
     def _walk(self) -> Tuple[Tuple[WeylElement, ...], Tuple[WeylElement, ...]]:
         found = _closure(self.scope)
         if len(found[0]) != self.order:
-            raise AssertionError("Weyl group enumeration disagrees with the order formula")
+            raise InternalInconsistency("Weyl group enumeration disagrees with the order formula")
         return found
 
     @cached_property
@@ -196,10 +196,10 @@ def coset_representatives(w: WeylGroup, sub: SubgroupDatum) -> CosetReps:
     in W^H and l(s w) < l(w), then w^{-1}(alpha_s) < 0 is not in R_H^+, so
     s w is in W^H too: the walk reaches all of W^H, each element once."""
     if sub.parent != w.datum:
-        raise MismatchedDatum("subgroup does not belong to this Weyl group")
+        raise DatumMismatch("subgroup does not belong to this Weyl group")
     reps, inverses = _closure(w.scope, sub.roots_h)
     if len(reps) * generate_weyl(sub).order != w.order:
-        raise AssertionError("coset count mismatch")
+        raise InternalInconsistency("coset count mismatch")
     return CosetReps(reps, sub, inverses)
 
 
@@ -294,7 +294,7 @@ def apply_antisymmetrizer(kind: str, a, sub: Optional[SubgroupDatum] = None):
     if kind not in ("J_H", "J_M", "J_M_OP"):
         raise ValueError(f"unknown antisymmetrizer kind {kind!r}")
     if sub is None:
-        raise MismatchedDatum(f"{kind} needs a SubgroupDatum")
+        raise DatumMismatch(f"{kind} needs a SubgroupDatum")
     if kind == "J_H":
         elements = generate_weyl(sub).elements
     else:

@@ -21,7 +21,14 @@ from spinduct.charring import (
     numeric_evaluate,
     weyl_denominator,
 )
-from spinduct.errors import DatumMismatch, DegenerateSample, NotAntiInvariant, NotDominant
+from spinduct.errors import (
+    BadTwist,
+    DatumMismatch,
+    DegenerateSample,
+    NotAntiInvariant,
+    NotDominant,
+    SpinductError,
+)
 from spinduct.induction import divide_exact
 from spinduct.rootdata import (
     RationalWeight,
@@ -120,6 +127,24 @@ def test_elements_drop_zeros_and_own_their_coefficients():
                 del coeffs[(1, 2)]
                 assert a.coeffs == expect
                 assert a == cls(a2, shift, {(1, 0): 2, (1, 2): -1})
+
+
+def test_elements_refuse_keys_and_shifts_of_another_rank():
+    """At an integral shift a key of the wrong length is refused (it used to
+    construct, and multiply zipped it down to the rank), and a shift that is
+    not a RationalWeight is a domain error, not an AttributeError."""
+    a2 = build_root_datum("A2")
+    for cls in (TorusElement, GroupElement):
+        with pytest.raises(BadTwist):
+            cls(a2, RationalWeight.zero(2), {(1, 0, 0): 1})
+        with pytest.raises(BadTwist):
+            cls(a2, RationalWeight.zero(2), {(1, 1): 1, (1,): 2})
+        with pytest.raises(BadTwist):
+            cls(a2, RationalWeight.zero(3), {(1, 1, 0): 1})
+        with pytest.raises(SpinductError):
+            cls(a2, 0, {(1, 1): 1})
+    one = TorusElement(a2, RationalWeight.zero(2), {(1, 1): 1})
+    assert multiply(one, one).coeffs == {(2, 2): 1}
 
 
 def _weights(a):
@@ -258,10 +283,11 @@ def _fraction_dimension(scope, lam):
     """The Weyl dimension formula in Fraction arithmetic, kept as an oracle;
     None where the integer formula must refuse the weight."""
     rho = scope.rho_vec
+    top = lam + rho
     num = Fraction(1)
     for a in scope.positive:
         cv = scope.datum.coroot(a)
-        num *= (lam + rho).pair(cv) / rho.pair(cv)
+        num *= Fraction(dot(cv, top.nums), top.den) / Fraction(dot(cv, rho.nums), rho.den)
     return int(num) if num.denominator == 1 and num > 0 else None
 
 

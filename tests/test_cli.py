@@ -235,6 +235,24 @@ def test_closed_stdout_exits_1_without_traceback():
     assert proc.stderr == b""
 
 
+@pytest.mark.parametrize("argv", [("info", "--group", "A2"), ("verify", "--suite", "weyl")])
+def test_failed_self_check_is_one_json_record(argv):
+    """A library self-check that fails (the coset count, with the subgroup
+    Weyl orders patched one too high in a fresh process, so no cache holds
+    the pair) answers with one JSON error record and exit 1, no traceback."""
+    import subprocess
+
+    code = ("import sys; from spinduct import cli, weyl; "
+            "order = weyl._order_from_heights; "
+            "weyl._order_from_heights = lambda *a: order(*a) + 1; "
+            f"sys.exit(cli.main({list(argv)!r}))")
+    proc = _python("-c", code, stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    lines = proc.stdout.decode().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["code"] == "internal-inconsistency"
+
+
 def test_cli_import_leaves_verify_unloaded():
     import subprocess
 
@@ -244,8 +262,9 @@ def test_cli_import_leaves_verify_unloaded():
 
 
 def test_cli_cold_start_imports_no_dataclasses():
-    """`dataclasses` pulls in inspect, ast, dis and tokenize, which every
-    fresh CLI process would pay for; no module of the package uses it."""
+    """`dataclasses` pulls in inspect, ast, dis and tokenize, and `fractions`
+    pulls in decimal and numbers, which every fresh CLI process would pay
+    for; no module of the package uses either."""
     import pathlib
     import subprocess
 
@@ -255,6 +274,7 @@ def test_cli_cold_start_imports_no_dataclasses():
     modules = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.decode().splitlines()]
     assert "spinduct.rootdata" in modules
     assert "dataclasses" not in modules
+    assert not {"fractions", "decimal", "numbers"} & set(modules)
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "spinduct"
     hits = [f"{path.name}:{n}" for path in sorted(src.glob("*.py"))
             for n, line in enumerate(path.read_text().splitlines(), 1) if "dataclass" in line]

@@ -6,7 +6,7 @@ from spinduct.charring import TorusElement, TwistClass, dimension
 from spinduct.errors import BadTwist
 from spinduct.induction import make_problem
 from spinduct.multiplets import alternating_dimension_sum, multiplet
-from spinduct.rootdata import RationalWeight, build_root_datum, subgroup_from_roots
+from spinduct.rootdata import RationalWeight, build_root_datum, dot, subgroup_from_roots
 from spinduct.zoo import random_torus_element, zoo_problem, zoo_problems
 
 
@@ -117,10 +117,11 @@ def _fraction_dimension(g):
     scope, rho = g.scope, g.scope.rho_vec
     total = 0
     for lam, c in g.terms():
+        top = lam + rho
         d = Fraction(1)
         for a in scope.positive:
             cv = scope.datum.coroot(a)
-            d *= (lam + rho).pair(cv) / rho.pair(cv)
+            d *= Fraction(dot(cv, top.nums), top.den) / Fraction(dot(cv, rho.nums), rho.den)
         assert d.denominator == 1 and d > 0
         total += c * int(d)
     return total

