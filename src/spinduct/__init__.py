@@ -10,7 +10,6 @@ all in exact integer arithmetic.
 from .charring import (
     GroupElement,
     TorusElement,
-    TwistClass,
     anti_invariant_decompose,
     dimension,
     dualize,
@@ -39,7 +38,6 @@ from .rootdata import (
     RootDatum,
     SubgroupDatum,
     build_root_datum,
-    rho,
     solve_in_lattice,
     subgroup_character_lattice,
     subgroup_from_roots,
@@ -60,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GroupElement",
     "TorusElement",
-    "TwistClass",
     "InductionProblem",
     "Multiplet",
     "Lattice",
@@ -97,7 +94,6 @@ __all__ = [
     "numeric_evaluate",
     "pairing_report",
     "partial",
-    "rho",
     "solve_in_lattice",
     "subgroup_character_lattice",
     "subgroup_from_roots",

@@ -1,14 +1,16 @@
 """Arithmetic in R(T), in shifted modules Z[delta + X(T)], and in the
 highest-weight picture of R(G) and R(H).
 
-A twist is stored as the canonical residue of its rational shift modulo
-X(T).  Every weight w of a class delta + X(T) has the denominator den of
-delta, and an element of the shifted module holds w as the integer key
-den * w.  The Weyl group acts on those keys by its matrices, linearly, and
-chamber walks and orbit replays read them as they are.  TorusElement (a
-character of T) and GroupElement (a combination of irreducibles by highest
-weight) share one immutable body, `_Shifted`, whose constructor is the
-only place a shift is made canonical.
+A twist class is the canonical residue of its rational shift modulo X(T),
+the RationalWeight `residue_mod_one()` gives, with every coordinate in
+[0,1); twist classes are compared as these residues.  Every weight w of a
+class delta + X(T) has the denominator den of delta, and an element of the
+shifted module holds w as the integer key den * w.  The Weyl group acts on
+those keys by its matrices, linearly, and chamber walks and orbit replays
+read them as they are.  TorusElement (a character of T) and GroupElement
+(a combination of irreducibles by highest weight) share one immutable
+body, `_Shifted`, whose constructor makes every element's shift its
+residue.
 Coefficients are exact integers throughout; the only floating point lives
 in numeric_evaluate.
 """
@@ -21,7 +23,7 @@ from functools import cache
 from itertools import repeat
 from operator import mul, ne
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import kernels
 from .errors import (
@@ -48,41 +50,14 @@ from .weyl import check_stable, generate_weyl
 Scope = Union[RootDatum, SubgroupDatum]
 
 
-class TwistClass(NamedTuple):
-    """A central-extension class, represented by its torus level shift
-    delta modulo X(T) (canonical residue, each coordinate in [0,1))."""
-
-    shift: RationalWeight
-
-    @classmethod
-    def of(cls, delta: RationalWeight) -> "TwistClass":
-        return cls(delta.residue_mod_one())
-
-    @classmethod
-    def zero(cls, rank: int) -> "TwistClass":
-        return cls(RationalWeight.zero(rank))
-
-    def __add__(self, other: "TwistClass") -> "TwistClass":
-        return TwistClass.of(self.shift + other.shift)
-
-    def __sub__(self, other: "TwistClass") -> "TwistClass":
-        return TwistClass.of(self.shift - other.shift)
-
-    def __neg__(self) -> "TwistClass":
-        return TwistClass.of(-self.shift)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.shift.nums)
-
-
 class _Shifted:
     """An element of a shifted module: integer coefficients at weights w of
     the class shift + X(T), over a scope (a root datum or a subgroup), each
     held at the key den * w, den = shift.den.
 
-    The constructor is the only canonicalization: it replaces the shift by
-    its residue in [0,1)^rank, which has the same denominator, so no key
-    moves, and drops zero coefficients.  It raises BadTwist for a shift
+    The constructor replaces the shift by its residue in [0,1)^rank (its
+    twist class), which has the same denominator, so no key moves, and
+    drops zero coefficients.  It raises BadTwist for a shift
     that is not a RationalWeight of the scope's rank, for a key of another
     length, and at den > 1 for a key outside the class (k not congruent to
     shift.nums mod den).  `coeffs` is a read-only view, so an element never
@@ -116,9 +91,9 @@ class _Shifted:
         self.coeffs = MappingProxyType(kept)
 
     @classmethod
-    def zero(cls, scope: Scope, twist: Optional[TwistClass] = None):
-        shift = twist.shift if twist else RationalWeight.zero(scope.datum.rank)
-        return cls(scope, shift, {})
+    def zero(cls, scope: Scope, twist: Optional[RationalWeight] = None):
+        """The zero of the class twist + X(T), by default of X(T) itself."""
+        return cls(scope, RationalWeight.zero(scope.datum.rank) if twist is None else twist, {})
 
     @classmethod
     def from_weights(cls, scope: Scope, weights: Mapping[RationalWeight, int]):
@@ -145,10 +120,6 @@ class _Shifted:
     @property
     def datum(self) -> RootDatum:
         return self.scope.datum
-
-    @property
-    def twist(self) -> TwistClass:
-        return TwistClass(self.shift)
 
     def weight_of(self, key: Weight) -> RationalWeight:
         return RationalWeight(key, self.shift.den)

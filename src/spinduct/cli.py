@@ -19,7 +19,6 @@ from . import kernels, rootdata
 from .charring import (
     GroupElement,
     TorusElement,
-    TwistClass,
     dimension,
     dualize,
     euler_class,
@@ -119,10 +118,6 @@ def _check_fields(doc: Dict) -> None:
             check_weight(value, p)
         elif key == "gamma":
             check_int_list(value, p)
-        elif key == "signs":
-            _require(isinstance(value, list), "signs must be a list", p)
-            for i, x in enumerate(value):
-                _require(is_int(x) and x in (1, -1), "a sign is 1 or -1", f"{p}/{i}")
         elif key == "input":
             if not isinstance(value, str):
                 check_element(value, p)
@@ -242,7 +237,7 @@ def _run_command(doc: Dict, command: str) -> Dict:
     sub = subgroup_from_spec(datum, doc["subgroup"])
     sigma = None
     if "twist" in doc:
-        sigma = TwistClass.of(rational_from_json(doc["twist"], datum.rank, "/twist"))
+        sigma = rational_from_json(doc["twist"], datum.rank, "/twist")
     problem = make_problem(datum, sub, sigma)
 
     if command == "info":

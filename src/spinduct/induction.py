@@ -11,11 +11,10 @@ import random
 from functools import cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from . import kernels, rootdata
+from . import kernels
 from .charring import (
     GroupElement,
     TorusElement,
-    TwistClass,
     euler_class,
     is_scope_invariant,
     multiply,
@@ -62,15 +61,20 @@ Scope = Union[RootDatum, SubgroupDatum]
 class InductionProblem:
     """The standing data of a pair (G, H) with a G-side twist sigma: the
     Weyl groups and the minimal coset representatives, built once and
-    shared.  W itself, the denominators and the Euler class are built only
-    when first read."""
+    shared, and the two twist classes its operations check, as canonical
+    residues: `sigma` (zero by default), `sigma_rho_m` = sigma + [rho_M]
+    for inputs of twisted induction and weights of BWB, and `sigma_rho_g` =
+    sigma + [rho_G] for multiplet sources.  W itself, the denominators and
+    the Euler class are built only when first read."""
 
-    def __init__(self, datum: RootDatum, sub: SubgroupDatum, sigma: Optional[TwistClass] = None):
+    def __init__(self, datum: RootDatum, sub: SubgroupDatum, sigma: Optional[RationalWeight] = None):
         if sub.parent != datum:
             raise DatumMismatch("subgroup belongs to a different datum")
         self.datum = datum
         self.sub = sub
-        self.sigma = sigma or TwistClass.zero(datum.rank)
+        self.sigma = RationalWeight.zero(datum.rank) if sigma is None else sigma.residue_mod_one()
+        self.sigma_rho_m = (self.sigma + sub.rho_m).residue_mod_one()
+        self.sigma_rho_g = (self.sigma + datum.rho).residue_mod_one()
         self.weyl = generate_weyl(datum)
         self.weyl_h = generate_weyl(sub)
         self.reps: CosetReps = coset_representatives(self.weyl, sub)
@@ -88,19 +92,18 @@ class InductionProblem:
     def euler(self) -> TorusElement:
         return euler_class(self.sub)
 
-    def twist_rho(self, which: str) -> TwistClass:
-        return TwistClass.of(rootdata.rho(self.sub, which))
-
     def __repr__(self):
         return (
             f"InductionProblem({self.datum.cartan_label}, |W^H|={len(self.reps.reps)})"
         )
 
 
-def make_problem(datum: RootDatum, sub: SubgroupDatum, sigma: Optional[TwistClass] = None) -> InductionProblem:
+def make_problem(
+    datum: RootDatum, sub: SubgroupDatum, sigma: Optional[RationalWeight] = None
+) -> InductionProblem:
     """The InductionProblem of (datum, sub, sigma), one object per equal
-    arguments however they are passed."""
-    return _cached_problem(datum, sub, sigma)
+    arguments however they are passed; no sigma is the zero twist."""
+    return _cached_problem(datum, sub, RationalWeight.zero(datum.rank) if sigma is None else sigma)
 
 
 _cached_problem = cache(InductionProblem)
@@ -180,8 +183,7 @@ def induce_between(big: Scope, small: Scope, a: TorusElement) -> GroupElement:
 
 def induce_twisted_spinc(problem: InductionProblem, a: TorusElement) -> GroupElement:
     """i_*: R(H, sigma + omega_M) -> R(G, sigma)."""
-    expected = problem.sigma + problem.twist_rho("M")
-    if TwistClass(a.shift) != expected:
+    if a.shift != problem.sigma_rho_m:
         raise BadTwist(
             f"input twist {a.shift.nums}/{a.shift.den} is not sigma + [rho_M]"
         )
@@ -198,7 +200,7 @@ def induce_classical(
 
     Each case multiplies by the generator of the shifted module singled
     out by the geometry and applies twisted induction."""
-    if not TwistClass(a.shift).is_zero():
+    if any(a.shift.nums):
         raise BadTwist("classical induction expects an untwisted input")
     kind = kind.lower()
     datum = problem.datum
@@ -232,14 +234,12 @@ def bwb_irreducible(problem: InductionProblem, mu: RationalWeight) -> GroupEleme
         p = dot(cv, mu.nums)
         if p % mu.den or p < 0:
             raise NotHDominant(f"{mu} is not H-dominant")
-    expected = problem.sigma + problem.twist_rho("M")
-    if TwistClass.of(mu) != expected:
+    if mu.residue_mod_one() != problem.sigma_rho_m:
         raise BadTwist("mu is not in the sigma + [rho_M] coset")
     lam = mu + sub.rho_h
     res = to_dominant_chamber(problem.datum, lam)
-    out_twist = TwistClass.of(lam - problem.datum.rho)
     if res is None:
-        return GroupElement.zero(problem.datum, out_twist)
+        return GroupElement.zero(problem.datum, lam - problem.datum.rho)
     hw = res.image - problem.datum.rho
     return GroupElement.from_weights(problem.datum, {hw: res.w.det})
 
@@ -336,23 +336,26 @@ class PairingReport(NamedTuple):
 
 def pairing_report(
     problem: InductionProblem,
-    tau: TwistClass,
+    tau: RationalWeight,
     basis_a: Sequence[TorusElement],
     basis_b: Sequence[TorusElement],
 ) -> PairingReport:
     """Gram matrix of the induction pairing P(a, b) = i_*(ab) and the
-    unit test for its determinant expanded over T."""
+    unit test for its determinant expanded over T.  The a-side basis has
+    the twist class tau (a canonical residue), the b-side basis [rho_M] -
+    tau."""
     n = len(problem.reps.reps)
     if len(basis_a) != n or len(basis_b) != n:
         raise WrongBasisSize(f"bases must have size |W^H| = {n}")
-    if not problem.sigma.is_zero():
+    if any(problem.sigma.nums):
         raise BadTwistPairing("the pairing is defined for sigma = 0")
-    omega = problem.twist_rho("M")
+    # at sigma = 0, sigma_rho_m is [rho_M]
+    b_side = (problem.sigma_rho_m - tau).residue_mod_one()
     for x in basis_a:
-        if TwistClass(x.shift) != tau:
+        if x.shift != tau:
             raise BadTwistPairing("a-side basis has wrong twist")
     for y in basis_b:
-        if TwistClass(y.shift) != omega - tau:
+        if y.shift != b_side:
             raise BadTwistPairing("b-side basis has wrong twist")
     for x in list(basis_a) + list(basis_b):
         if not is_scope_invariant(x, problem.sub):

@@ -13,7 +13,6 @@ from . import kernels
 from .charring import (
     GroupElement,
     TorusElement,
-    TwistClass,
     dimension,
     dualize,
     multiply,
@@ -64,8 +63,7 @@ class Multiplet:
 
 
 def _check_source_twist(problem: InductionProblem, a: TorusElement) -> None:
-    expected = problem.sigma + TwistClass.of(problem.datum.rho)
-    if TwistClass(a.shift) != expected:
+    if a.shift != problem.sigma_rho_g:
         raise BadTwist("multiplet source must carry the [rho_G] twist class")
 
 

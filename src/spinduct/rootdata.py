@@ -739,22 +739,6 @@ def _subgroup_closure(datum: RootDatum, gens: Tuple[Weight, ...]) -> SubgroupDat
     return SubgroupDatum(datum, seen)
 
 
-def rho(scope, which: str = "G") -> RationalWeight:
-    """Half-sum of positive roots for G, H or the complement M."""
-    which = which.upper()
-    if isinstance(scope, RootDatum):
-        if which != "G":
-            raise ValueError("a RootDatum only has a rho_G")
-        return scope.rho
-    if which == "G":
-        return scope.parent.rho
-    if which == "H":
-        return scope.rho_h
-    if which == "M":
-        return scope.rho_m
-    raise ValueError(f"unknown rho scope {which!r}")
-
-
 def subgroup_character_lattice(sub: SubgroupDatum) -> Lattice:
     """X(H) = weights of T annihilating every coroot of H."""
     rank = sub.parent.rank

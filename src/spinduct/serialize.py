@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from .charring import GroupElement, TorusElement, TwistClass
+from .charring import GroupElement, TorusElement
 from .errors import SchemaViolation
 from .rootdata import RationalWeight, RootDatum, ratio_text
 
@@ -134,12 +134,9 @@ def torus_from_json(datum: RootDatum, obj, pointer: str = "") -> TorusElement:
     weights = weights_from_json(obj["terms"], datum.rank, pointer + "/terms")
     if not weights:
         twist = obj.get("twist")
-        shift = (
-            rational_from_json(twist, datum.rank, pointer + "/twist")
-            if twist
-            else RationalWeight.zero(datum.rank)
+        return TorusElement.zero(
+            datum, rational_from_json(twist, datum.rank, pointer + "/twist") if twist else None
         )
-        return TorusElement.zero(datum, TwistClass.of(shift))
     out = TorusElement.from_weights(datum, weights)
     if "twist" in obj:
         declared = rational_from_json(obj["twist"], datum.rank, pointer + "/twist")

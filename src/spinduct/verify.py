@@ -27,7 +27,6 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 from .charring import (
     GroupElement,
     TorusElement,
-    TwistClass,
     anti_invariant_decompose,
     dimension,
     dualize,
@@ -150,8 +149,9 @@ def _groups():
 
 
 def _rho_twisted(p, max_support: int = 8, **extra) -> SimpleNamespace:
-    """A case whose drawn elements carry the [rho_G] twist."""
-    return SimpleNamespace(p=p, twist=TwistClass.of(p.datum.rho), max_support=max_support, **extra)
+    """A case whose drawn elements carry the multiplet sources' class
+    sigma + [rho_G], which is [rho_G] on the untwisted zoo problems."""
+    return SimpleNamespace(p=p, twist=p.sigma_rho_g, max_support=max_support, **extra)
 
 
 def _draw_element(case, rng: random.Random) -> TorusElement:
@@ -164,9 +164,10 @@ class Row(NamedTuple):
     One random.Random(seed + offset) draws for every case in turn.  `setup`
     makes a case's namespace, `draw` an input or SKIP, and `test` returns
     (holds, nontrivial): an input is trivial when its identity reads 0 = 0.
-    A case stops at its first counterexample, printed by `show`.  Library
-    functions are looked up in this module's globals at call time, so a
-    test can monkeypatch them."""
+    A case stops at its first counterexample, printed by `show`; a setup
+    that sets `bad` (a failed negative control) fails its case before any
+    draw.  Library functions are looked up in this module's globals at call
+    time, so a test can monkeypatch them."""
 
     name: str  # "{}" takes the case label
     offset: int
@@ -184,9 +185,9 @@ class Row(NamedTuple):
         out = []
         for label, *args in self.cases():
             case = self.setup(*args)
-            bad = None
+            bad = getattr(case, "bad", None)
             reached = nontrivial = 0
-            for _ in range(trials):
+            for _ in range(0 if bad else trials):
                 x = self.draw(case, rng)
                 if x is SKIP:
                     continue
@@ -215,7 +216,7 @@ def _bwb_test(case, mu):
 
 check_bwb_agreement = Row(
     "bwb-agreement {}", 3, 100, _bwb_test,
-    setup=lambda p: SimpleNamespace(p=p, twist=TwistClass((p.sigma + p.twist_rho("M")).shift)),
+    setup=lambda p: SimpleNamespace(p=p, twist=p.sigma_rho_m),
     draw=lambda case, rng: random_dominant_weight(case.p.sub, rng, twist=case.twist),
     show=lambda mu: f"mu = {mu!r}",
     detail="{trials} weights, {trivial} singular",
@@ -321,7 +322,7 @@ def _appendix_c_setup(p):
     e_rho = TorusElement.monomial(p.datum, p.datum.rho)
     return _rho_twisted(
         p, 6 if full else 4, full_division=full, order=generate_weyl(p.datum).order, mode=mode,
-        control=not (full and is_scope_invariant(e_rho, p.datum)),
+        bad=torus_to_text(e_rho) if full and is_scope_invariant(e_rho, p.datum) else None,
     )
 
 
@@ -336,8 +337,6 @@ def _appendix_c_draw(case, rng):
 
 
 def _appendix_c_test(case, a):
-    if not case.control:
-        return False, False
     datum = case.p.datum
     ja = apply_antisymmetrizer("J_G", a)
     nonzero = not ja.is_zero()
@@ -498,9 +497,7 @@ def check_lefschetz(seed: int = 0, trials: int = 20) -> List[CheckResult]:
         ok = ok and all(abs(l - n) < 1e-6 for l, _ in rep2.samples)
         detail = f"errors {rep.max_rel_error:.2e}, {rep2.max_rel_error:.2e}"
         if p.datum.rank <= 3:
-            a = random_wh_invariant(
-                p, rng, twist=TwistClass.of(p.rho_m), max_support=2
-            )
+            a = random_wh_invariant(p, rng, twist=p.sigma_rho_m, max_support=2)
             rep3 = lefschetz_check(p, p.euler, a, trials=trials, seed=seed + 3)
             ok = ok and rep3.max_rel_error <= 1e-8
             detail += f", {rep3.max_rel_error:.2e}"
@@ -564,12 +561,11 @@ def check_induction_invariants(seed: int = 0) -> List[CheckResult]:
         p = zoo_problem(g, h)
         if p.datum.rank > 3:
             continue
-        twist = TwistClass((p.sigma + p.twist_rho("M")).shift)
         for _ in range(5):
             b = GroupElement.from_weights(
                 p.datum, {random_dominant_weight(p.datum, rng, dim_cap=60): rng.randint(1, 3)}
             )
-            a = random_wh_invariant(p, rng, twist=twist, max_support=2, dim_cap=60)
+            a = random_wh_invariant(p, rng, twist=p.sigma_rho_m, max_support=2, dim_cap=60)
             lhs = induce_twisted_spinc(p, multiply(b.to_torus(), a))
             rhs = group_multiply(b, induce_twisted_spinc(p, a))
             if lhs != rhs:
@@ -579,7 +575,7 @@ def check_induction_invariants(seed: int = 0) -> List[CheckResult]:
     p = zoo_problem("A1", "t")
     ba, bb, tau0 = steinberg_pairing_bases(p, "0")
     r1 = pairing_report(p, tau0, ba, bb)
-    r2 = pairing_report(p, TwistClass.of(p.rho_m), bb, ba)
+    r2 = pairing_report(p, p.rho_m.residue_mod_one(), bb, ba)
     ok = all(
         r1.gram[i][j] == r2.gram[j][i] for i in range(len(ba)) for j in range(len(bb))
     )

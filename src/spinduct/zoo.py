@@ -13,7 +13,7 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from . import kernels
-from .charring import TorusElement, TwistClass, _weight_dimension, multiply
+from .charring import TorusElement, _weight_dimension, multiply
 from .errors import DegenerateSample, NotDominant, SchemaViolation, UnknownSeries
 from .induction import InductionProblem, make_problem
 from .rootdata import (
@@ -122,16 +122,16 @@ def _coord_bound(rank: int) -> int:
 def random_torus_element(
     problem: InductionProblem,
     rng: random.Random,
-    twist: Optional[TwistClass] = None,
+    twist: Optional[RationalWeight] = None,
     max_support: int = 12,
     max_coeff: int = 9,
 ) -> TorusElement:
     """Seeded random element of a shifted module: support <= 12, integer
-    coefficients in [-9, 9], the twist's residue shift times a random
+    coefficients in [-9, 9], the twist (a canonical residue) times a random
     element of R(T) with weights in a small box around the origin."""
     datum = problem.datum
     rank = datum.rank
-    shift = (twist or TwistClass.zero(rank)).shift
+    shift = RationalWeight.zero(rank) if twist is None else twist
     bound = _coord_bound(rank)
     coeffs = {}
     # randrange(a, b + 1) is randint(a, b) by definition, one call shallower
@@ -148,7 +148,7 @@ def random_torus_element(
 def random_wh_invariant(
     problem: InductionProblem,
     rng: random.Random,
-    twist: Optional[TwistClass] = None,
+    twist: Optional[RationalWeight] = None,
     max_support: int = 4,
     dim_cap: Optional[int] = None,
 ) -> TorusElement:
@@ -159,7 +159,7 @@ def random_wh_invariant(
     datum = problem.datum
     rank = datum.rank
     cap = dim_cap or _dim_cap(rank)
-    out = TorusElement.zero(datum, twist or TwistClass.zero(rank))
+    out = TorusElement.zero(datum, twist)
     for _ in range(rng.randint(1, max_support)):
         mu = random_dominant_weight(problem.sub, rng, twist=twist, dim_cap=cap)
         ch = irreducible_restriction(problem.sub, mu)
@@ -170,15 +170,16 @@ def random_wh_invariant(
 def random_dominant_weight(
     scope,
     rng: random.Random,
-    twist: Optional[TwistClass] = None,
+    twist: Optional[RationalWeight] = None,
     dim_cap: Optional[int] = None,
     tries: int = 200,
 ) -> RationalWeight:
-    """Random scope-dominant weight in the given shifted lattice whose
-    irreducible has dimension below the cap."""
+    """Random scope-dominant weight in the shifted lattice twist + X(T)
+    (twist a canonical residue) whose irreducible has dimension below the
+    cap."""
     datum = scope.datum
     rank = datum.rank
-    shift = (twist or TwistClass.zero(rank)).shift
+    shift = RationalWeight.zero(rank) if twist is None else twist
     bound = _coord_bound(rank)
     cap = dim_cap or _dim_cap(rank)
     best = None
@@ -239,7 +240,7 @@ def _fundamental_weight(datum: RootDatum, i: int) -> Tuple[int, ...]:
 
 def steinberg_pairing_bases(
     problem: InductionProblem, tau: str = "0"
-) -> Tuple[List[TorusElement], List[TorusElement], TwistClass]:
+) -> Tuple[List[TorusElement], List[TorusElement], RationalWeight]:
     """Monomial bases of the two sides of the induction pairing for H = T:
     (e^theta_w) against (e^(rho_M + theta_w)).
 
@@ -251,7 +252,7 @@ def steinberg_pairing_bases(
     plain = [TorusElement.monomial(datum, th) for th in thetas]
     shifted = [TorusElement.monomial(datum, problem.rho_m + th) for th in thetas]
     if tau == "0":
-        return plain, shifted, TwistClass.zero(datum.rank)
+        return plain, shifted, RationalWeight.zero(datum.rank)
     if tau == "rhoM":
-        return shifted, plain, TwistClass.of(problem.rho_m)
+        return shifted, plain, problem.rho_m.residue_mod_one()
     raise SchemaViolation("steinberg bases exist for tau = 0 or rhoM only", pointer="/tau")

@@ -10,7 +10,6 @@ from spinduct import charring, kernels
 from spinduct.charring import (
     GroupElement,
     TorusElement,
-    TwistClass,
     anti_invariant_decompose,
     dimension,
     dualize,
@@ -77,9 +76,10 @@ def test_twists_add_and_negate():
     )
     e = euler_class(sub)
     # orientation twist is self-opposite: [rho_M] = [-rho_M]
-    assert TwistClass(e.shift) == TwistClass.of(sub.rho_m)
-    assert TwistClass.of(sub.rho_m) == TwistClass.of(-sub.rho_m)
-    assert TwistClass.of(sub.rho_m) + TwistClass.of(sub.rho_h) == TwistClass.of(b3.rho)
+    assert e.shift == sub.rho_m.residue_mod_one()
+    assert sub.rho_m.residue_mod_one() == (-sub.rho_m).residue_mod_one()
+    m, h = sub.rho_m.residue_mod_one(), sub.rho_h.residue_mod_one()
+    assert (m + h).residue_mod_one() == b3.rho.residue_mod_one()
 
 
 def test_elements_keep_a_canonical_shift_and_canonicalize_any_other():
@@ -294,7 +294,7 @@ def _fraction_dimension(scope, lam):
 def test_weight_dimension_matches_fraction_oracle():
     rng = random.Random(8)
     for name, p in zoo_problems():
-        for scope, twist in ((p.datum, None), (p.sub, None), (p.sub, p.twist_rho("M"))):
+        for scope, twist in ((p.datum, None), (p.sub, None), (p.sub, p.rho_m.residue_mod_one())):
             weights = [random_dominant_weight(scope, rng, twist=twist, dim_cap=300)
                        for _ in range(3)]
             # arbitrary weights too: on walls, not dominant, fractional pairings
@@ -395,7 +395,7 @@ def test_is_scope_invariant_matches_image_comparison():
     rng = random.Random(61)
     for name, p in zoo_problems():
         rank = p.datum.rank
-        for scope, twist in ((p.datum, None), (p.sub, None), (p.sub, p.twist_rho("M"))):
+        for scope, twist in ((p.datum, None), (p.sub, None), (p.sub, p.rho_m.residue_mod_one())):
             chis = [irreducible_restriction(scope, random_dominant_weight(
                 scope, rng, twist=twist, dim_cap=300)) for _ in range(2)]
             other = p.sub if scope is p.datum else p.datum
@@ -462,7 +462,7 @@ def _zoo_groups():
 def test_anti_invariant_decompose_matches_collect_then_divide():
     rng = random.Random(5)
     for p in _zoo_groups():
-        twist = TwistClass.of(p.datum.rho)
+        twist = p.datum.rho.residue_mod_one()
         for _ in range(4):
             ja = apply_antisymmetrizer("J_G", random_torus_element(p, rng, twist=twist))
             dec = anti_invariant_decompose(ja)
@@ -500,7 +500,7 @@ def _seeded_anti_invariants(rng, count):
         for scope, kind in ((p.datum, "J_G"), (p.sub, "J_H")):
             found = 0
             while found < count:
-                a = random_torus_element(p, rng, twist=TwistClass.of(scope.rho_vec), max_support=4)
+                a = random_torus_element(p, rng, twist=scope.rho_vec.residue_mod_one(), max_support=4)
                 ja = apply_antisymmetrizer(kind, a, p.sub)
                 if not ja.is_zero():
                     found += 1
@@ -579,7 +579,7 @@ def test_anti_invariant_decompose_rejects_one_extra_monomial(where):
     for p in _zoo_groups():
         d = p.datum
         ja = apply_antisymmetrizer(
-            "J_G", random_torus_element(p, rng, twist=TwistClass.of(d.rho))
+            "J_G", random_torus_element(p, rng, twist=d.rho.residue_mod_one())
         )
         # 9 rho = rho + 8 rho lies in the class [rho] and is strictly
         # dominant; its negative and its image under a simple reflection
@@ -600,7 +600,7 @@ def test_random_dominant_weight_without_integral_dimension_is_a_domain_error():
     # with every A2 coroot, so no candidate has an integral dimension
     p = zoo_problem("A2", "levi1")
     with pytest.raises(DegenerateSample):
-        random_dominant_weight(p.datum, random.Random(0), twist=TwistClass.of(p.sub.rho_h))
+        random_dominant_weight(p.datum, random.Random(0), twist=p.sub.rho_h.residue_mod_one())
 
 
 def test_numeric_evaluate():
@@ -750,7 +750,7 @@ def test_character_dimension_top_coefficient_and_invariance(which, seed, twisted
         scope, twist = build_root_datum(spec), None
     else:
         p = zoo_problem(*spec)
-        scope, twist = p.sub, (p.twist_rho("M") if twisted else None)
+        scope, twist = p.sub, (p.rho_m.residue_mod_one() if twisted else None)
     lam = random_dominant_weight(scope, random.Random(seed), twist=twist, dim_cap=400)
     chi = irreducible_restriction(scope, lam)
     assert sum(chi.coeffs.values()) == dimension(GroupElement.from_weights(scope, {lam: 1}))

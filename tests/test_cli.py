@@ -637,7 +637,6 @@ _NOISY_DOC = st.fixed_dictionaries({}, optional={
     "kind": _mostly(st.sampled_from(["twisted", "spinc", "spin", "SPIN", "holomorphic", "hodge"])),
     "gamma": _mostly(st.lists(_SMALL, min_size=2, max_size=2)),
     "tau": _mostly(st.sampled_from(["0", "rhoM", "x"])),
-    "signs": _JSON_ITEM,
     "suite": _SUITE,
     "seed": st.one_of(_mostly(st.integers(0, 3)), st.booleans()),
     "trials": st.one_of(_mostly(st.integers(0, 3)), st.booleans()),
@@ -655,7 +654,6 @@ _CLEAN_DOC = st.fixed_dictionaries({"group": st.sampled_from(
     "kind": st.sampled_from(["twisted", "spinc", "spin", "holomorphic", "hodge"]),
     "gamma": st.lists(_SMALL, min_size=2, max_size=2),
     "tau": st.sampled_from(["0", "rhoM"]),
-    "signs": st.lists(st.sampled_from([1, -1]), max_size=2),
     "suite": _SUITE,
     "seed": st.integers(0, 3),
     "trials": st.integers(1, 3),
@@ -775,6 +773,8 @@ def test_cli_contract_on_drawn_problem_documents(command, group, doc, suite):
     ("info", {"group": "A2", "subgroup": [True]}, "/subgroup/0"),
     # a pairing twist other than 0 and rhoM
     ("pairing", {"group": "A2", "tau": "x"}, "/tau"),
+    # a field no command reads
+    ("multiplet", {"group": "A2", "signs": [1, -1]}, "/signs"),
 ])
 def test_problem_document_field_errors_have_pointers(capsys, monkeypatch, command, doc, pointer):
     import io

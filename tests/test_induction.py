@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from spinduct.charring import (
     GroupElement,
     TorusElement,
-    TwistClass,
     dimension,
     dualize,
     irreducible_restriction,
@@ -101,7 +100,7 @@ def _induce_by_denominator(big, small, a):
 def test_induction_matches_denominator_oracle():
     rng = random.Random(43)
     for name, p in zoo_problems():
-        twist = TwistClass((p.sigma + p.twist_rho("M")).shift)
+        twist = (p.sigma + p.rho_m).residue_mod_one()
         for _ in range(6):
             a = random_wh_invariant(p, rng, twist=twist, max_support=3, dim_cap=80)
             assert induce_twisted_spinc(p, a) == _induce_by_denominator(p.datum, p.sub, a), name
@@ -218,10 +217,18 @@ def test_make_problem_is_one_object_per_arguments():
     assert make_problem(d, sub, None) is p
     assert make_problem(d, sub, sigma=None) is p
     assert make_problem(build_root_datum("B3", "spin"), sub) is p
-    sigma = TwistClass.of(d.rho)
+    sigma = RationalWeight([0, 0, 1], 2)
     q = make_problem(d, sub, sigma)
     assert q is not p and q.sigma == sigma
-    assert make_problem(d, sub, sigma=TwistClass.of(d.rho)) is q
+    assert make_problem(d, sub, sigma=RationalWeight([0, 0, 1], 2)) is q
+    # the zero twist passed as a weight is the default's problem; rho_G is
+    # a weight of B3's weight lattice, so [rho_G] is that zero twist
+    assert p.sigma == RationalWeight.zero(3)
+    assert make_problem(d, sub, d.rho.residue_mod_one()) is p
+    a2 = build_root_datum("A2")
+    t = subgroup_from_roots(a2, [])
+    assert make_problem(a2, t, RationalWeight.zero(2)) is make_problem(a2, t)
+    assert make_problem(a2, t, sigma=RationalWeight.zero(2)) is make_problem(a2, t, None)
 
 
 def test_extraction_of_bare_orbit_sum():
@@ -273,13 +280,13 @@ def test_pairing_units_and_errors():
     p = zoo_problem("A1", "t")
     ba, bb, _ = steinberg_pairing_bases(p, "0")
     with pytest.raises(WrongBasisSize):
-        pairing_report(p, TwistClass.zero(1), ba[:1], bb)
+        pairing_report(p, RationalWeight.zero(1), ba[:1], bb)
     # on the Levi the orientation class is nonzero, so plain units have
     # the wrong twist for tau = [rho_M]
     pl = zoo_problem("A2", "levi1")
     units = [TorusElement.unit(pl.datum)] * len(pl.reps.reps)
     with pytest.raises(BadTwistPairing):
-        pairing_report(pl, TwistClass.of(pl.rho_m), units, units)
+        pairing_report(pl, pl.rho_m.residue_mod_one(), units, units)
 
 
 def test_pairing_h_equals_g():
@@ -287,7 +294,7 @@ def test_pairing_h_equals_g():
     full = subgroup_from_roots(a2, list(a2.roots))
     p = make_problem(a2, full)
     rep = pairing_report(
-        p, TwistClass.zero(2), [TorusElement.unit(a2)], [TorusElement.unit(a2)]
+        p, RationalWeight.zero(2), [TorusElement.unit(a2)], [TorusElement.unit(a2)]
     )
     assert rep.is_unit
     assert rep.gram[0][0].terms() == [(RationalWeight.zero(2), 1)]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from spinduct.charring import TorusElement, TwistClass, dimension
+from spinduct.charring import TorusElement, dimension
 from spinduct.errors import BadTwist
 from spinduct.induction import make_problem
 from spinduct.multiplets import alternating_dimension_sum, multiplet
@@ -91,7 +91,7 @@ def _sigma_problem():
     """A2xT1 > levi with a central half-integral twist sigma."""
     datum = build_root_datum("A2xT1")
     sub = subgroup_from_roots(datum, [datum.simple_roots[0]])
-    return make_problem(datum, sub, TwistClass.of(RationalWeight([0, 0, 1], 2)))
+    return make_problem(datum, sub, RationalWeight([0, 0, 1], 2).residue_mod_one())
 
 
 def _so7_problem():
@@ -155,7 +155,7 @@ def _assert_matches_oracle(name, p, a):
 
 
 def _source_shift(p):
-    return (p.sigma + TwistClass.of(p.datum.rho)).shift
+    return (p.sigma + p.datum.rho).residue_mod_one()
 
 
 def test_one_pass_matches_per_member_on_monomials():
@@ -167,14 +167,14 @@ def test_one_pass_matches_per_member_on_monomials():
         arbitrary = [RationalWeight.from_ints([rng.randint(-3, 3) for _ in range(rank)])
                      for _ in range(3)] + [-p.datum.rho]
         for lam in dominant + arbitrary:
-            lam = shift + lam - TwistClass.of(lam).shift  # into the source class
+            lam = shift + lam - lam.residue_mod_one()  # into the source class
             _assert_matches_oracle(name, p, TorusElement.monomial(p.datum, lam))
 
 
 def test_one_pass_matches_per_member_on_random_elements():
     rng = random.Random(53)
     for name, p in _oracle_pairs():
-        twist = TwistClass(_source_shift(p))
+        twist = _source_shift(p)
         for _ in range(6 if p.datum.rank <= 4 else 2):
             a = random_torus_element(p, rng, twist=twist, max_support=8)
             _assert_matches_oracle(name, p, a)
@@ -187,7 +187,7 @@ def test_one_pass_at_half_integral_rho_h():
     assert p.sub.rho_h.den == 2 and p.datum.rho.den == 1
     rng = random.Random(59)
     for _ in range(10):
-        a = random_torus_element(p, rng, twist=TwistClass.of(p.datum.rho))
+        a = random_torus_element(p, rng, twist=p.datum.rho.residue_mod_one())
         _assert_matches_oracle("A2/levi1", p, a)
         assert all(g.shift.den == 2 for g in multiplet(p, a).members)
 
@@ -204,7 +204,7 @@ def test_sources_outside_the_rho_class_raise_on_both():
     for name, p in _oracle_pairs():
         wrong = [p.rho_m, p.sub.rho_h, RationalWeight([1] + [0] * (p.datum.rank - 1), 2)]
         for lam in wrong:
-            if TwistClass.of(lam).shift == _source_shift(p):
+            if lam.residue_mod_one() == _source_shift(p):
                 continue
             a = TorusElement.monomial(p.datum, lam)
             with pytest.raises(BadTwist):
@@ -220,9 +220,9 @@ def test_unstable_shifts_raise_alike_on_both():
     for group, sub in (("A2", "levi1"), ("A2", "t"), ("B2", "t"), ("G2", "a2long")):
         datum = zoo_problem(group, sub).datum
         for nums in ([1, 0], [0, 1], [1, 1]):
-            sigma = TwistClass.of(RationalWeight(nums, 2))
+            sigma = RationalWeight(nums, 2).residue_mod_one()
             p = make_problem(datum, zoo_problem(group, sub).sub, sigma)
-            a = TorusElement.monomial(datum, datum.rho + sigma.shift)
+            a = TorusElement.monomial(datum, datum.rho + sigma)
             expect = _raised(_per_member_multiplet, p, a)
             assert _raised(multiplet, p, a) == expect, (group, sub, nums)
             checked += expect is not None

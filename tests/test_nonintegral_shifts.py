@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from spinduct.charring import GroupElement, TorusElement, TwistClass, irreducible_restriction
+from spinduct.charring import GroupElement, TorusElement, irreducible_restriction
 from spinduct.errors import BadTwist
 from spinduct.induction import bwb_irreducible, induce_twisted_spinc, make_problem
 from spinduct.rootdata import RationalWeight, build_root_datum, subgroup_from_roots
@@ -26,20 +26,20 @@ def so7_problem():
 def test_rho_is_fractional_on_the_root_lattice():
     p = so7_problem()
     assert not p.datum.rho.is_integral()
-    assert not TwistClass.of(p.datum.rho).is_zero()
+    assert p.datum.rho.residue_mod_one() != RationalWeight.zero(3)
 
 
 def test_antisymmetrizer_identities_at_half_shift():
     p = so7_problem()
     rng = random.Random(3)
-    tw = TwistClass.of(p.datum.rho)
+    tw = p.datum.rho.residue_mod_one()
     for _ in range(40):
         weights = {
-            tw.shift + RationalWeight([rng.randint(-3, 3) for _ in range(3)]): rng.randint(-9, 9) or 1
+            tw + RationalWeight([rng.randint(-3, 3) for _ in range(3)]): rng.randint(-9, 9) or 1
             for _ in range(rng.randint(1, 8))
         }
         a = TorusElement.from_weights(p.datum, weights)
-        assert a.shift == tw.shift
+        assert a.shift == tw
         jg = apply_antisymmetrizer("J_G", a)
         assert jg == apply_antisymmetrizer(
             "J_M", apply_antisymmetrizer("J_H", a, p.sub), p.sub
@@ -58,7 +58,7 @@ def test_unit_induction_at_half_shift():
 def test_bwb_agreement_at_half_shift():
     p = so7_problem()
     rng = random.Random(5)
-    twm = TwistClass.of(p.rho_m)
+    twm = p.rho_m.residue_mod_one()
     for _ in range(20):
         mu = random_dominant_weight(p.sub, rng, twist=twm)
         lhs = bwb_irreducible(p, mu)

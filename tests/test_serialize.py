@@ -1,6 +1,6 @@
 import pytest
 
-from spinduct.charring import TorusElement, TwistClass, weyl_denominator
+from spinduct.charring import TorusElement, weyl_denominator
 from spinduct.errors import SchemaViolation
 from spinduct.rootdata import RationalWeight, build_root_datum
 from spinduct.serialize import (
@@ -36,7 +36,7 @@ def test_torus_roundtrip():
     )
     e = euler_class(sub)
     assert torus_from_json(b3, torus_to_json(e)) == e
-    z = TorusElement.zero(b3, TwistClass.of(sub.rho_m))
+    z = TorusElement.zero(b3, sub.rho_m.residue_mod_one())
     assert torus_from_json(b3, torus_to_json(z)) == z
 
 

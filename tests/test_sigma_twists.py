@@ -8,7 +8,6 @@ import pytest
 
 from spinduct.charring import (
     TorusElement,
-    TwistClass,
     irreducible_restriction,
     multiply,
 )
@@ -22,40 +21,41 @@ from spinduct.zoo import random_dominant_weight
 def sigma_problem():
     datum = build_root_datum("A2xT1")
     sub = subgroup_from_roots(datum, [datum.simple_roots[0]])
-    sigma = TwistClass.of(RationalWeight([0, 0, 1], 2))
+    sigma = RationalWeight([0, 0, 1], 2).residue_mod_one()
     return make_problem(datum, sub, sigma)
 
 
 def test_sigma_threads_through_induction():
     p = sigma_problem()
-    twist = p.sigma + p.twist_rho("M")
+    twist = (p.sigma + p.rho_m).residue_mod_one()
+    assert p.sigma_rho_m == twist
     spinor_shifted = multiply(
         irreducible_restriction(p.sub, p.rho_m),
-        TorusElement.monomial(p.datum, p.sigma.shift),
+        TorusElement.monomial(p.datum, p.sigma),
     )
-    assert TwistClass(spinor_shifted.shift) == twist
+    assert spinor_shifted.shift == twist
     out = induce_twisted_spinc(p, spinor_shifted)
-    assert TwistClass(out.shift) == p.sigma
-    assert out.terms() == [(p.sigma.shift, 1)]
+    assert out.shift == p.sigma
+    assert out.terms() == [(p.sigma, 1)]
 
 
 def test_sigma_bwb_agreement():
     p = sigma_problem()
     rng = random.Random(13)
-    twist = p.sigma + p.twist_rho("M")
+    twist = (p.sigma + p.rho_m).residue_mod_one()
     for _ in range(20):
-        mu = random_dominant_weight(p.sub, rng, twist=TwistClass(twist.shift))
+        mu = random_dominant_weight(p.sub, rng, twist=twist)
         lhs = bwb_irreducible(p, mu)
         rhs = induce_twisted_spinc(p, irreducible_restriction(p.sub, mu))
         assert lhs == rhs
-        assert TwistClass(lhs.shift) == p.sigma
+        assert lhs.shift == p.sigma
 
 
 def test_sigma_multiplet_bookkeeping():
     p = sigma_problem()
     src = multiply(
         TorusElement.monomial(p.datum, p.datum.rho),
-        TorusElement.monomial(p.datum, p.sigma.shift),
+        TorusElement.monomial(p.datum, p.sigma),
     )
     m = multiplet(p, src)
     assert len(m) == len(p.reps.reps)

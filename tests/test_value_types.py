@@ -3,7 +3,7 @@ their fields agree."""
 
 import pytest
 
-from spinduct.charring import TorusElement, TwistClass
+from spinduct.charring import TorusElement
 from spinduct.multiplets import Multiplet, multiplet
 from spinduct.rootdata import Lattice, RationalWeight
 from spinduct.spinc import SpincClassification, classify
@@ -24,8 +24,8 @@ def _cases():
     return [
         (w, WeylElement(tuple(map(tuple, w.matrix)), w.length), WeylElement(w.matrix, w.length + 2),
          ("matrix", "length")),
-        (TwistClass(RationalWeight([1, 1, 1], 2)), TwistClass.of(RationalWeight([3, 1, -1], 2)),
-         TwistClass(RationalWeight([1, 0, 1], 2)), ("shift",)),
+        (RationalWeight([1, 1, 1], 2), RationalWeight([3, 1, -1], 2).residue_mod_one(),
+         RationalWeight([1, 0, 1], 4), ("nums", "den")),
         (Lattice.full(3, 2), Lattice.from_columns(3, [(0, 2, 0), (2, 0, 0), (0, 0, 2)]),
          Lattice.full(3), ("ambient_rank", "columns")),
         (p.reps, CosetReps(tuple(reps), p.sub, tuple(inverses)),

@@ -10,7 +10,6 @@ import sys
 import pytest
 
 from spinduct import induction, multiplets, verify
-from spinduct.charring import TwistClass
 from spinduct.induction import induce_between, make_problem
 from spinduct.multiplets import multiplet
 from spinduct.weyl import apply_antisymmetrizer
@@ -38,7 +37,7 @@ def _replay(offset, trials, cases, draw, nontrivial):
 
 
 def _rho_element(p, rng, max_support=8):
-    return random_torus_element(p, rng, twist=TwistClass.of(p.datum.rho), max_support=max_support)
+    return random_torus_element(p, rng, twist=p.datum.rho.residue_mod_one(), max_support=max_support)
 
 
 def test_nontrivial_counts_match_a_replay_of_the_draws():
@@ -115,10 +114,12 @@ def test_pairing_control_catches_a_constant_unit_test(monkeypatch):
 
 def test_appendix_c_control_catches_a_constant_invariance_test(monkeypatch):
     monkeypatch.setattr(verify, "is_scope_invariant", lambda a, scope: True)
-    failed = _failed(verify.check_appendix_c(0))
-    # the control fails a rank <= 3 row at its first input that reaches the
-    # check; F4 (rank 4) checks the J(e^lam) basis and runs no control
-    assert failed == {f"appendix-c {g}" for g in ("A1", "A2", "A1xA1", "B2", "G2", "B3", "C2")}
+    # the control fails each rank <= 3 row before any draw, so also at two
+    # trials, where the box filter leaves G2 and C2 no input that reaches
+    # the check; F4 (rank 4) checks the J(e^lam) basis and runs no control
+    rows = {f"appendix-c {g}" for g in ("A1", "A2", "A1xA1", "B2", "G2", "B3", "C2")}
+    assert _failed(verify.check_appendix_c(0)) == rows
+    assert _failed(verify.check_appendix_c(0, 2)) == rows
 
 
 def test_gkrs_identity_compares_values(monkeypatch):
