@@ -67,7 +67,9 @@ class InductionProblem:
     sigma + [rho_G] for multiplet sources.  W itself, the denominators and
     the Euler class are built only when first read."""
 
-    def __init__(self, datum: RootDatum, sub: SubgroupDatum, sigma: Optional[RationalWeight] = None):
+    def __init__(
+        self, datum: RootDatum, sub: SubgroupDatum, sigma: Optional[RationalWeight] = None
+    ):
         if sub.parent != datum:
             raise DatumMismatch("subgroup belongs to a different datum")
         self.datum = datum

@@ -500,7 +500,8 @@ def _seeded_anti_invariants(rng, count):
         for scope, kind in ((p.datum, "J_G"), (p.sub, "J_H")):
             found = 0
             while found < count:
-                a = random_torus_element(p, rng, twist=scope.rho_vec.residue_mod_one(), max_support=4)
+                twist = scope.rho_vec.residue_mod_one()
+                a = random_torus_element(p, rng, twist=twist, max_support=4)
                 ja = apply_antisymmetrizer(kind, a, p.sub)
                 if not ja.is_zero():
                     found += 1

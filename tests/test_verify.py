@@ -37,7 +37,8 @@ def _replay(offset, trials, cases, draw, nontrivial):
 
 
 def _rho_element(p, rng, max_support=8):
-    return random_torus_element(p, rng, twist=p.datum.rho.residue_mod_one(), max_support=max_support)
+    twist = p.datum.rho.residue_mod_one()
+    return random_torus_element(p, rng, twist=twist, max_support=max_support)
 
 
 def test_nontrivial_counts_match_a_replay_of_the_draws():
