@@ -60,11 +60,13 @@ class _Shifted:
     drops zero coefficients.  It raises BadTwist for a shift
     that is not a RationalWeight of the scope's rank, for a key of another
     length, and at den > 1 for a key outside the class (k not congruent to
-    shift.nums mod den).  `coeffs` is a read-only view, so an element never
-    changes after construction and cached elements can be handed to every
-    caller."""
+    shift.nums mod den); a GroupElement raises NotDominant for a key outside
+    the scope's dominant chamber.  `coeffs` is a read-only view, so an
+    element never changes after construction and cached elements can be
+    handed to every caller."""
 
     __slots__ = ("scope", "shift", "coeffs")
+    _by_highest_weight = False
 
     def __init__(self, scope: Scope, shift: RationalWeight, coeffs: Mapping[Weight, int]):
         rank = scope.datum.rank
@@ -86,6 +88,8 @@ class _Shifted:
                     raise BadTwist(f"key {k} is not in the class {shift}")
         elif {*map(len, kept)} - {rank}:
             raise BadTwist(f"keys {[k for k in kept if len(k) != rank]} are not of length {rank}")
+        if self._by_highest_weight:
+            _check_dominant(scope, kept, den)
         self.scope = scope
         self.shift = shift
         self.coeffs = MappingProxyType(kept)
@@ -93,7 +97,7 @@ class _Shifted:
     @classmethod
     def zero(cls, scope: Scope, twist: Optional[RationalWeight] = None):
         """The zero of the class twist + X(T), by default of X(T) itself."""
-        return cls(scope, RationalWeight.zero(scope.datum.rank) if twist is None else twist, {})
+        return cls(scope, scope.datum.zero_twist if twist is None else twist, {})
 
     @classmethod
     def from_weights(cls, scope: Scope, weights: Mapping[RationalWeight, int]):
@@ -178,7 +182,7 @@ class TorusElement(_Shifted):
 
     @classmethod
     def unit(cls, datum: RootDatum) -> "TorusElement":
-        return cls(datum, RationalWeight.zero(datum.rank), {(0,) * datum.rank: 1})
+        return cls(datum, datum.zero_twist, {(0,) * datum.rank: 1})
 
     @classmethod
     def monomial(cls, datum: RootDatum, weight: RationalWeight, coeff: int = 1) -> "TorusElement":
@@ -216,6 +220,18 @@ def is_scope_invariant(a: TorusElement, scope: Scope) -> bool:
     return True
 
 
+def _check_dominant(scope: Scope, keys: Mapping[Weight, int], den: int) -> None:
+    """Raise NotDominant when a key pairs negatively with a simple scope
+    coroot, with the error irreducible_restriction gives for the first
+    failing weight in order."""
+    coroots = scope.basis_coroots
+    for k in keys:
+        for cv in coroots:
+            if sum(map(mul, cv, k)) < 0:
+                for key in sorted(keys):
+                    _scope_pairings_ok(scope, RationalWeight(key, den))
+
+
 # --- denominators and Euler classes ----------------------------------------
 
 
@@ -237,7 +253,7 @@ def weyl_denominator(scope: Scope) -> TorusElement:
         datum, ({zero: 1, vneg(a): -1} for a in scope.positive)
     )
     return multiply(
-        TorusElement(datum, RationalWeight.zero(datum.rank), prod),
+        TorusElement(datum, datum.zero_twist, prod),
         TorusElement.monomial(datum, scope.rho_vec),
     )
 
@@ -251,7 +267,7 @@ def euler_class_from_complement(
     zero = (0,) * datum.rank
     prod = _product_over(datum, ({zero: 1, a: -1} for a in complement_positive))
     return multiply(
-        TorusElement(datum, RationalWeight.zero(datum.rank), prod),
+        TorusElement(datum, datum.zero_twist, prod),
         TorusElement.monomial(datum, -rho_m),
     )
 
@@ -269,9 +285,11 @@ class GroupElement(_Shifted):
     """Virtual module in R(G, sigma) or R(H, tau), stored by highest weight.
 
     Each highest weight is held at its key, as in TorusElement; every
-    supported weight is scope-dominant."""
+    supported weight is scope-dominant, which the constructor checks."""
 
     __slots__ = ()
+
+    _by_highest_weight = True
 
     def to_torus(self) -> TorusElement:
         """Restriction to T: expand every class through its full character."""

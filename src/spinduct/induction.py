@@ -74,7 +74,7 @@ class InductionProblem:
             raise DatumMismatch("subgroup belongs to a different datum")
         self.datum = datum
         self.sub = sub
-        self.sigma = RationalWeight.zero(datum.rank) if sigma is None else sigma.residue_mod_one()
+        self.sigma = datum.zero_twist if sigma is None else sigma.residue_mod_one()
         self.sigma_rho_m = (self.sigma + sub.rho_m).residue_mod_one()
         self.sigma_rho_g = (self.sigma + datum.rho).residue_mod_one()
         self.weyl = generate_weyl(datum)
@@ -105,7 +105,7 @@ def make_problem(
 ) -> InductionProblem:
     """The InductionProblem of (datum, sub, sigma), one object per equal
     arguments however they are passed; no sigma is the zero twist."""
-    return _cached_problem(datum, sub, RationalWeight.zero(datum.rank) if sigma is None else sigma)
+    return _cached_problem(datum, sub, datum.zero_twist if sigma is None else sigma)
 
 
 _cached_problem = cache(InductionProblem)

@@ -18,6 +18,13 @@ replay, which is exact at any size; the keys the identity suites draw
 stay below B = 32.  The character orbits of orbit_expand stay node by
 node: each of their trees is replayed a few times at most, fewer than
 building a table costs.
+
+The multiplets pack the inverses w_j^-1 of W^H the same way, with a row
+sum_j (a^vee w_j^-1)_m 2^(16 j) for each simple coroot a^vee of H, so a
+key's images and all their H-wall pairings are rank + #coroots big-int
+sums.  w_j^-1 maps the closed G chamber into the closed H chamber, so no
+image of a dominant key is walked: off the walls it is its own chamber
+image, on one it drops.  Keys with B >= 2^15 walk every image w_j^-1 k.
 """
 
 from __future__ import annotations
@@ -287,6 +294,74 @@ def _packed_replay(key: Key, table: PackedOrbit) -> List[Key]:
     digits are the points' coordinates."""
     cols = [_digits(sum(map(mul, key, row)), table.bias) for row in table.rows]
     return list(zip(*cols))
+
+
+def pack_matrices(
+    mats: Sequence[Sequence[Sequence[int]]], covectors: Sequence[Key]
+) -> Optional[PackedOrbit]:
+    """The matrices M_j packed across j: a row sum_j (M_j)_{rm} 2^(16 j) for
+    each coordinate r, then sum_j (xi M_j)_m 2^(16 j) for each covector xi,
+    so _packed_replay gives each M_j k followed by its pairings xi(M_j k).
+    None for no matrix or an entry of 2^15 or more."""
+    rank = len(mats[0]) if mats else 0
+    # entry (j, m) of each row at j * rank + m
+    flat: List[List[int]] = [[] for _ in range(rank + len(covectors))]
+    for m in mats:
+        cols = list(zip(*m))
+        rows = [*m, *([sum(map(mul, xi, c)) for c in cols] for xi in covectors)]
+        for out, row in zip(flat, rows):
+            out += row
+    bounds = tuple(max(max(map(abs, f[m::rank])) for f in flat) for m in range(rank))
+    if not mats or max(bounds, default=0) >= PACK_LIMIT:
+        return None
+    bias, packed = _bias(len(mats)), []
+    for f in flat:
+        digits = array("H", [x + PACK_LIMIT for x in f])
+        if sys.byteorder == "big":
+            digits.byteswap()
+        packed.append(tuple(
+            int.from_bytes(digits[m::rank].tobytes(), "little") - bias for m in range(rank)
+        ))
+    return PackedOrbit(bounds, tuple(packed), bias)
+
+
+def collect_images(
+    items: Sequence[Tuple[Key, int]],
+    mats: Sequence[Sequence[Sequence[int]]],
+    table: Optional[PackedOrbit],
+    basis: Sequence[Key],
+    coroots: Sequence[Key],
+    max_steps: int,
+) -> List[Support]:
+    """dominant_collect of sum c e^(M_j k) over the listed keys, for each
+    M_j, given table = pack_matrices(mats, coroots) or None.  A key with
+    bound below 2^15 reads its images and their pairings from the table and
+    walks only an image with a negative pairing; other keys walk M_j k."""
+    out: List[Support] = [{} for _ in mats]
+    for key, c in items:
+        if table is None or sum(map(mul, table.bounds, map(abs, key))) >= PACK_LIMIT:
+            images = ([sum(map(mul, row, key)) for row in m] for m in mats)
+            lows = repeat(-1)
+        else:
+            cols = [_digits(sum(map(mul, key, row)), table.bias) for row in table.rows]
+            images = zip(*cols[:len(key)])
+            # min(1, pairings): 1 off every wall, 0 on one, negative outside
+            lows = map(min, zip(*cols[len(key):], repeat(1)))
+        for acc, x, low in zip(out, images, lows):
+            v = c
+            if low < 1:
+                if not low:
+                    continue
+                x, path, regular = dominant_walk(x, basis, coroots, max_steps)
+                if not regular:
+                    continue
+                v = -c if len(path) % 2 else c
+            v += acc.get(x, 0)
+            if v:
+                acc[x] = v
+            elif x in acc:
+                del acc[x]
+    return out
 
 
 def _orbit_sum(

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from operator import mul
 from typing import Tuple
 
 from . import kernels
@@ -73,8 +72,10 @@ def multiplet(problem: InductionProblem, a: TorusElement) -> Multiplet:
 
     One pass over W^H: the twist checks run once (the shift must be stable
     under W), the source's keys are brought once to the denominator of
-    rho_H, and each w^{-1} acts on those keys by its matrix, Z-linearly.
-    Each image is collected to the H chamber and read as highest weights."""
+    rho_H, and kernels.collect_images takes each key to all its images at
+    once through the pair's packed table of inverses, walking only images
+    outside the H chamber.  Each member is read as highest weights; every
+    zero member is one shared element."""
     _check_source_twist(problem, a)
     sub = problem.sub
     # H before G: a shift that fails both raises bad-twist, as collecting the
@@ -86,14 +87,16 @@ def multiplet(problem: InductionProblem, a: TorusElement) -> Multiplet:
     keys = list(rescale(a.coeffs, a.shift.den, den).items())
     out_shift = (a.shift - rho).residue_mod_one()
     rho_key = scaled(rho, den)
-    basis, coroots, steps = sub.basis, sub.basis_coroots, len(sub.positive)
     cosets = problem.reps
-    members = []
-    for inv in cosets.inverses:
-        image = {tuple([sum(map(mul, row, k)) for row in inv.matrix]): c for k, c in keys}
-        collected = kernels.dominant_collect(image, basis, coroots, steps)
-        members.append(_highest_weights(sub, out_shift, collected, rho_key, den))
-    return Multiplet(a, cosets.reps, tuple(members), tuple(e.det for e in cosets.reps))
+    collected = kernels.collect_images(
+        keys, [e.matrix for e in cosets.inverses], cosets.packed_inverses,
+        sub.basis, sub.basis_coroots, len(sub.positive),
+    )
+    zero = GroupElement(sub, out_shift, {})
+    members = tuple(
+        _highest_weights(sub, out_shift, d, rho_key, den) if d else zero for d in collected
+    )
+    return Multiplet(a, cosets.reps, members, tuple(e.det for e in cosets.reps))
 
 
 def alternating_dimension_sum(m: Multiplet) -> int:

@@ -337,9 +337,10 @@ def parse_label(label: str) -> List[Tuple[str, int]]:
 
 
 class _ScopeConstants:
-    """Per-scope constants of the Weyl dimension formula, computed on first
-    read and kept on the (cached) scope object.  They are tuples and ints,
-    so no reader can change them.
+    """Per-scope constants, computed on first read and kept on the (cached)
+    scope object: those of the Weyl dimension formula and the zero twist.
+    They are tuples, ints and an immutable RationalWeight, so no reader can
+    change them.
 
     Two scopes are equal, and hash alike, when their scope_key()s agree;
     every cache keyed by a scope relies on this."""
@@ -355,6 +356,12 @@ class _ScopeConstants:
     @cached_property
     def _hash(self) -> int:
         return hash(self.scope_key())
+
+    @cached_property
+    def zero_twist(self) -> "RationalWeight":
+        """The zero weight of the datum's rank, the residue of the untwisted
+        class, held once per scope."""
+        return RationalWeight.zero(self.datum.rank)
 
     @cached_property
     def positive_coroots(self) -> Tuple[Covector, ...]:

@@ -178,13 +178,22 @@ def generate_weyl(scope: Scope) -> WeylGroup:
     return WeylGroup(scope)
 
 
-class CosetReps(NamedTuple):
-    """The minimal representatives W^H = {w : w(R_H^+) in R_G^+}, with
-    their inverses in the same order."""
-
+class _Cosets(NamedTuple):
     reps: Tuple[WeylElement, ...]
     subgroup: SubgroupDatum
     inverses: Tuple[WeylElement, ...]
+
+
+class CosetReps(_Cosets):
+    """The minimal representatives W^H = {w : w(R_H^+) in R_G^+}, with
+    their inverses in the same order; equal and hashed by these three
+    fields, which cannot be assigned."""
+
+    @cached_property
+    def packed_inverses(self) -> Optional[kernels.PackedOrbit]:
+        """pack_matrices of the inverses and H's simple coroots, built on
+        first use and shared by every problem of the pair."""
+        return kernels.pack_matrices([e.matrix for e in self.inverses], self.subgroup.basis_coroots)
 
 
 @cache

@@ -86,19 +86,33 @@ def test_elements_keep_a_canonical_shift_and_canonicalize_any_other():
     """An element built from the canonical residue keeps that shift object;
     the same keys den * w given with any other representative shift + v of
     the class give an equal element: the keys never move, as every weight
-    of the class has the residue's denominator."""
+    of the class has the residue's denominator.  A GroupElement refuses the
+    drawn weights when one is outside the scope's chamber, and takes them
+    moved into it by 40 rho_S, a vector of X(T)."""
     rng = random.Random(11)
+    refused = 0
     for name, p in zoo_problems():
         rank = p.datum.rank
         for scope in (p.datum, p.sub):
             for delta in (RationalWeight.zero(rank), p.datum.rho, scope.rho_vec, p.rho_m):
                 shift = delta.residue_mod_one()
-                weights = {shift + RationalWeight([rng.randint(-3, 3) for _ in range(rank)]):
-                           rng.randint(-4, 4) for _ in range(5)}
-                assert all(w.den == shift.den for w in weights)
-                coeffs = {scaled(w, shift.den): c for w, c in weights.items()}
+                drawn = {shift + RationalWeight([rng.randint(-3, 3) for _ in range(rank)]):
+                         rng.randint(-4, 4) for _ in range(5)}
+                assert all(w.den == shift.den for w in drawn)
                 moved = shift + RationalWeight([rng.randint(-3, 3) for _ in range(rank)])
                 for cls, where in ((GroupElement, scope), (TorusElement, p.datum)):
+                    weights = drawn
+                    if cls is GroupElement:
+                        if any(c and dot(cv, w.nums) < 0
+                               for w, c in drawn.items() for cv in scope.basis_coroots):
+                            with pytest.raises(NotDominant):
+                                cls(where, shift, {scaled(w, shift.den): c
+                                                   for w, c in drawn.items()})
+                            refused += 1
+                        weights = {w + scope.rho_vec.scale(40): c for w, c in drawn.items()}
+                        assert all(dot(cv, w.nums) >= 0
+                                   for w in weights for cv in scope.basis_coroots)
+                    coeffs = {scaled(w, shift.den): c for w, c in weights.items()}
                     canon = cls(where, shift, coeffs)
                     assert canon.shift is shift, name
                     assert canon.coeffs == {k: c for k, c in coeffs.items() if c}
@@ -106,6 +120,7 @@ def test_elements_keep_a_canonical_shift_and_canonicalize_any_other():
                     assert other == canon, name
                     assert other.shift == shift
                     assert dict(canon.terms()) == {w: c for w, c in weights.items() if c}
+    assert refused > 0
 
 
 def test_elements_drop_zeros_and_own_their_coefficients():
@@ -266,6 +281,35 @@ def test_irreducible_restriction_examples():
     assert sum(adj.coeffs.values()) == 8
     with pytest.raises(NotDominant):
         irreducible_restriction(a2, RationalWeight([-1, 0]))
+
+
+def test_group_element_refuses_a_key_outside_the_chamber():
+    """The constructor raises NotDominant, with the error the character
+    expansion gave for the first such weight in order; a non-dominant key
+    with coefficient zero is dropped first, and keys on walls are kept."""
+    a2 = build_root_datum("A2")
+    zero = RationalWeight.zero(2)
+    with pytest.raises(NotDominant) as caught:
+        GroupElement(a2, zero, {(-1, 0): 1})
+    with pytest.raises(NotDominant) as direct:
+        irreducible_restriction(a2, RationalWeight([-1, 0]))
+    assert str(caught.value) == str(direct.value)
+    with pytest.raises(NotDominant, match=r"\[-2, 1\]"):
+        GroupElement.from_weights(a2, {a2.rho: 1, RationalWeight([-1, 3]): 2,
+                                       RationalWeight([-2, 1]): -1})
+    assert GroupElement(a2, zero, {(-1, 0): 0, (0, 0): 1, (1, 0): 2}).coeffs == {
+        (0, 0): 1, (1, 0): 2}
+    # over a Levi subgroup only its own walls count
+    sub = zoo_problem("A2", "levi1").sub
+    refused = 0
+    for k in ((x, y) for x in range(-2, 3) for y in range(-2, 3)):
+        if all(dot(cv, k) >= 0 for cv in sub.basis_coroots):
+            assert GroupElement(sub, zero, {k: 1}).coeffs == {k: 1}
+        else:
+            with pytest.raises(NotDominant):
+                GroupElement(sub, zero, {k: 1})
+            refused += 1
+    assert 0 < refused < 25
 
 
 def test_dimension():

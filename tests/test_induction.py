@@ -225,6 +225,8 @@ def test_make_problem_is_one_object_per_arguments():
     # a weight of B3's weight lattice, so [rho_G] is that zero twist
     assert p.sigma == RationalWeight.zero(3)
     assert make_problem(d, sub, d.rho.residue_mod_one()) is p
+    # no sigma is the datum's one zero residue, built once
+    assert d.zero_twist is d.zero_twist == RationalWeight.zero(3)
     a2 = build_root_datum("A2")
     t = subgroup_from_roots(a2, [])
     assert make_problem(a2, t, RationalWeight.zero(2)) is make_problem(a2, t)

@@ -453,3 +453,70 @@ def test_orbit_keys_must_be_dominant():
     # J of a weight on a wall is zero; a caller passing one is at fault
     with pytest.raises(ValueError):
         kernels.signed_orbit([((1, 0), 1)], basis, coroots)
+
+
+# --- matrices packed across a list (the multiplets' W^H table) ------------------
+
+_EDGE = 2**15 - 1
+
+
+def _literal_rows(mats, covectors, key):
+    """M_j k followed by xi(M_j k) for each covector, for every j."""
+    out = []
+    for m in mats:
+        image = [sum(map(mul, row, key)) for row in m]
+        out.append(tuple(image) + tuple(sum(map(mul, xi, image)) for xi in covectors))
+    return out
+
+
+def test_packed_matrices_match_literal_products_at_the_edge():
+    """Entries +-(2^15 - 1), in the matrices and in their covector rows, pack
+    and read back exactly at every unit key; one entry of 2^15 in either
+    gives no table, as does an empty list."""
+    rng = random.Random(17)
+    for rank, count in ((1, 1), (2, 7), (3, 40), (6, 240)):
+        mats = [[[rng.choice((_EDGE, -_EDGE, 0, 1, -1)) for _ in range(rank)]
+                 for _ in range(rank)] for _ in range(count)]
+        # unit and negated unit covectors keep the covector rows at the edge
+        covectors = [tuple(s * int(i == r) for i in range(rank))
+                     for r in range(rank) for s in (1, -1)][:rank + 1]
+        table = kernels.pack_matrices(mats, covectors)
+        assert table is not None and len(table.rows) == rank + len(covectors)
+        assert max(table.bounds) <= _EDGE
+        for m in range(rank):
+            unit = tuple(int(i == m) for i in range(rank))
+            assert kernels._packed_replay(unit, table) == _literal_rows(mats, covectors, unit)
+        big = [row[:] for row in mats[-1]]
+        big[rng.randrange(rank)][rng.randrange(rank)] = rng.choice((2**15, -(2**15)))
+        assert kernels.pack_matrices(mats[:-1] + [big], covectors) is None
+    half = [[2**14, 2**14], [0, 1]]
+    assert kernels.pack_matrices([half], [(1, 0)]) is not None
+    assert kernels.pack_matrices([half], [(1, 1)]) is not None  # (2^14, 2^14 + 1)
+    assert kernels.pack_matrices([half], [(2, 0)]) is None  # a covector entry of 2^15
+    assert kernels.pack_matrices([], [(1,)]) is None
+
+
+def test_collect_images_matches_dominant_collect_per_matrix():
+    """Any integer matrices (not only Weyl elements): the images' chamber
+    collection equals dominant_collect of each image, for keys read from the
+    table, keys past its bound, and without a table."""
+    rng = random.Random(19)
+    for label in ("A2", "B2", "G2", "A1xA1"):
+        d = build_root_datum(label)
+        basis, coroots, steps = d.simple_roots, d.simple_coroots, len(d.positive_roots)
+        mats = [[[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)] for _ in range(30)]
+        mats += [((1, 0), (0, 1)), ((0, 0), (0, 0))]
+        table = kernels.pack_matrices(mats, coroots)
+        for scale in (1, 2**12, 2**40):
+            items = [(tuple(scale * rng.randint(-4, 4) for _ in range(2)), rng.randint(-3, 3))
+                     for _ in range(4)]
+            expected = []
+            for m in mats:
+                image = {}
+                for k, c in items:
+                    x = tuple(sum(map(mul, row, k)) for row in m)
+                    image[x] = image.get(x, 0) + c
+                expected.append(kernels.dominant_collect(image, basis, coroots, steps))
+            for t in (table, None):
+                got = kernels.collect_images(items, mats, t, basis, coroots, steps)
+                assert got == expected, (label, scale)

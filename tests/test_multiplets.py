@@ -1,12 +1,15 @@
+import itertools
+import math
 import random
 
 import pytest
 
+from spinduct import kernels
 from spinduct.charring import TorusElement, dimension
 from spinduct.errors import BadTwist
 from spinduct.induction import make_problem
-from spinduct.multiplets import alternating_dimension_sum, multiplet
-from spinduct.rootdata import RationalWeight, build_root_datum, dot, subgroup_from_roots
+from spinduct.multiplets import Multiplet, alternating_dimension_sum, multiplet
+from spinduct.rootdata import RationalWeight, build_root_datum, dot, scaled, subgroup_from_roots
 from spinduct.zoo import random_torus_element, zoo_problem, zoo_problems
 
 
@@ -161,6 +164,8 @@ def _source_shift(p):
 def test_one_pass_matches_per_member_on_monomials():
     rng = random.Random(47)
     for name, p in _oracle_pairs():
+        # every oracle pair packs its inverses, so the packed path is compared
+        assert p.reps.packed_inverses is not None, name
         rank = p.datum.rank
         shift = _source_shift(p)
         dominant = [p.datum.rho, p.datum.rho + RationalWeight.from_ints((1,) * rank)]
@@ -227,3 +232,117 @@ def test_unstable_shifts_raise_alike_on_both():
             assert _raised(multiplet, p, a) == expect, (group, sub, nums)
             checked += expect is not None
     assert checked > 0
+
+
+# --- the packed W^H table --------------------------------------------------------
+
+
+def _e6_sources(p):
+    """The 64 monomials e^[x], x in {0,1}^6, all G-dominant."""
+    return [TorusElement.monomial(p.datum, RationalWeight.from_ints(x))
+            for x in itertools.product((0, 1), repeat=6)]
+
+
+def test_packed_multiplet_matches_per_member_on_every_e6_source():
+    p = _e6_problem()
+    for a in _e6_sources(p):
+        _assert_matches_oracle("E6/A2^3", p, a)
+
+
+def _count_walks(monkeypatch):
+    walks = []
+    walk = kernels.dominant_walk
+    monkeypatch.setattr(kernels, "dominant_walk", lambda *a: walks.append(a[0]) or walk(*a))
+    return walks
+
+
+def test_packed_multiplet_matches_per_member_on_non_dominant_e6_sources(monkeypatch):
+    """Multi-key sources of the [rho_G] class with a key outside the G
+    chamber, so images outside the H chamber are walked."""
+    p = _e6_problem()
+    rng = random.Random(61)
+    walls = p.datum.simple_coroots
+    for _ in range(20):
+        keys = {tuple(rng.randint(-3, 3) for _ in range(6)): rng.choice((-2, -1, 1, 3))
+                for _ in range(rng.randint(2, 4))}
+        assert any(min(dot(cv, k) for cv in walls) < 0 for k in keys)
+        a = TorusElement(p.datum, _source_shift(p), keys)
+        walks = _count_walks(monkeypatch)
+        multiplet(p, a)
+        monkeypatch.undo()
+        assert walks
+        _assert_matches_oracle("E6/A2^3", p, a)
+
+
+def _bound(table, key):
+    return sum(c * abs(x) for c, x in zip(table.bounds, key))
+
+
+def test_keys_past_the_packing_bound_take_the_matrix_path(monkeypatch):
+    """Keys on both sides of the bound 2^15 and far past it (2^70): a key
+    reads the table exactly when its bound is below 2^15, and every member
+    matches the per-member oracle, on E6 and on B3's root lattice, whose
+    keys are doubled in the pass."""
+    digits = []
+    read = kernels._digits
+    monkeypatch.setattr(kernels, "_digits", lambda v, b: digits.append(v) or read(v, b))
+    seen = set()
+    for name, p in (("E6/A2^3", _e6_problem()), ("B3:root/so3xso4", _so7_problem())):
+        table, shift = p.reps.packed_inverses, _source_shift(p)
+        den = math.lcm(shift.den, p.sub.rho_h.den)  # the keys are den * weight
+        for v in ((1,) * p.datum.rank, (2, -1) + (0,) * (p.datum.rank - 2)):
+            edge = 2**15 // _bound(table, scaled(RationalWeight(v), den))
+            for t in list(range(edge - 2, edge + 3)) + [2**70]:
+                lam = shift + RationalWeight(v).scale(t)
+                packed = _bound(table, scaled(lam, den)) < 2**15
+                seen.add(packed)
+                digits.clear()
+                _assert_matches_oracle(name, p, TorusElement.monomial(p.datum, lam))
+                assert bool(digits) == packed, (name, v, t)
+    assert seen == {True, False}
+
+
+def test_zero_members_are_one_shared_element():
+    """Every zero member of a multiplet is one object, and the multiplet
+    equals one built from the per-member oracle's separate elements."""
+    p = _e6_problem()
+    a = TorusElement.monomial(p.datum, RationalWeight.from_ints((0, 0, 1, 1, 0, 1)))
+    m = multiplet(p, a)
+    zeros = {id(g) for g in m.members if g.is_zero()}
+    assert len(zeros) == 1 and 0 < sum(g.is_zero() for g in m.members) < len(m)
+    members, signs, _ = _per_member_multiplet(p, a)
+    assert len({id(g) for g in members if g.is_zero()}) > 1
+    assert m == Multiplet(a, p.reps.reps, members, signs)
+    assert m != Multiplet(a, p.reps.reps, members[1:] + members[:1], signs)
+    bare = Multiplet(None, m.reps, (), m.signs)
+    assert hash(bare) == hash((None, m.reps, (), m.signs))
+
+
+def test_dominant_e6_sources_walk_no_image(monkeypatch):
+    """Work, not time: the 64 dominant E6 sources walk no image into the H
+    chamber, as every image of a dominant key lies in the closed H chamber."""
+    p = _e6_problem()
+    sources = _e6_sources(p)
+    walks = _count_walks(monkeypatch)
+    nonzero = sum(not g.is_zero() for a in sources for g in multiplet(p, a).members)
+    assert walks == [] and nonzero > 0
+
+
+def test_packed_table_is_built_once_per_pair(monkeypatch):
+    """One table per (G, H) pair, shared by problems of different sigma and
+    built on the first multiplet."""
+    builds = []
+    pack = kernels.pack_matrices
+    monkeypatch.setattr(kernels, "pack_matrices", lambda *a: builds.append(a) or pack(*a))
+    datum = build_root_datum("A2xT1")
+    sub = subgroup_from_roots(datum, [datum.simple_roots[0]])
+    problems = [make_problem(datum, sub, RationalWeight(nums, 2))
+                for nums in ([0, 0, 0], [0, 0, 1])]
+    assert problems[0] is not problems[1] and problems[0].sigma != problems[1].sigma
+    reps = problems[0].reps
+    vars(reps).pop("packed_inverses", None)  # forget a table an earlier test built
+    for p in problems * 2:
+        assert p.reps is reps
+        multiplet(p, TorusElement.monomial(datum, p.datum.rho + p.sigma))
+    assert len(builds) == 1
+    assert problems[1].reps.packed_inverses is problems[0].reps.packed_inverses
