@@ -16,7 +16,6 @@ from .charring import (
     euler_class,
     irreducible_restriction,
     multiply,
-    numeric_evaluate,
     weyl_denominator,
 )
 from .induction import (
@@ -91,7 +90,6 @@ __all__ = [
     "multiplet",
     "multiply",
     "nu",
-    "numeric_evaluate",
     "pairing_report",
     "partial",
     "solve_in_lattice",

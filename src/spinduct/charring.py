@@ -11,13 +11,11 @@ read them as they are.  TorusElement (a character of T) and GroupElement
 (a combination of irreducibles by highest weight) share one immutable
 body, `_Shifted`, whose constructor makes every element's shift its
 residue.
-Coefficients are exact integers throughout; the only floating point lives
-in numeric_evaluate.
+Coefficients are exact integers throughout.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import cache
 from itertools import repeat
@@ -488,31 +486,3 @@ def anti_invariant_decompose(
             raise NotAntiInvariant("element is not in the span of J(e^lambda)")
         found[lam] = c
     return {a.weight_of(lam): found[lam] for lam in sorted(found)}
-
-
-# --- numeric evaluation -----------------------------------------------------------
-
-
-def numeric_evaluate(a: TorusElement, angles: Sequence[float]) -> complex:
-    """Evaluate at the torus point with the given angle coordinates:
-    sum of coeff * exp(2 pi i <weight, angles>).
-
-    Real and imaginary parts accumulate through compensated summation, so
-    heavy cancellation (Euler classes near walls) stays near machine
-    precision."""
-    if len(angles) != a.datum.rank:
-        raise DatumMismatch("angle vector has wrong length")
-    den, nums = a.shift.den, a.shift.nums
-    base = [n / den for n in nums]
-    reals: List[float] = []
-    imags: List[float] = []
-    two_pi = 2.0 * math.pi
-    for k, c in a.coeffs.items():
-        phase = 0.0
-        for j, th in enumerate(angles):
-            # the residue's coordinate plus the weight's integer offset from it
-            phase += (base[j] + (k[j] - nums[j]) // den) * th
-        z = cmath.exp(1j * (two_pi * phase))
-        reals.append(c * z.real)
-        imags.append(c * z.imag)
-    return complex(math.fsum(reals), math.fsum(imags))

@@ -343,8 +343,9 @@ def _run_command(doc: Dict, command: str) -> Dict:
         )
         return {
             "trials": rep.trials,
-            "max_rel_error": rep.max_rel_error,
-            "passed": rep.max_rel_error <= 1e-8,
+            "mismatches": rep.mismatches,
+            "prime": rep.prime,
+            "passed": rep.mismatches == 0,
             "diagnostics": _diagnostics(problem),
         }
 
@@ -403,7 +404,7 @@ _FLAGS = (
     ("twist", parse_weight, "G-side twist shift, c1,c2,...[/den]"),
     ("suite", _text_flag, "verify suite name (default all)"),
     ("seed", _json_flag, "random seed (default 0)"),
-    ("trials", _json_flag, "lefschetz sample count (default 20)"),
+    ("trials", _json_flag, "lefschetz torsion-point count (default 20)"),
     ("max_weyl_order", _json_flag, "cap on the Weyl group orders a command enumerates"),
 )
 # what a problem gets for a field that both its flags and its document leave

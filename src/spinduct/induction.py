@@ -1,11 +1,10 @@
 """Induction maps for a maximal-rank pair (G, H): the chamber-collection
 operators, twisted Spin^c induction and its classical specializations,
 Borel-Weil-Bott closed form, branching, the duality pairing, and the
-fixed-point numeric oracle."""
+fixed-point oracle, exact over a finite field."""
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 from functools import cache
@@ -18,14 +17,12 @@ from .charring import (
     euler_class,
     is_scope_invariant,
     multiply,
-    numeric_evaluate,
     weyl_denominator,
 )
 from .errors import (
     BadTwist,
     BadTwistPairing,
     DatumMismatch,
-    DegenerateSample,
     InexactDivision,
     InternalInconsistency,
     NotCSpinorial,
@@ -44,11 +41,9 @@ from .rootdata import (
     dot,
     rescale,
     scaled,
-    vneg,
 )
 from .weyl import (
     CosetReps,
-    WeylElement,
     check_stable,
     coset_representatives,
     generate_weyl,
@@ -413,11 +408,58 @@ def _is_unit_character(datum: RootDatum, det: TorusElement) -> bool:
 
 # --- Lefschetz fixed-point oracle ----------------------------------------------
 
+# N, the order of the sample points: a prime above the 120 positive roots of
+# E8, the most of any group under RANK_CAP, so regular points exist
+TORSION_ORDER = 1009
+# bases that decide primality exactly below 3.3e23 (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n below 3.3e23."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@cache
+def _torsion_field(order: int) -> Tuple[int, int]:
+    """(p, zeta): the least prime p = 1 mod order above 2^61, and zeta in
+    F_p of exact multiplicative order `order`."""
+    p = ((1 << 61) // order + 1) * order + 1
+    while not _is_prime(p):
+        p += order
+    factors = [q for q in range(2, order + 1) if order % q == 0 and _is_prime(q)]
+    g = 2
+    while True:
+        zeta = pow(g, (p - 1) // order, p)
+        if all(pow(zeta, order // q, p) != 1 for q in factors):
+            return p, zeta
+        g += 1
+
 
 class LefschetzReport(NamedTuple):
     trials: int
-    max_rel_error: float
-    samples: Tuple[Tuple[complex, complex], ...] = ()
+    mismatches: int
+    prime: int
+    samples: Tuple[Tuple[int, int], ...] = ()
 
 
 def lefschetz_check(
@@ -427,75 +469,51 @@ def lefschetz_check(
     trials: int = 20,
     seed: int = 0,
 ) -> LefschetzReport:
-    """Numerically compare the symbolic induction against the fixed-point
-    sum over W^H at random torus points.
+    """Compare the symbolic induction with the fixed-point sum over W^H,
+    sum_w w(e^{-rho_M} a_D a / prod_{alpha in R_M^+} (1 - e^{-alpha})),
+    exactly, at random torsion points t = exp(2 pi i v/N) of T.
+
+    Both sides lie in Q(zeta_L), L = D N with D the lcm of the
+    denominators, and are compared in F_p, where zeta of exact order L
+    stands for exp(2 pi i/L): e^{k/den} at the image u = M^T v of a W^H
+    element is zeta^{<k,u> D/den}.  A point is used iff no root of M pairs
+    to 0 mod N with any image; then every 1 - zeta^e is a unit, so a
+    correct induction agrees at every point used, and a mismatch is a
+    wrong answer.
 
     The symbolic side factors the operator's Euler class through the Dirac
-    Euler class; the numeric side divides by the tangent-weight product and
-    sums over the coset representatives."""
+    Euler class: a_D = euler / e(Dirac)."""
     sub = problem.sub
-    datum = problem.datum
     a_d = divide_exact(euler, problem.euler)
     payload = multiply(a_d, a)
-    ind = induce_twisted_spinc(problem, payload)
-    lhs_torus = ind.to_torus()
+    lhs = induce_twisted_spinc(problem, payload).to_torus()
+    rho = sub.rho_m
+    d = math.lcm(payload.shift.den, lhs.shift.den, rho.den)
+    n = TORSION_ORDER
+    order = d * n
+    prime, zeta = _torsion_field(order)
 
-    # the fixed-point numerator e(D) a = e(Dirac) (a_D a); the Dirac factor
-    # evaluates through its product form, which stays stable near walls
-    rho_f = [n / sub.rho_m.den for n in sub.rho_m.nums]
-    comp = sub.complement_positive
+    def value(x: TorusElement, u: Sequence[int]) -> int:
+        s = d // x.shift.den
+        return sum(c * pow(zeta, dot(k, u) * s % order, prime) for k, c in x.coeffs.items())
 
-    def one_minus(alpha: Sequence[int], ang: Sequence[float]) -> complex:
-        return 1 - cmath.exp(2j * cmath.pi * sum(x * t for x, t in zip(alpha, ang)))
-
-    def dirac_eval(ang: Sequence[float]) -> complex:
-        z = cmath.exp(-2j * cmath.pi * sum(x * t for x, t in zip(rho_f, ang)))
-        for alpha in comp:
-            z *= one_minus(alpha, ang)
-        return z
-
-    r_m = list(comp) + [vneg(x) for x in comp]
+    pos = sub.complement_positive
+    mats = [e.matrix for e in problem.reps.reps]
+    rank = problem.datum.rank
     rng = random.Random(seed)
-    rank = datum.rank
     samples = []
-    max_err = 0.0
-    # wall margin: keeping every |1 - e^alpha| above this bounds the
-    # cancellation magnification so the 1e-8 tolerance holds at rank 4
-    margin = 5e-2
-    for _ in range(trials):
-        for attempt in range(256):
-            angles = [rng.random() for _ in range(rank)]
-            ok = True
-            for e in problem.reps.reps:
-                ang_w = _transform_angles(e, angles)
-                for alpha in r_m:
-                    if abs(one_minus(alpha, ang_w)) < margin:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                break
-        else:
-            raise DegenerateSample("could not sample away from singular denominators")
-        lhs = numeric_evaluate(lhs_torus, angles)
-        rhs = 0j
-        for e in problem.reps.reps:
-            ang_w = _transform_angles(e, angles)
-            num = dirac_eval(ang_w) * numeric_evaluate(payload, ang_w)
-            den = 1 + 0j
-            for alpha in r_m:
-                den *= one_minus(alpha, ang_w)
-            rhs += num / den
-        err = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-        max_err = max(max_err, err)
-        samples.append((lhs, rhs))
-    return LefschetzReport(trials, max_err, tuple(samples))
-
-
-def _transform_angles(e: WeylElement, angles: Sequence[float]) -> List[float]:
-    """(w f)(t) = f(w^{-1} t): evaluating w(e^lambda) at angles theta equals
-    evaluating e^lambda at M^T theta."""
-    m = e.matrix
-    n = len(angles)
-    return [sum(m[i][j] * angles[i] for i in range(n)) for j in range(n)]
+    while len(samples) < trials:
+        v = [rng.randrange(n) for _ in range(rank)]
+        images = [[dot(col, v) for col in zip(*m)] for m in mats]
+        if any(dot(alpha, u) % n == 0 for u in images for alpha in pos):
+            continue
+        rhs = 0
+        for u in images:
+            den = 1
+            for alpha in pos:
+                den = den * (1 - pow(zeta, -dot(alpha, u) * d % order, prime)) % prime
+            shift = pow(zeta, -dot(rho.nums, u) * (d // rho.den) % order, prime)
+            rhs += shift * value(payload, u) * pow(den, -1, prime)
+        samples.append((value(lhs, v) % prime, rhs % prime))
+    mismatches = sum(l != r for l, r in samples)
+    return LefschetzReport(trials, mismatches, prime, tuple(samples))

@@ -163,13 +163,6 @@ class WeylGroup:
         """The inverse of each element, in element order, from the same walk."""
         return self._walk[1]
 
-    @cached_property
-    def _index(self) -> Dict[Matrix, int]:
-        return {e.matrix: i for i, e in enumerate(self.elements)}
-
-    def element(self, matrix: Matrix) -> WeylElement:
-        return self.elements[self._index[matrix]]
-
 
 @cache
 def generate_weyl(scope: Scope) -> WeylGroup:

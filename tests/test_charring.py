@@ -1,4 +1,3 @@
-import cmath
 import math
 import random
 from fractions import Fraction
@@ -17,7 +16,6 @@ from spinduct.charring import (
     irreducible_restriction,
     is_scope_invariant,
     multiply,
-    numeric_evaluate,
     weyl_denominator,
 )
 from spinduct.errors import (
@@ -28,7 +26,7 @@ from spinduct.errors import (
     NotDominant,
     SpinductError,
 )
-from spinduct.induction import divide_exact
+from spinduct.induction import TORSION_ORDER, _torsion_field, divide_exact
 from spinduct.rootdata import (
     RationalWeight,
     build_root_datum,
@@ -648,26 +646,27 @@ def test_random_dominant_weight_without_integral_dimension_is_a_domain_error():
         random_dominant_weight(p.datum, random.Random(0), twist=p.sub.rho_h.residue_mod_one())
 
 
-def test_numeric_evaluate():
-    a1 = build_root_datum("A1")
-    assert numeric_evaluate(TorusElement.unit(a1), [0.37]) == 1 + 0j
-    x = mono(a1, [3]) + mono(a1, [-3])
-    v = numeric_evaluate(x, [0.123])
-    assert abs(v.imag) < 1e-12
-    assert abs(v.real - 2 * cmath.cos(2 * cmath.pi * 3 * 0.123).real) < 1e-12
-    # denominator against its product form
+def test_weyl_denominator_is_its_product_form_at_torsion_points():
+    """weyl_denominator = e^rho prod_{alpha > 0} (1 - e^-alpha), exactly in
+    F_p at torsion points exp(2 pi i v/N) of T, e^{k/den} -> zeta^{<k,v> D/den}."""
+    n = TORSION_ORDER
     rng = random.Random(4)
     for label in ("A2", "G2"):
         d = build_root_datum(label)
+        den = d.rho.den
+        order = den * n
+        p, zeta = _torsion_field(order)
+
+        def value(x, v):
+            s = den // x.shift.den
+            return sum(c * pow(zeta, dot(k, v) * s % order, p) for k, c in x.coeffs.items()) % p
+
         for _ in range(5):
-            ang = [rng.uniform(0, 1) for _ in range(d.rank)]
-            v1 = numeric_evaluate(weyl_denominator(d), ang)
-            v2 = numeric_evaluate(TorusElement.monomial(d, d.rho), ang)
+            v = [rng.randrange(n) for _ in range(d.rank)]
+            product = value(TorusElement.monomial(d, d.rho), v)
             for alpha in d.positive_roots:
-                v2 *= 1 - cmath.exp(
-                    -2j * cmath.pi * sum(a * t for a, t in zip(alpha, ang))
-                )
-            assert abs(v1 - v2) <= 1e-10 * max(1, abs(v1))
+                product = product * (1 - pow(zeta, -dot(alpha, v) * den % order, p)) % p
+            assert value(weyl_denominator(d), v) == product
 
 
 def test_appendix_b_worked_example():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinduct.cli import main, parse_problem
 from spinduct.errors import SchemaViolation
+from spinduct.induction import TORSION_ORDER
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +115,8 @@ def test_lefschetz(capsys):
     )
     doc = json.loads(out)
     assert doc["passed"] is True
+    assert doc["mismatches"] == 0 and doc["trials"] == 5
+    assert doc["prime"] % TORSION_ORDER == 1
 
 
 def test_verify_suite(capsys):
@@ -264,7 +267,8 @@ def test_cli_import_leaves_verify_unloaded():
 def test_cli_cold_start_imports_no_dataclasses():
     """`dataclasses` pulls in inspect, ast, dis and tokenize, and `fractions`
     pulls in decimal and numbers, which every fresh CLI process would pay
-    for; no module of the package uses either."""
+    for; no module of the package uses either, nor `cmath`: the package
+    computes in exact arithmetic only."""
     import pathlib
     import subprocess
 
@@ -274,7 +278,7 @@ def test_cli_cold_start_imports_no_dataclasses():
     modules = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.decode().splitlines()]
     assert "spinduct.rootdata" in modules
     assert "dataclasses" not in modules
-    assert not {"fractions", "decimal", "numbers"} & set(modules)
+    assert not {"fractions", "decimal", "numbers", "cmath"} & set(modules)
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "spinduct"
     hits = [f"{path.name}:{n}" for path in sorted(src.glob("*.py"))
             for n, line in enumerate(path.read_text().splitlines(), 1) if "dataclass" in line]

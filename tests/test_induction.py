@@ -1,8 +1,11 @@
+import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinduct import induction
 from spinduct.charring import (
     GroupElement,
     TorusElement,
@@ -23,6 +26,9 @@ from spinduct.errors import (
     WrongBasisSize,
 )
 from spinduct.induction import (
+    TORSION_ORDER,
+    _is_prime,
+    _torsion_field,
     branch,
     bwb_irreducible,
     collect_to_chamber,
@@ -34,7 +40,7 @@ from spinduct.induction import (
     pairing_report,
     partial,
 )
-from spinduct.rootdata import RationalWeight, build_root_datum, subgroup_from_roots
+from spinduct.rootdata import RationalWeight, build_root_datum, dot, subgroup_from_roots
 from spinduct.spinc import classify
 from spinduct.weyl import generate_weyl
 from spinduct.zoo import (
@@ -306,12 +312,13 @@ def test_lefschetz_reports():
     p = zoo_problem("G2", "a2long")
     spinor = irreducible_restriction(p.sub, p.rho_m)
     rep = lefschetz_check(p, p.euler, spinor, trials=6, seed=1)
-    assert rep.max_rel_error <= 1e-8
-    assert all(abs(l - 1) < 1e-6 for l, _ in rep.samples)
+    assert rep.mismatches == 0 and len(rep.samples) == rep.trials == 6
+    assert rep.prime == _torsion_field(TORSION_ORDER)[0]
+    assert all(l == r == 1 for l, r in rep.samples)
     hodge = multiply(p.euler, dualize(p.euler))
     rep = lefschetz_check(p, hodge, TorusElement.unit(p.datum), trials=6, seed=2)
-    assert rep.max_rel_error <= 1e-8
-    assert all(abs(l - 2) < 1e-6 for l, _ in rep.samples)
+    assert rep.mismatches == 0
+    assert all(l == r == len(p.reps.reps) == 2 for l, r in rep.samples)
     # H = G: the sum degenerates to a single restriction, symbolically equal
     a2 = build_root_datum("A2")
     full = subgroup_from_roots(a2, list(a2.roots))
@@ -319,7 +326,58 @@ def test_lefschetz_reports():
     rep = lefschetz_check(
         pg, pg.euler, irreducible_restriction(a2, a2.rho), trials=4, seed=3
     )
-    assert rep.max_rel_error <= 1e-10
+    assert rep.mismatches == 0 and len(rep.samples) == 4
+
+
+@pytest.mark.parametrize("mult", [1, 2, 4, 6])
+def test_torsion_field_has_a_root_of_unity_of_exact_order(mult):
+    order = mult * TORSION_ORDER
+    p, zeta = _torsion_field(order)
+    assert p % order == 1 and p > 1 << 61 and _is_prime(p)
+    assert pow(zeta, order, p) == 1
+    for q in (2, 3, TORSION_ORDER):
+        if order % q == 0:
+            assert pow(zeta, order // q, p) != 1
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    limit = 10 ** 5
+    small = [q for q in range(2, math.isqrt(limit) + 1) if all(q % r for r in range(2, q))]
+
+    def trial_division(n):
+        return n > 1 and all(n % q for q in small if q * q <= n)
+
+    assert [n for n in range(limit) if _is_prime(n)] == [n for n in range(limit) if trial_division(n)]
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base up to 23
+    assert 151 * 751 * 28351 == 3215031751
+    assert 149491 * 747451 * 34233211 == 3825123056546413051
+    assert not _is_prime(3215031751)
+    assert not _is_prime(3825123056546413051)
+
+
+def test_lefschetz_redraws_a_point_with_a_singular_image(monkeypatch):
+    n = TORSION_ORDER
+    p = zoo_problem("A2", "levi1")
+    spinor = irreducible_restriction(p.sub, p.rho_m)
+    # v on the wall of H's root: regular for every root of M at the identity,
+    # singular at another W^H image, where 1 - e^{-alpha} would be 0
+    alpha = p.sub.positive_h[0]
+    wall = [alpha[1] % n, -alpha[0] % n]
+    images = [[dot(col, wall) for col in zip(*e.matrix)] for e in p.reps.reps]
+    assert all(dot(beta, images[0]) % n for beta in p.sub.complement_positive)
+    assert any(dot(beta, u) % n == 0 for u in images for beta in p.sub.complement_positive)
+
+    def check_at(*points):
+        coords = iter([x for v in points for x in v])
+        rng = SimpleNamespace(randrange=lambda bound: next(coords))
+        monkeypatch.setattr(induction.random, "Random", lambda seed: rng)
+        rep = lefschetz_check(p, p.euler, spinor, trials=1)
+        assert next(coords, None) is None
+        return rep
+
+    regular = check_at([1, 3])
+    assert regular.mismatches == 0
+    assert check_at(wall, [1, 3]) == regular
 
 
 def test_bad_twist_raises_on_every_call():

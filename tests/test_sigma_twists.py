@@ -12,7 +12,14 @@ from spinduct.charring import (
     multiply,
 )
 from spinduct.errors import BadTwist
-from spinduct.induction import bwb_irreducible, induce_twisted_spinc, make_problem
+from spinduct.induction import (
+    TORSION_ORDER,
+    _torsion_field,
+    bwb_irreducible,
+    induce_twisted_spinc,
+    lefschetz_check,
+    make_problem,
+)
 from spinduct.multiplets import alternating_dimension_sum, multiplet
 from spinduct.rootdata import RationalWeight, build_root_datum, subgroup_from_roots
 from spinduct.zoo import random_dominant_weight
@@ -37,6 +44,22 @@ def test_sigma_threads_through_induction():
     out = induce_twisted_spinc(p, spinor_shifted)
     assert out.shift == p.sigma
     assert out.terms() == [(p.sigma, 1)]
+
+
+def test_sigma_lefschetz_agrees_exactly():
+    """The fixed-point oracle with the half-integral sigma: the keys'
+    denominator D is 2, and the left side e^sigma takes values of order 2N."""
+    p = sigma_problem()
+    spinor_shifted = multiply(
+        irreducible_restriction(p.sub, p.rho_m),
+        TorusElement.monomial(p.datum, p.sigma),
+    )
+    rep = lefschetz_check(p, p.euler, spinor_shifted, trials=6, seed=4)
+    assert rep.mismatches == 0 and len(rep.samples) == 6
+    n, prime = TORSION_ORDER, rep.prime
+    assert rep.prime == _torsion_field(2 * n)[0]
+    assert all(pow(l, 2 * n, prime) == 1 for l, _ in rep.samples)
+    assert any(pow(l, n, prime) != 1 for l, _ in rep.samples)
 
 
 def test_sigma_bwb_agreement():

@@ -101,6 +101,15 @@ def test_functoriality_catches_a_doubled_induction(monkeypatch):
     assert "functoriality T<H<F4/b4" in _failed(verify.check_functoriality(0))
 
 
+def test_lefschetz_catches_a_doubled_induction(monkeypatch):
+    real = induction.induce_twisted_spinc
+    monkeypatch.setattr(induction, "induce_twisted_spinc", lambda *args: real(*args).scale(2))
+    results = verify.check_lefschetz(0)
+    assert _failed(results) == {f"lefschetz {g}/{h}" for g, h in ZOO_PAIRS}
+    # the spinor's left side is 1 and Hodge's |W^H|: doubled, neither agrees anywhere
+    assert all(r.detail.startswith("mismatches 20, 20, ") for r in results)
+
+
 def test_dimension_sum_control_catches_a_constant_sum(monkeypatch):
     monkeypatch.setattr(verify, "alternating_dimension_sum", lambda m: 0)
     # every proper-subgroup sum is 0 anyway; only the H = G control sees it

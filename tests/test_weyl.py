@@ -66,13 +66,14 @@ def test_element_invariants():
         d = build_root_datum(label)
         w = generate_weyl(d)
         roots = d.root_set
+        by_matrix = {e.matrix: e for e in w.elements}
         assert determinants_consistent(w.elements)
         for e in w.elements:
             for a in d.roots:
                 assert e.apply(a) in roots
         for _ in range(40):
             e1, e2 = rng.choice(w.elements), rng.choice(w.elements)
-            assert w.element(matmul(e1.matrix, e2.matrix)).det == e1.det * e2.det
+            assert by_matrix[matmul(e1.matrix, e2.matrix)].det == e1.det * e2.det
 
 
 def test_determinant_check_catches_wrong_matrix():
@@ -114,6 +115,7 @@ def test_coset_representatives_counts():
 def test_coset_unique_factorization():
     for name, p in zoo_problems():
         wh = generate_weyl(p.sub)
+        by_matrix = {e.matrix: e for e in p.weyl.elements}
         seen = set()
         for rep in p.reps.reps:
             for u in wh.elements:
@@ -126,7 +128,7 @@ def test_coset_unique_factorization():
                 )
                 assert prod not in seen
                 seen.add(prod)
-                assert p.weyl.element(prod).length >= rep.length
+                assert by_matrix[prod].length >= rep.length
         assert len(seen) == p.weyl.order
 
 
