@@ -21,7 +21,7 @@ from functools import cache
 from itertools import repeat
 from operator import mul, ne
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import kernels
 from .errors import (
@@ -35,6 +35,7 @@ from .rootdata import (
     Covector,
     RationalWeight,
     RootDatum,
+    Scope,
     SubgroupDatum,
     Weight,
     dot,
@@ -44,8 +45,6 @@ from .rootdata import (
     vneg,
 )
 from .weyl import check_stable, generate_weyl
-
-Scope = Union[RootDatum, SubgroupDatum]
 
 
 class _Shifted:
@@ -233,29 +232,6 @@ def _check_dominant(scope: Scope, keys: Mapping[Weight, int], den: int) -> None:
 # --- denominators and Euler classes ----------------------------------------
 
 
-def _product_over(datum: RootDatum, factors: Iterable[Dict[Weight, int]]) -> Dict[Weight, int]:
-    acc = {(0,) * datum.rank: 1}
-    for f in factors:
-        acc = kernels.convolve(acc, f)
-    return acc
-
-
-@cache
-def weyl_denominator(scope: Scope) -> TorusElement:
-    """d = e^rho * prod over positive roots of (1 - e^(-alpha)).
-
-    Anti-invariant under the scope's Weyl group; twist class [rho]."""
-    datum = scope.datum
-    zero = (0,) * datum.rank
-    prod = _product_over(
-        datum, ({zero: 1, vneg(a): -1} for a in scope.positive)
-    )
-    return multiply(
-        TorusElement(datum, datum.zero_twist, prod),
-        TorusElement.monomial(datum, scope.rho_vec),
-    )
-
-
 def euler_class_from_complement(
     datum: RootDatum, complement_positive: Sequence[Weight], rho_m: RationalWeight
 ) -> TorusElement:
@@ -263,7 +239,9 @@ def euler_class_from_complement(
     of the Euler class of the twisted Dirac operator, with the level shift
     normalized away."""
     zero = (0,) * datum.rank
-    prod = _product_over(datum, ({zero: 1, a: -1} for a in complement_positive))
+    prod = {zero: 1}
+    for a in complement_positive:
+        prod = kernels.convolve(prod, {zero: 1, a: -1})
     return multiply(
         TorusElement(datum, datum.zero_twist, prod),
         TorusElement.monomial(datum, -rho_m),
@@ -274,6 +252,14 @@ def euler_class_from_complement(
 def euler_class(sub: SubgroupDatum) -> TorusElement:
     """Euler class of the twisted Dirac operator of G/H, restricted to T."""
     return euler_class_from_complement(sub.parent, sub.complement_positive, sub.rho_m)
+
+
+@cache
+def weyl_denominator(scope: Scope) -> TorusElement:
+    """d = e^rho * prod over positive roots of (1 - e^(-alpha)): the dual of
+    euler_class_from_complement over the scope's own positive roots and rho.
+    Anti-invariant under the scope's Weyl group; twist class [rho]."""
+    return dualize(euler_class_from_complement(scope.datum, scope.positive, scope.rho_vec))
 
 
 # --- highest-weight elements -------------------------------------------------
@@ -297,9 +283,6 @@ class GroupElement(_Shifted):
             for key, m in ch.coeffs.items():
                 acc[key] = acc.get(key, 0) + c * m
         return TorusElement(self.scope.datum, self.shift, acc)
-
-    def dimension(self) -> int:
-        return dimension(self)
 
 
 # --- Weyl dimension formula ---------------------------------------------------

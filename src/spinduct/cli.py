@@ -1,8 +1,9 @@
 """Command-line front end: problem parsing, dispatch, structured output.
 
-Exit codes: 0 success, 1 domain error (machine-readable record on stdout),
-2 usage error.  Identical (problem, seed) inputs produce byte-identical
-output; timing is reported only behind --timing so determinism holds.
+Exit codes: 0 success, 1 domain error (machine-readable record on stdout)
+or a `verify` document with a failing check, 2 usage error.  Identical
+(problem, seed) inputs produce byte-identical output; timing is reported
+only behind --timing so determinism holds.
 """
 
 from __future__ import annotations
@@ -487,7 +488,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     out = {"command": args.command, "problem": doc, **payload}
     if args.timing:
         out["timing_seconds"] = round(time.monotonic() - started, 6)
-    return _emit(out, indent=2 if args.pretty else None)
+    status = _emit(out, indent=2 if args.pretty else None)
+    return status or int(args.command == "verify" and not payload["passed"])
 
 
 def _emit(doc: Dict, indent: Optional[int] = None) -> int:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import random
 from functools import cache
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import kernels
 from .charring import (
@@ -36,6 +36,7 @@ from .errors import (
 from .rootdata import (
     RationalWeight,
     RootDatum,
+    Scope,
     SubgroupDatum,
     Weight,
     dot,
@@ -49,8 +50,6 @@ from .weyl import (
     generate_weyl,
     to_dominant_chamber,
 )
-
-Scope = Union[RootDatum, SubgroupDatum]
 
 
 class InductionProblem:

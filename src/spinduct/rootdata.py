@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import re
 from functools import cached_property, lru_cache
-from math import factorial, gcd, lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
-from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DimensionMismatch,
@@ -222,16 +222,6 @@ _ROOT_COUNTS = {
     "G": lambda n: 12,
 }
 
-_WEYL_ORDERS = {
-    "A": lambda n: factorial(n + 1),
-    "B": lambda n: factorial(n) << n,
-    "C": lambda n: factorial(n) << n,
-    "D": lambda n: factorial(n) << (n - 1) if n > 1 else 2,
-    "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
-    "F": lambda n: 1152,
-    "G": lambda n: 12,
-}
-
 
 def _cartan_matrix(series: str, n: int) -> List[List[int]]:
     """Cartan matrix with C[i][j] = <alpha_j, alpha_i^vee> (Bourbaki shapes)."""
@@ -336,11 +326,41 @@ def parse_label(label: str) -> List[Tuple[str, int]]:
     return blocks
 
 
+def _order_from_heights(positive: Sequence[Weight], basis: Sequence[Weight]) -> int:
+    """|W| of a (possibly reducible) root system from the heights of its
+    positive roots: by Kostant, the number of exponents at least k is the
+    number of positive roots of height k, and |W| is the product of the
+    exponents plus one.  A non-simple positive root minus some simple root
+    is a positive root, which gives the heights one level at a time."""
+    height = dict.fromkeys(basis, 1)
+    pending = [a for a in positive if a not in height]
+    while pending:
+        rest = []
+        for a in pending:
+            for b in basis:
+                h = height.get(vsub(a, b))
+                if h is not None:
+                    height[a] = h + 1
+                    break
+            else:
+                rest.append(a)
+        if len(rest) == len(pending):
+            raise InternalInconsistency("positive roots not reached from the basis")
+        pending = rest
+    count = [0] * (max(height.values(), default=0) + 2)
+    for h in height.values():
+        count[h] += 1
+    order = 1
+    for k in range(1, len(count) - 1):
+        order *= (k + 1) ** (count[k] - count[k + 1])
+    return order
+
+
 class _ScopeConstants:
     """Per-scope constants, computed on first read and kept on the (cached)
-    scope object: those of the Weyl dimension formula and the zero twist.
-    They are tuples, ints and an immutable RationalWeight, so no reader can
-    change them.
+    scope object: the Weyl group's order, rho, those of the Weyl dimension
+    formula and the zero twist.  They are tuples, ints and immutable
+    RationalWeights, so no reader can change them.
 
     Two scopes are equal, and hash alike, when their scope_key()s agree;
     every cache keyed by a scope relies on this."""
@@ -362,6 +382,17 @@ class _ScopeConstants:
         """The zero weight of the datum's rank, the residue of the untwisted
         class, held once per scope."""
         return RationalWeight.zero(self.datum.rank)
+
+    @cached_property
+    def weyl_order(self) -> int:
+        """|W| of the scope's root system, read off its root heights."""
+        return _order_from_heights(self.positive, self.basis)
+
+    @cached_property
+    def rho_vec(self) -> RationalWeight:
+        """rho, half the sum of the scope's positive roots."""
+        sums = [sum(col) for col in zip(*self.positive)] if self.positive else [0] * self.datum.rank
+        return RationalWeight(sums, 2)
 
     @cached_property
     def positive_coroots(self) -> Tuple[Covector, ...]:
@@ -390,7 +421,6 @@ class RootDatum(_ScopeConstants):
         simple_coroots: Sequence[Covector],
         simple_len2: Sequence[int],
         lattice_choice: str,
-        weyl_order: int,
     ):
         self.cartan_label = cartan_label
         self.rank = rank
@@ -398,12 +428,7 @@ class RootDatum(_ScopeConstants):
         self.simple_coroots = tuple(tuple(a) for a in simple_coroots)
         self.simple_len2 = tuple(simple_len2)
         self.lattice_choice = lattice_choice
-        self.weyl_order = weyl_order
         self._generate_roots()
-        self.rho = RationalWeight(
-            [sum(col) for col in zip(*self.positive_roots)] if self.positive_roots else [0] * self.rank,
-            2,
-        )
         self.key = (cartan_label, self.simple_roots, self.simple_coroots)
 
     def _generate_roots(self) -> None:
@@ -489,8 +514,8 @@ class RootDatum(_ScopeConstants):
         return self.positive_roots
 
     @property
-    def rho_vec(self) -> RationalWeight:
-        return self.rho
+    def rho(self) -> RationalWeight:
+        return self.rho_vec
 
     def scope_key(self):
         return (self.key, "G")
@@ -525,27 +550,26 @@ def build_root_datum(label: str, lattice_choice="weight") -> RootDatum:
     `lattice_choice` is "weight", "root", or an explicit list of lattice
     generators (integer vectors in fundamental-weight coordinates) spanning
     an intermediate lattice between the root and weight lattices.  Data for
-    the named choices are cached; the rank and Weyl order caps are checked
-    on every call, cache hits included.
+    the named choices are cached; the rank cap is checked before the build,
+    the Weyl order cap on the built datum's order, on every call, cache
+    hits included.
     """
     blocks = parse_label(label)
     rank = sum(n for _, n in blocks)
     if rank > RANK_CAP:
         raise RankCapExceeded(f"total rank {rank} exceeds cap {RANK_CAP}")
-    order = 1
-    for s, n in blocks:
-        if s != "T":
-            order *= _WEYL_ORDERS[s](n)
-    if order > WEYL_ORDER_CAP:
+    if isinstance(lattice_choice, str):
+        datum = _named_root_datum(tuple(blocks), rank, lattice_choice.lower())
+    else:
+        datum = _build_root_datum(blocks, rank, lattice_choice)
+    if datum.weyl_order > WEYL_ORDER_CAP:
         raise OrderCapExceeded(
-            f"projected Weyl order {order} exceeds cap {WEYL_ORDER_CAP}"
+            f"projected Weyl order {datum.weyl_order} exceeds cap {WEYL_ORDER_CAP}"
         )
-    if not isinstance(lattice_choice, str):
-        return _build_root_datum(blocks, rank, order, lattice_choice)
-    return _named_root_datum(tuple(blocks), rank, order, lattice_choice.lower())
+    return datum
 
 
-def _build_root_datum(blocks, rank: int, order: int, lattice_choice) -> RootDatum:
+def _build_root_datum(blocks, rank: int, lattice_choice) -> RootDatum:
     # simple roots in fundamental-weight coordinates, block by block
     simple_cols: List[List[int]] = []
     simple_covs: List[List[int]] = []
@@ -609,7 +633,7 @@ def _build_root_datum(blocks, rank: int, order: int, lattice_choice) -> RootDatu
     new_covs = [intlinalg.matvec(bt, cov) for cov in simple_covs]
 
     datum = RootDatum(
-        canonical_label(blocks), rank, new_simples, new_covs, len2s, choice_name, order
+        canonical_label(blocks), rank, new_simples, new_covs, len2s, choice_name
     )
     count = sum(_ROOT_COUNTS[s](n) for s, n in blocks if s != "T")
     if len(datum.roots) != count:
@@ -648,10 +672,6 @@ class SubgroupDatum(_ScopeConstants):
                 basis.append(a)
         self.basis_h = tuple(basis)
         self.basis_h_coroots = tuple(parent.coroot(a) for a in self.basis_h)
-        self.rho_h = RationalWeight(
-            [sum(c) for c in zip(*self.positive_h)] if self.positive_h else [0] * parent.rank,
-            2,
-        )
         self.rho_m = parent.rho - self.rho_h
         self.is_levi = self._levi_test()
         self.key = (parent.key, tuple(sorted(self.positive_h)))
@@ -689,8 +709,8 @@ class SubgroupDatum(_ScopeConstants):
         return self.positive_h
 
     @property
-    def rho_vec(self) -> RationalWeight:
-        return self.rho_h
+    def rho_h(self) -> RationalWeight:
+        return self.rho_vec
 
     def scope_key(self):
         return (self.key, "H")
@@ -706,6 +726,9 @@ class SubgroupDatum(_ScopeConstants):
             f"SubgroupDatum(|R_H|={2 * len(self.positive_h)}, "
             f"|R_M+|={len(self.complement_positive)}, levi={self.is_levi})"
         )
+
+
+Scope = Union[RootDatum, SubgroupDatum]
 
 
 SUBGROUP_CACHE_SIZE = 256

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .charring import TorusElement, euler_class_from_complement, multiply
+from .charring import TorusElement, euler_class, multiply
 from .errors import LengthMismatch, NotCSpinorial, NotInXH
 from .induction import InductionProblem
 from .intlinalg import reduce_mod_lattice
@@ -91,12 +91,8 @@ def euler_class_for_character(
     v = nu(problem, gamma)
     if not v.is_integral():
         raise NotCSpinorial(f"nu(gamma) = {v} is not in X(T)")
-    datum = problem.datum
-    base = euler_class_from_complement(
-        datum, problem.sub.complement_positive, problem.rho_m
-    )
     half = RationalWeight(tuple(int(x) for x in gamma), 2)
-    return multiply(TorusElement.monomial(datum, half), base)
+    return multiply(TorusElement.monomial(problem.datum, half), euler_class(problem.sub))
 
 
 def almost_complex_character(

@@ -166,8 +166,9 @@ class Row(NamedTuple):
     (holds, nontrivial): an input is trivial when its identity reads 0 = 0.
     A case stops at its first counterexample, printed by `show`; a setup
     that sets `bad` (a failed negative control) fails its case before any
-    draw.  Library functions are looked up in this module's globals at call
-    time, so a test can monkeypatch them."""
+    draw, and a SpinductError raised by the setup or a test fails its case
+    with the error as the counterexample.  Library functions are looked up
+    in this module's globals at call time, so a test can monkeypatch them."""
 
     name: str  # "{}" takes the case label
     offset: int
@@ -184,23 +185,26 @@ class Row(NamedTuple):
         rng = random.Random(seed + self.offset)
         out = []
         for label, *args in self.cases():
-            case = self.setup(*args)
-            bad = getattr(case, "bad", None)
             reached = nontrivial = 0
-            for _ in range(0 if bad else trials):
-                x = self.draw(case, rng)
-                if x is SKIP:
-                    continue
-                reached += 1
-                holds, hit = self.test(case, x)
-                nontrivial += hit
-                if not holds:
-                    bad = self.show(x)
-                    break
-            detail = self.detail.format(
-                trials=trials, reached=reached, nontrivial=nontrivial,
-                trivial=reached - nontrivial, case=case,
-            )
+            try:
+                case = self.setup(*args)
+                bad = getattr(case, "bad", None)
+                for _ in range(0 if bad else trials):
+                    x = self.draw(case, rng)
+                    if x is SKIP:
+                        continue
+                    reached += 1
+                    holds, hit = self.test(case, x)
+                    nontrivial += hit
+                    if not holds:
+                        bad = self.show(x)
+                        break
+                detail = self.detail.format(
+                    trials=trials, reached=reached, nontrivial=nontrivial,
+                    trivial=reached - nontrivial, case=case,
+                )
+            except SpinductError as exc:
+                bad, detail = f"{exc.code}: {exc}", f"raised after {reached} of {trials} inputs"
             out.append(CheckResult(self.name.format(label), bad is None, detail, bad))
         return out
 
@@ -539,8 +543,7 @@ def check_charring_invariants(seed: int = 0) -> List[CheckResult]:
     for name, p, t in chain_triples():
         e_big = euler_class_from_complement(p.datum, p.datum.positive_roots, p.datum.rho)
         e_step = euler_class(p.sub)
-        comp = tuple(a for a in p.sub.positive_h)
-        e_rel = euler_class_from_complement(p.datum, comp, p.sub.rho_h)
+        e_rel = euler_class_from_complement(p.datum, p.sub.positive_h, p.sub.rho_h)
         if multiply(e_step, e_rel) != e_big:
             ok = False
     out.append(
@@ -653,10 +656,16 @@ SUITES: Dict[str, List[Callable[[int], List[CheckResult]]]] = {
 
 
 def run_suite(name: str, seed: int = 0) -> List[CheckResult]:
+    """The checks of one suite, or of all, in order; a SpinductError raised
+    outside a Row's cases is one failing record, and the suite goes on."""
     if name != "all" and name not in SUITES:
         raise SpinductError(f"unknown suite {name!r}")
     out = []
     for key in sorted(SUITES) if name == "all" else [name]:
         for fn in SUITES[key]:
-            out.extend(fn(seed))
+            try:
+                out.extend(fn(seed))
+            except SpinductError as exc:
+                label = fn.name.format("*") if isinstance(fn, Row) else fn.__name__
+                out.append(CheckResult(label, False, "raised", f"{exc.code}: {exc}"))
     return out

@@ -4,22 +4,14 @@ reduction, and the antisymmetrizer operators."""
 from __future__ import annotations
 
 from functools import cache, cached_property
-from typing import Dict, FrozenSet, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import kernels, rootdata
 from .errors import DatumMismatch, InternalInconsistency, OrderCapExceeded, ShiftNotStable
 from .intlinalg import identity, matvec
-from .rootdata import (
-    RationalWeight,
-    RootDatum,
-    SubgroupDatum,
-    Weight,
-    vsub,
-)
+from .rootdata import RationalWeight, Scope, SubgroupDatum, Weight
 
 Matrix = Tuple[Tuple[int, ...], ...]
-
-Scope = Union[RootDatum, SubgroupDatum]
 
 
 def _rank_one(m: Matrix, col: Sequence[int], row: Sequence[int]) -> Matrix:
@@ -86,51 +78,19 @@ def _closure(scope: Scope, avoid: FrozenSet[Weight] = frozenset()) -> Tuple[tupl
     return tuple(elements), tuple(inverses)
 
 
-def _order_from_heights(positive: Sequence[Weight], basis: Sequence[Weight]) -> int:
-    """|W| of a (possibly reducible) root system from the heights of its
-    positive roots: by Kostant, the number of exponents at least k is the
-    number of positive roots of height k, and |W| is the product of the
-    exponents plus one.  A non-simple positive root minus some simple root
-    is a positive root, which gives the heights one level at a time."""
-    height = dict.fromkeys(basis, 1)
-    pending = [a for a in positive if a not in height]
-    while pending:
-        rest = []
-        for a in pending:
-            for b in basis:
-                h = height.get(vsub(a, b))
-                if h is not None:
-                    height[a] = h + 1
-                    break
-            else:
-                rest.append(a)
-        if len(rest) == len(pending):
-            raise InternalInconsistency("positive roots not reached from the basis")
-        pending = rest
-    count = [0] * (max(height.values(), default=0) + 2)
-    for h in height.values():
-        count[h] += 1
-    order = 1
-    for k in range(1, len(count) - 1):
-        order *= (k + 1) ** (count[k] - count[k + 1])
-    return order
-
-
 class WeylGroup:
-    """A (sub)system's Weyl group.  The order of a root datum's group comes
-    from the product formula, a subsystem's from its root heights; neither
-    enumerates.  The elements are enumerated on first use, ordered by
-    length, then lexicographic matrix order."""
+    """A (sub)system's Weyl group.  Its order is the scope's `weyl_order`,
+    from the root heights, for a root datum and a subgroup alike, with
+    nothing enumerated.  The elements are enumerated on first use, ordered
+    by length, then lexicographic matrix order."""
 
     def __init__(self, scope: Scope):
         self.scope = scope
         self.datum = scope.datum
 
-    @cached_property
+    @property
     def order(self) -> int:
-        if isinstance(self.scope, RootDatum):
-            return self.scope.weyl_order
-        return _order_from_heights(self.scope.positive, self.scope.basis)
+        return self.scope.weyl_order
 
     @cached_property
     def orbit_trees(self) -> Dict[Tuple[int, ...], kernels.OrbitTree]:

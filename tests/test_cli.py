@@ -240,20 +240,48 @@ def test_closed_stdout_exits_1_without_traceback():
 
 @pytest.mark.parametrize("argv", [("info", "--group", "A2"), ("verify", "--suite", "weyl")])
 def test_failed_self_check_is_one_json_record(argv):
-    """A library self-check that fails (the coset count, with the subgroup
-    Weyl orders patched one too high in a fresh process, so no cache holds
-    the pair) answers with one JSON error record and exit 1, no traceback."""
+    """A library self-check that fails (the coset count, with every Weyl
+    order patched one too high in a fresh process, so no cache holds the
+    pair) answers with one JSON document and exit 1, no traceback: an error
+    record for a query, a failing check for verify."""
     import subprocess
 
-    code = ("import sys; from spinduct import cli, weyl; "
-            "order = weyl._order_from_heights; "
-            "weyl._order_from_heights = lambda *a: order(*a) + 1; "
+    code = ("import sys; from spinduct import cli, rootdata; "
+            "order = rootdata._order_from_heights; "
+            "rootdata._order_from_heights = lambda *a: order(*a) + 1; "
             f"sys.exit(cli.main({list(argv)!r}))")
     proc = _python("-c", code, stdout=subprocess.PIPE)
     assert (proc.returncode, proc.stderr) == (1, b"")
     lines = proc.stdout.decode().splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"]["code"] == "internal-inconsistency"
+    doc = json.loads(lines[0])
+    if argv[0] == "verify":
+        assert not doc["passed"]
+        failed = [c["counterexample"] for c in doc["checks"] if not c["passed"]]
+        assert failed == ["internal-inconsistency: coset count mismatch"]
+    else:
+        assert doc["error"] == {"code": "internal-inconsistency", "message": "coset count mismatch"}
+
+
+@pytest.mark.parametrize("patch, status", [
+    ("", 0),
+    ("verify.nu = lambda *a: verify.RationalWeight([1, 1]); ", 1),
+])
+def test_verify_exit_status_follows_the_checks(patch, status):
+    """`spinduct verify` exits 0 when every check passes and 1 when one
+    fails (here spinc-levi, with nu patched), with its one document either
+    way."""
+    import subprocess
+
+    code = ("import sys; from spinduct import cli, verify; " + patch +
+            "sys.exit(cli.main(['verify', '--suite', 'spinc']))")
+    proc = _python("-c", code, stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (status, b"")
+    lines = proc.stdout.decode().splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["passed"] is (status == 0)
+    assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["spinc-levi"] * status
 
 
 def test_cli_import_leaves_verify_unloaded():

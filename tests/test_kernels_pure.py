@@ -406,11 +406,14 @@ def test_f4_packed_orbit_table_is_built_once(monkeypatch):
     """The first J_G on F4 walks the regular tree, the second packs it and
     later ones build no new table; the table is immutable, made of tuples
     and ints."""
-    import spinduct.weyl as weyl
     from spinduct.charring import TorusElement
     from spinduct.weyl import apply_antisymmetrizer
 
-    weyl.generate_weyl.cache_clear()
+    f4 = build_root_datum("F4")
+    # forget the tables earlier tests left on F4's group; clearing the whole
+    # generate_weyl cache would leave cached problems holding stale groups
+    for name in ("orbit_trees", "packed_orbit"):
+        vars(generate_weyl(f4)).pop(name, None)
     builds = []
     pack = kernels.pack_orbit
 
@@ -427,7 +430,6 @@ def test_f4_packed_orbit_table_is_built_once(monkeypatch):
         return replay(key, table)
 
     monkeypatch.setattr(kernels, "_packed_replay", counting_replay)
-    f4 = build_root_datum("F4")
     a = TorusElement.monomial(f4, f4.rho) + TorusElement.monomial(f4, f4.rho.scale(2))
     first = apply_antisymmetrizer("J_G", a)
     assert builds == [] and replays == [] and list(generate_weyl(f4).orbit_trees) == [()]

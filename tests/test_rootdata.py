@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -367,6 +368,49 @@ def test_root_datum_cache_rechecks_caps(monkeypatch):
     monkeypatch.setattr(rd, "RANK_CAP", 5)
     with pytest.raises(RankCapExceeded):
         build_root_datum("E6")
+
+
+# |W| of each simple series in closed form (Bourbaki, Lie IV-VI, Plates
+# I-IX): an oracle for the root-height formula that shares no code with it
+_WEYL_ORDERS = {
+    "A": lambda n: math.factorial(n + 1),
+    "B": lambda n: math.factorial(n) << n,
+    "C": lambda n: math.factorial(n) << n,
+    "D": lambda n: math.factorial(n) << (n - 1) if n > 1 else 2,
+    "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
+    "F": lambda n: 1152,
+    "G": lambda n: 12,
+    "T": lambda n: 1,
+}
+
+
+def test_weyl_order_from_heights_equals_the_closed_forms(monkeypatch):
+    """Every label the rank cap admits, with the order cap raised: each
+    series at each rank, the exceptional groups, a product and a torus
+    factor."""
+    import spinduct.rootdata as rd
+
+    monkeypatch.setattr(rd, "WEYL_ORDER_CAP", 1 << 30)
+    labels = [
+        f"{s}{n}" for s, low in (("A", 1), ("B", 2), ("C", 2), ("D", 2))
+        for n in range(low, rd.RANK_CAP + 1)
+    ]
+    labels += ["E6", "E7", "E8", "F4", "G2", "B3xG2", "A2xT3"]
+    for label in labels:
+        want = math.prod(_WEYL_ORDERS[s](n) for s, n in rd.parse_label(label))
+        assert build_root_datum(label).weyl_order == want, label
+
+
+def test_order_cap_is_checked_against_the_built_datum(monkeypatch):
+    """The message names the datum's order; a bad lattice is refused before
+    the cap, since the order is read off the built datum."""
+    import spinduct.rootdata as rd
+
+    with pytest.raises(OrderCapExceeded, match="^projected Weyl order 2903040 exceeds cap 2097152$"):
+        build_root_datum("E7")
+    monkeypatch.setattr(rd, "WEYL_ORDER_CAP", 1)
+    with pytest.raises(LatticeNotIntermediate):
+        build_root_datum("A1", [[3]])
 
 
 def test_explicit_lattices_are_built_afresh():

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from spinduct import induction, multiplets, verify
+from spinduct.errors import NotCSpinorial, NotDominant
 from spinduct.induction import induce_between, make_problem
 from spinduct.multiplets import multiplet
 from spinduct.weyl import apply_antisymmetrizer
@@ -177,6 +178,41 @@ def test_every_check_sits_in_one_suite(monkeypatch):
     assert len(names) == len(set(names))
     # the checks outside the thirteen criteria reach tier-1 here
     assert not _failed(results)
+
+
+def test_an_error_fails_its_case_alone(monkeypatch):
+    """A SpinductError raised inside a case fails that case's row, with the
+    error as its counterexample; the other cases run as before."""
+    real = verify.bwb_irreducible
+
+    def bwb(p, mu):
+        if p.datum.cartan_label == "F4":
+            raise NotDominant("raised on F4")
+        return real(p, mu)
+
+    want = verify.check_bwb_agreement(0, trials=2)
+    monkeypatch.setattr(verify, "bwb_irreducible", bwb)
+    got = verify.check_bwb_agreement(0, trials=2)
+    assert _failed(got) == {"bwb-agreement F4/b4"}
+    assert [r for r in got if r.passed] == [r for r in want if r.name != "bwb-agreement F4/b4"]
+    (bad,) = [r for r in got if not r.passed]
+    assert bad.counterexample == "not-dominant: raised on F4"
+    assert bad.detail == "raised after 1 of 2 inputs"
+
+
+def test_an_error_in_a_check_gives_one_failing_record(monkeypatch):
+    """run_suite records a SpinductError raised by a hand-written check as
+    one failing record and goes on with the suite."""
+    def classify(p):
+        raise NotCSpinorial("raised by classify")
+
+    monkeypatch.setattr(verify, "classify", classify)
+    results = verify.run_suite("spinc")
+    assert [(r.name, r.passed, r.counterexample) for r in results] == [
+        ("check_spinc", False, "not-c-spinorial: raised by classify"),
+    ]
+    monkeypatch.setitem(verify.SUITES, "spinc", [verify.check_spinc, verify.check_appendix_b])
+    assert [r.passed for r in verify.run_suite("spinc")] == [False, True, True]
 
 
 ROW_LINES = """

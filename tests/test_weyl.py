@@ -341,7 +341,12 @@ def test_antisymmetrizer_check_searches_each_pair_once():
     from spinduct.verify import check_antisymmetrizers
     from spinduct.zoo import ZOO_PAIRS
 
+    from spinduct import induction
+
+    # the cached problems hold W^H from the cache being cleared; they go too,
+    # so no later problem of a pair holds a stale W^H beside a fresh one
     coset_representatives.cache_clear()
+    induction._cached_problem.cache_clear()
     # every trial applies J_M and J_M_op; a few trials per pair suffice
     assert all(r.passed for r in check_antisymmetrizers(0, trials=3))
     info = coset_representatives.cache_info()
