@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import random
 from functools import cache
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import kernels
 from .charring import (
@@ -43,6 +43,7 @@ from .rootdata import (
     rescale,
     scaled,
 )
+from .spinc import nu
 from .weyl import (
     CosetReps,
     check_stable,
@@ -211,11 +212,9 @@ def induce_classical(
     elif kind == "spinc":
         if gamma is None:
             raise NotCSpinorial("spinc induction needs a character gamma")
-        half = RationalWeight(gamma, 2)
-        nu = half - problem.rho_m
-        if not nu.is_integral():
+        if not nu(problem, gamma).is_integral():
             raise NotCSpinorial("gamma is not c-spinorial: nu(gamma) not in X(T)")
-        m = TorusElement.monomial(datum, half)
+        m = TorusElement.monomial(datum, RationalWeight(gamma, 2))
     else:
         raise ValueError(f"unknown classical induction kind {kind!r}")
     return induce_twisted_spinc(problem, multiply(m, a))
@@ -461,6 +460,58 @@ class LefschetzReport(NamedTuple):
     samples: Tuple[Tuple[int, int], ...] = ()
 
 
+def torsion_point(
+    problem: InductionProblem, rng: random.Random
+) -> Tuple[List[int], List[List[int]]]:
+    """A random v in (Z/N)^rank and its images u = M^T v under the W^H
+    representatives, such that no root of M pairs to 0 mod N with any
+    image; a point that fails is redrawn."""
+    n = TORSION_ORDER
+    while True:
+        v = [rng.randrange(n) for _ in range(problem.datum.rank)]
+        images = [[dot(col, v) for col in zip(*e.matrix)] for e in problem.reps.reps]
+        if all(dot(alpha, u) % n for u in images for alpha in problem.sub.complement_positive):
+            return v, images
+
+
+def fixed_point_sides(
+    problem: InductionProblem, euler: TorusElement, a: TorusElement
+) -> Tuple[int, Callable[[Sequence[int], List[List[int]]], Tuple[int, int]]]:
+    """(p, at) for the fixed-point formula of `a` under the operator with
+    Euler class `euler`: `at(*torsion_point(problem, rng))` gives in F_p
+    the symbolic induction i_*(a_D a), computed here once, and the sum over
+    W^H, sum_w w(e^{-rho_M} a_D a / prod_{alpha in R_M^+} (1 - e^{-alpha})),
+    a_D = euler / e(Dirac), at the torsion point t = exp(2 pi i v/N).
+
+    Both sides lie in Q(zeta_L), L = D N with D the lcm of the
+    denominators; zeta in F_p of exact order L stands for exp(2 pi i/L),
+    so e^{k/den} at the image u = M^T v of a W^H element is
+    zeta^{<k,u> D/den}.  At such a point every 1 - zeta^e is a unit, so a
+    correct induction agrees there, and a mismatch is a wrong answer."""
+    payload = multiply(divide_exact(euler, problem.euler), a)
+    lhs = induce_twisted_spinc(problem, payload).to_torus()
+    rho = problem.rho_m
+    d = math.lcm(payload.shift.den, lhs.shift.den, rho.den)
+    order = d * TORSION_ORDER
+    prime, zeta = _torsion_field(order)
+
+    def value(x: TorusElement, u: Sequence[int]) -> int:
+        s = d // x.shift.den
+        return sum(c * pow(zeta, dot(k, u) * s % order, prime) for k, c in x.coeffs.items())
+
+    def at(v: Sequence[int], images: List[List[int]]) -> Tuple[int, int]:
+        rhs = 0
+        for u in images:
+            den = 1
+            for alpha in problem.sub.complement_positive:
+                den = den * (1 - pow(zeta, -dot(alpha, u) * d % order, prime)) % prime
+            shift = pow(zeta, -dot(rho.nums, u) * (d // rho.den) % order, prime)
+            rhs += shift * value(payload, u) * pow(den, -1, prime)
+        return value(lhs, v) % prime, rhs % prime
+
+    return prime, at
+
+
 def lefschetz_check(
     problem: InductionProblem,
     euler: TorusElement,
@@ -468,51 +519,9 @@ def lefschetz_check(
     trials: int = 20,
     seed: int = 0,
 ) -> LefschetzReport:
-    """Compare the symbolic induction with the fixed-point sum over W^H,
-    sum_w w(e^{-rho_M} a_D a / prod_{alpha in R_M^+} (1 - e^{-alpha})),
-    exactly, at random torsion points t = exp(2 pi i v/N) of T.
-
-    Both sides lie in Q(zeta_L), L = D N with D the lcm of the
-    denominators, and are compared in F_p, where zeta of exact order L
-    stands for exp(2 pi i/L): e^{k/den} at the image u = M^T v of a W^H
-    element is zeta^{<k,u> D/den}.  A point is used iff no root of M pairs
-    to 0 mod N with any image; then every 1 - zeta^e is a unit, so a
-    correct induction agrees at every point used, and a mismatch is a
-    wrong answer.
-
-    The symbolic side factors the operator's Euler class through the Dirac
-    Euler class: a_D = euler / e(Dirac)."""
-    sub = problem.sub
-    a_d = divide_exact(euler, problem.euler)
-    payload = multiply(a_d, a)
-    lhs = induce_twisted_spinc(problem, payload).to_torus()
-    rho = sub.rho_m
-    d = math.lcm(payload.shift.den, lhs.shift.den, rho.den)
-    n = TORSION_ORDER
-    order = d * n
-    prime, zeta = _torsion_field(order)
-
-    def value(x: TorusElement, u: Sequence[int]) -> int:
-        s = d // x.shift.den
-        return sum(c * pow(zeta, dot(k, u) * s % order, prime) for k, c in x.coeffs.items())
-
-    pos = sub.complement_positive
-    mats = [e.matrix for e in problem.reps.reps]
-    rank = problem.datum.rank
+    """Compare the two sides of the fixed-point formula (`fixed_point_sides`)
+    exactly at `trials` torsion points drawn from random.Random(seed)."""
+    prime, at = fixed_point_sides(problem, euler, a)
     rng = random.Random(seed)
-    samples = []
-    while len(samples) < trials:
-        v = [rng.randrange(n) for _ in range(rank)]
-        images = [[dot(col, v) for col in zip(*m)] for m in mats]
-        if any(dot(alpha, u) % n == 0 for u in images for alpha in pos):
-            continue
-        rhs = 0
-        for u in images:
-            den = 1
-            for alpha in pos:
-                den = den * (1 - pow(zeta, -dot(alpha, u) * d % order, prime)) % prime
-            shift = pow(zeta, -dot(rho.nums, u) * (d // rho.den) % order, prime)
-            rhs += shift * value(payload, u) * pow(den, -1, prime)
-        samples.append((value(lhs, v) % prime, rhs % prime))
-    mismatches = sum(l != r for l, r in samples)
-    return LefschetzReport(trials, mismatches, prime, tuple(samples))
+    samples = tuple(at(*torsion_point(problem, rng)) for _ in range(trials))
+    return LefschetzReport(trials, sum(l != r for l, r in samples), prime, samples)

@@ -3,11 +3,10 @@ arithmetic: spinoriality, c-spinorial characters, and their Euler classes."""
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .charring import TorusElement, euler_class, multiply
 from .errors import LengthMismatch, NotCSpinorial, NotInXH
-from .induction import InductionProblem
 from .intlinalg import reduce_mod_lattice
 from .rootdata import (
     Lattice,
@@ -16,6 +15,9 @@ from .rootdata import (
     solve_in_lattice,
     subgroup_character_lattice,
 )
+
+if TYPE_CHECKING:  # induction imports nu from here
+    from .induction import InductionProblem
 
 
 class SpincClassification(NamedTuple):

@@ -11,11 +11,15 @@ tests/test_acceptance.py, the rest through tests/test_verify.py); an
 implementation invariant, such as root-system closure, group orders or
 dualize being an involution, is a unit test under tests/ and not a row.
 
-A sampled check is a `Row`; calling it with (seed, trials) runs it.  To add
-one, write a test (case, input) -> (holds, nontrivial), bind
-`check_<name> = Row(name, offset, trials, test, ...)` with whichever of
-cases, setup, draw, show and detail differ from the defaults, and list it
-in SUITES.
+Every check that walks the zoo is a `Row`: calling it with (seed, trials)
+runs it over its cases, one record per case, and a SpinductError fails
+only the case that raised it.  A fixed check is a one-trial Row whose draw
+returns its case.  Every case comes from one table: `zoo_problems()`,
+`chain_triples()` or `zoo_groups()`.  To add a check, write a test
+(case, input) -> (holds, nontrivial), bind `check_<name> = Row(name,
+offset, trials, test, ...)` (or `_fixed(name, offset, holds, ...)`) with
+whichever of cases, setup, draw, show and detail differ from the
+defaults, and list it in SUITES.
 """
 
 from __future__ import annotations
@@ -43,12 +47,13 @@ from .induction import (
     bwb_irreducible,
     divide_exact,
     extract_highest_weights,
+    fixed_point_sides,
     group_multiply,
     induce_between,
     induce_twisted_spinc,
-    lefschetz_check,
     make_problem,
     pairing_report,
+    torsion_point,
 )
 from .multiplets import alternating_dimension_sum, gkrs_identity_sides, multiplet
 from .rootdata import (
@@ -61,12 +66,12 @@ from .serialize import torus_to_text
 from .spinc import classify, nu
 from .weyl import apply_antisymmetrizer, apply_weyl_sum, generate_weyl
 from .zoo import (
-    ZOO_PAIRS,
     chain_triples,
     random_dominant_weight,
     random_torus_element,
     random_wh_invariant,
     steinberg_pairing_bases,
+    zoo_groups,
     zoo_problem,
     zoo_problems,
 )
@@ -86,66 +91,11 @@ class CheckResult(NamedTuple):
         return msg
 
 
-# --- acceptance criterion 1: Euler characteristic --------------------------
-
-
-def check_euler_characteristic(seed: int = 0) -> List[CheckResult]:
-    expected = {("A2", "t"): 6, ("G2", "a2long"): 2, ("F4", "b4"): 3}
-    out = []
-    for (g, h) in ZOO_PAIRS:
-        p = zoo_problem(g, h)
-        n = len(p.reps.reps)
-        got = induce_twisted_spinc(p, dualize(p.euler))
-        want = GroupElement.from_weights(
-            p.datum, {RationalWeight.zero(p.datum.rank): n}
-        )
-        ok = got == want and expected.get((g, h), n) == n
-        out.append(
-            CheckResult(
-                f"euler-characteristic {g}/{h}",
-                ok,
-                f"|W^H| = {n}",
-                None if ok else torus_to_text(dualize(p.euler)),
-            )
-        )
-    return out
-
-
-# --- acceptance criterion 2: unit induction ---------------------------------
-
-
-def check_unit_induction(seed: int = 0) -> List[CheckResult]:
-    out = []
-    for (g, h) in ZOO_PAIRS:
-        p = zoo_problem(g, h)
-        spinor = irreducible_restriction(p.sub, p.rho_m)
-        got = induce_twisted_spinc(p, spinor)
-        want = GroupElement.from_weights(
-            p.datum, {RationalWeight.zero(p.datum.rank): 1}
-        )
-        ok = got == want
-        out.append(
-            CheckResult(
-                f"unit-induction {g}/{h}", ok, "i_*([V_H(rho_M)]) = 1",
-                None if ok else torus_to_text(spinor),
-            )
-        )
-    return out
-
-
-# --- the sampled checks: each is a Row, run by one loop ------------------------
+# --- the checks: each is a Row, run by one loop --------------------------------
 
 
 SKIP = object()  # a draw that reaches no check; its rng calls still happen
 NONTRIVIAL = "{nontrivial} of {trials} inputs nontrivial"
-
-
-def _groups():
-    """The first zoo pair of each group, labelled G."""
-    firsts: Dict[str, str] = {}
-    for g, h in ZOO_PAIRS:
-        firsts.setdefault(g, h)
-    return [(g, zoo_problem(g, h)) for g, h in firsts.items()]
 
 
 def _rho_twisted(p, max_support: int = 8, **extra) -> SimpleNamespace:
@@ -159,7 +109,7 @@ def _draw_element(case, rng: random.Random) -> TorusElement:
 
 
 class Row(NamedTuple):
-    """A sampled check, run by calling it with (seed, trials).
+    """A check, run by calling it with (seed, trials).
 
     One random.Random(seed + offset) draws for every case in turn.  `setup`
     makes a case's namespace, `draw` an input or SKIP, and `test` returns
@@ -207,6 +157,50 @@ class Row(NamedTuple):
                 bad, detail = f"{exc.code}: {exc}", f"raised after {reached} of {trials} inputs"
             out.append(CheckResult(self.name.format(label), bad is None, detail, bad))
         return out
+
+
+def _fixed(name: str, offset: int, holds: Callable[[SimpleNamespace], bool], **fields) -> Row:
+    """A check with no random input: a Row of one trial, whose draw returns
+    the case; a failing case shows its problem unless `show` says more."""
+    fields.setdefault("show", lambda case: repr(case.p))
+    return Row(name, offset, 1, lambda case, _: (holds(case), True), draw=lambda case, rng: case, **fields)
+
+
+def _constant(p, n: int) -> GroupElement:
+    return GroupElement.from_weights(p.datum, {RationalWeight.zero(p.datum.rank): n})
+
+
+# --- acceptance criterion 1: Euler characteristic --------------------------
+
+
+# |W^H| at the pairs where criterion 1 states it
+_PINNED_COSETS = {"A2/t": 6, "G2/a2long": 2, "F4/b4": 3}
+
+
+def _euler_characteristic(case) -> bool:
+    got = induce_twisted_spinc(case.p, dualize(case.p.euler))
+    return got == _constant(case.p, case.n) and _PINNED_COSETS.get(case.label, case.n) == case.n
+
+
+check_euler_characteristic = _fixed(
+    "euler-characteristic {}", 1, _euler_characteristic,
+    setup=lambda label, p: SimpleNamespace(p=p, label=label, n=len(p.reps.reps)),
+    cases=lambda: [(label, label, p) for label, p in zoo_problems()],
+    show=lambda case: torus_to_text(dualize(case.p.euler)),
+    detail="|W^H| = {case.n}",
+)
+
+
+# --- acceptance criterion 2: unit induction ---------------------------------
+
+
+check_unit_induction = _fixed(
+    "unit-induction {}", 2,
+    lambda case: induce_twisted_spinc(case.p, case.spinor) == _constant(case.p, 1),
+    setup=lambda p: SimpleNamespace(p=p, spinor=irreducible_restriction(p.sub, p.rho_m)),
+    show=lambda case: torus_to_text(case.spinor),
+    detail="i_*([V_H(rho_M)]) = 1",
+)
 
 
 # --- acceptance criterion 3: Borel-Weil-Bott agreement -----------------------
@@ -275,22 +269,14 @@ DIMENSION_SUMS = Row("gkrs-dimension-sum {}", 6, 100, _dimension_sum_test, detai
 def check_gkrs_dimension_sum(seed: int = 0, trials: int = DIMENSION_SUMS.trials) -> List[CheckResult]:
     out = DIMENSION_SUMS(seed, trials)
     # the F4 > B4 trivial-source multiplet, members cross-checked against the
-    # independent dimension oracle (character expansion term count)
+    # independent dimension oracle (total weight multiplicity of the expansion)
     p = zoo_problem("F4", "b4")
     m = multiplet(p, TorusElement.monomial(p.datum, p.datum.rho))
     dims = [dimension(ge) for ge in m.members]
-    ok = len(m.members) == 3 and alternating_dimension_sum(m) == 0
-    for ge, d in zip(m.members, dims):
-        # independent oracle: total weight multiplicity of the expansion
-        if sum(ge.to_torus().coeffs.values()) != d:
-            ok = False
-    out.append(
-        CheckResult(
-            "gkrs-f4-trivial-multiplet",
-            ok,
-            f"dims {dims}, signs {list(m.signs)}",
-        )
+    ok = len(m.members) == 3 and alternating_dimension_sum(m) == 0 and all(
+        sum(ge.to_torus().coeffs.values()) == d for ge, d in zip(m.members, dims)
     )
+    out.append(CheckResult("gkrs-f4-trivial-multiplet", ok, f"dims {dims}, signs {list(m.signs)}"))
     # negative control: for H = G the one member is the whole class, so the
     # sum is its dimension, 1, not 0
     pg = zoo_problem("A2", "g")
@@ -365,7 +351,7 @@ def _appendix_c_test(case, a):
 check_appendix_c = Row(
     "appendix-c {}", 8, 100, _appendix_c_test,
     setup=_appendix_c_setup,
-    cases=_groups,
+    cases=zoo_groups,
     draw=_appendix_c_draw,
     detail="{reached} of {trials} inputs reached the check, {nontrivial} with J_G != 0, "
     "{case.mode}",
@@ -375,85 +361,79 @@ check_appendix_c = Row(
 # --- acceptance criterion 9: Spin^c classification --------------------------------
 
 
-def check_spinc(seed: int = 0) -> List[CheckResult]:
-    out = []
-    # (i) flag manifolds are always Spin^c
-    ok = True
-    for (g, h) in ZOO_PAIRS:
-        if h != "t":
-            continue
-        c = classify(zoo_problem(g, h))
-        ok = ok and c.is_c_spinorial
-    out.append(CheckResult("spinc-flag-varieties", ok, "H = T always c-spinorial"))
-    # (ii) the oriented-3-planes model is not Spin^c
-    c = classify(zoo_problem("B3:spin", "so3xso4"))
-    out.append(
-        CheckResult(
-            "spinc-so3xso4",
-            (not c.is_spin) and (not c.is_c_spinorial) and c.gamma is None,
-            "Spin(7)/(SO(3)xSO(4)) refuses",
-        )
-    )
-    # (iii) Levi subgroups carry the complex-structure character
-    p = zoo_problem("A2", "levi1")
+def _spinc_setup(holds, note: str, p) -> SimpleNamespace:
     c = classify(p)
-    ok = c.is_c_spinorial and nu(p, c.gamma) == RationalWeight.zero(2)
-    out.append(CheckResult("spinc-levi", ok, f"gamma = {c.gamma}, nu = 0"))
-    # torsor law and semisimple consistency
-    ok = True
-    for (g, h) in ZOO_PAIRS:
-        p = zoo_problem(g, h)
-        c = classify(p)
-        xh = subgroup_character_lattice(p.sub)
-        if xh.rank == 0 and c.is_spin != c.is_c_spinorial:
-            ok = False
-        if c.gamma is not None and xh.columns:
-            chi = xh.columns[0]
-            shifted = tuple(a + 2 * b for a, b in zip(c.gamma, chi))
-            if not nu(p, shifted).is_integral():
-                ok = False
-    out.append(CheckResult("spinc-torsor-law", ok, "gamma + 2X(H) stays c-spinorial"))
-    return out
+    return SimpleNamespace(p=p, c=c, holds=holds, note=note.format(c=c))
+
+
+def _torsor_law(p, c) -> bool:
+    """gamma + 2X(H) stays c-spinorial, and for semisimple H spin and
+    c-spinorial agree."""
+    xh = subgroup_character_lattice(p.sub)
+    if xh.rank == 0 and c.is_spin != c.is_c_spinorial:
+        return False
+    if c.gamma is None or not xh.columns:
+        return True
+    return nu(p, tuple(a + 2 * b for a, b in zip(c.gamma, xh.columns[0]))).is_integral()
+
+
+def _spinc_cases() -> List[tuple]:
+    """(record name, what the classification must satisfy, detail, pair):
+    flag manifolds are always Spin^c, the oriented-3-planes model is not,
+    a Levi subgroup carries the complex-structure character, and the
+    torsor law holds on every pair."""
+    pairs = zoo_problems()
+    return [
+        *((f"spinc-flag-variety {label}", lambda p, c: c.is_c_spinorial,
+           "H = T always c-spinorial", p) for label, p in pairs if not p.sub.positive_h),
+        ("spinc-so3xso4", lambda p, c: not (c.is_spin or c.is_c_spinorial) and c.gamma is None,
+         "Spin(7)/(SO(3)xSO(4)) refuses", zoo_problem("B3:spin", "so3xso4")),
+        ("spinc-levi", lambda p, c: c.is_c_spinorial and nu(p, c.gamma) == RationalWeight.zero(2),
+         "gamma = {c.gamma}, nu = 0", zoo_problem("A2", "levi1")),
+        *((f"spinc-torsor-law {label}", _torsor_law, "gamma + 2X(H) stays c-spinorial", p)
+          for label, p in pairs),
+    ]
+
+
+check_spinc = _fixed(
+    "{}", 9, lambda case: case.holds(case.p, case.c),
+    setup=_spinc_setup, cases=_spinc_cases, show=lambda case: repr(case.c), detail="{case.note}",
+)
 
 
 # --- acceptance criterion 10: duality pairing ---------------------------------------
 
 
-def check_pairing(seed: int = 0) -> List[CheckResult]:
-    out = []
-    for label in ("A1", "A2"):
-        p = zoo_problem(label, "t")
-        for tau_name in ("0", "rhoM"):
-            basis_a, basis_b, tau = steinberg_pairing_bases(p, tau_name)
-            rep = pairing_report(p, tau, basis_a, basis_b)
-            # negative control: doubling one basis element keeps its twist and
-            # invariance but doubles the determinant, which is then no unit
-            doubled = pairing_report(p, tau, [basis_a[0].scale(2)] + basis_a[1:], basis_b)
-            out.append(
-                CheckResult(
-                    f"pairing-unit {label}/t tau={tau_name}",
-                    rep.is_unit and not doubled.is_unit,
-                    f"det = {rep.determinant_character.terms()}",
-                )
-            )
-    return out
+def _pairing_setup(p, tau_name: str) -> SimpleNamespace:
+    basis_a, basis_b, tau = steinberg_pairing_bases(p, tau_name)
+    rep = pairing_report(p, tau, basis_a, basis_b)
+    # negative control: doubling one basis element keeps its twist and
+    # invariance but doubles the determinant, which is then no unit
+    doubled = pairing_report(p, tau, [basis_a[0].scale(2)] + basis_a[1:], basis_b)
+    return SimpleNamespace(p=p, rep=rep, doubled=doubled, det=rep.determinant_character.terms())
+
+
+check_pairing = _fixed(
+    "pairing-unit {}", 10, lambda case: case.rep.is_unit and not case.doubled.is_unit,
+    setup=_pairing_setup,
+    cases=lambda: [
+        (f"{label} tau={tau}", p, tau)
+        for label, p in zoo_problems() if label in ("A1/t", "A2/t") for tau in ("0", "rhoM")
+    ],
+    detail="det = {case.det}",
+)
 
 
 # --- acceptance criterion 11: the SO(4) twisted-module example (appendix B) ---------
 
 
 def check_appendix_b(seed: int = 0) -> List[CheckResult]:
-    out = []
     spin4 = build_root_datum("A1xA1", "weight")
     x1 = irreducible_restriction(spin4, RationalWeight([1, 0]))
     x2 = irreducible_restriction(spin4, RationalWeight([0, 1]))
-    y1 = multiply(x1, x1)
-    y2 = multiply(x2, x2)
-    y3 = multiply(x1, x2)
-    ok = multiply(y1, y2) == multiply(y3, y3)
-    rel = multiply(y3, x1) - multiply(y1, x2)
-    ok = ok and rel.is_zero()
-    out.append(CheckResult("appendix-b-relations", ok, "y1 y2 = y3^2 and y3 x1 = y1 x2"))
+    y1, y2, y3 = multiply(x1, x1), multiply(x2, x2), multiply(x1, x2)
+    ok = multiply(y1, y2) == multiply(y3, y3) and multiply(y3, x1) == multiply(y1, x2)
+    out = [CheckResult("appendix-b-relations", ok, "y1 y2 = y3^2 and y3 x1 = y1 x2")]
     # level decomposition: supports split by total parity and every product
     # stays Weyl-invariant (the restriction lands in R(T)^W at its level)
     rng = random.Random(seed + 11)
@@ -461,49 +441,47 @@ def check_appendix_b(seed: int = 0) -> List[CheckResult]:
     for _ in range(20):
         r1, r2 = rng.randint(0, 3), rng.randint(0, 3)
         prod = TorusElement.unit(spin4)
-        for _ in range(r1):
-            prod = multiply(prod, x1)
-        for _ in range(r2):
-            prod = multiply(prod, x2)
-        parity = (r1 + r2) % 2
-        for k in prod.coeffs:
-            if (k[0] + k[1]) % 2 != parity:
-                ok = False
-        if not is_scope_invariant(prod, spin4):
-            ok = False
-        ge = extract_highest_weights(spin4, prod)
-        for k in ge.coeffs:
-            if (k[0] + k[1]) % 2 != parity:
-                ok = False
-    out.append(
-        CheckResult("appendix-b-level-split", ok, "even/odd level decomposition")
-    )
+        for x in [x1] * r1 + [x2] * r2:
+            prod = multiply(prod, x)
+        keys = [*prod.coeffs, *extract_highest_weights(spin4, prod).coeffs]
+        ok &= is_scope_invariant(prod, spin4) and all((k[0] + k[1] - r1 - r2) % 2 == 0 for k in keys)
+    out.append(CheckResult("appendix-b-level-split", ok, "even/odd level decomposition"))
     return out
 
 
 # --- acceptance criterion 12: Lefschetz fixed-point oracle ------------------------------
 
 
-def check_lefschetz(seed: int = 0, trials: int = 20) -> List[CheckResult]:
-    rng = random.Random(seed + 12)
-    out = []
-    for (g, h) in ZOO_PAIRS:
-        p = zoo_problem(g, h)
-        spinor = irreducible_restriction(p.sub, p.rho_m)
-        hodge = multiply(p.euler, dualize(p.euler))
-        a = random_wh_invariant(p, rng, twist=p.sigma_rho_m, max_support=2)
-        reps = (
-            lefschetz_check(p, p.euler, spinor, trials=trials, seed=seed + 1),
-            lefschetz_check(p, hodge, TorusElement.unit(p.datum), trials=trials, seed=seed + 2),
-            lefschetz_check(p, p.euler, a, trials=trials, seed=seed + 3),
-        )
-        n = len(p.reps.reps)
-        ok = all(r.mismatches == 0 for r in reps)
-        ok = ok and all(l == n for l, _ in reps[1].samples)
-        primes = ", ".join(map(str, sorted({r.prime for r in reps})))
-        detail = f"mismatches {', '.join(str(r.mismatches) for r in reps)} in F_p, p = {primes}"
-        out.append(CheckResult(f"lefschetz {g}/{h}", ok, detail))
-    return out
+def _lefschetz_setup(p) -> SimpleNamespace:
+    hodge = multiply(p.euler, dualize(p.euler))
+    prime, spinor_at = fixed_point_sides(p, p.euler, irreducible_restriction(p.sub, p.rho_m))
+    sides = [spinor_at, fixed_point_sides(p, hodge, TorusElement.unit(p.datum))[1]]
+    return SimpleNamespace(p=p, sides=sides, n=len(p.reps.reps), prime=prime, mismatches=[0] * 3)
+
+
+def _lefschetz_draw(case, rng):
+    if len(case.sides) < 3:  # a random invariant, drawn once per case before its first point
+        a = random_wh_invariant(case.p, rng, twist=case.p.sigma_rho_m, max_support=2)
+        case.sides.append(fixed_point_sides(case.p, case.p.euler, a)[1])
+    return torsion_point(case.p, rng)
+
+
+def _lefschetz_test(case, point):
+    values = [at(*point) for at in case.sides]
+    # each operator's count so far, for the detail line
+    case.mismatches = [m + (l != r) for m, (l, r) in zip(case.mismatches, values)]
+    # the Hodge operator's left side is the Euler characteristic |W^H|
+    return not any(case.mismatches) and values[1][0] == case.n, True
+
+
+check_lefschetz = Row(
+    "lefschetz {}", 12, 20, _lefschetz_test,
+    setup=_lefschetz_setup,
+    draw=_lefschetz_draw,
+    show=lambda point: f"v = {point[0]}",
+    detail="mismatches {case.mismatches[0]}, {case.mismatches[1]}, {case.mismatches[2]} "
+    "in F_p, p = {case.prime}",
+)
 
 
 # --- acceptance criterion 13: Weyl character formula self-check -------------------------
@@ -518,7 +496,7 @@ def _wcf_test(case, lam):
 check_wcf_selfcheck = Row(
     "wcf-selfcheck {}", 13, 50, _wcf_test,
     setup=lambda p: SimpleNamespace(datum=p.datum, d=weyl_denominator(p.datum)),
-    cases=_groups,
+    cases=zoo_groups,
     draw=lambda case, rng: random_dominant_weight(case.datum, rng),
     show=repr,
     detail="{trials} weights",
@@ -528,105 +506,105 @@ check_wcf_selfcheck = Row(
 # --- the paper's further identities, outside the thirteen criteria -------------------
 
 
-def check_charring_invariants(seed: int = 0) -> List[CheckResult]:
-    out = []
-    # denominator factorization through subgroups (restricted dual Euler class)
-    ok = True
-    for (g, h) in ZOO_PAIRS:
-        p = zoo_problem(g, h)
-        lhs = multiply(dualize(p.euler), p.d_h)
-        if lhs != p.d_g:
-            ok = False
-    out.append(CheckResult("charring-denominator-factorization", ok, "e(D)^* d_H = d_G"))
-    # euler multiplicativity along chains
-    ok = True
-    for name, p, t in chain_triples():
-        e_big = euler_class_from_complement(p.datum, p.datum.positive_roots, p.datum.rho)
-        e_step = euler_class(p.sub)
-        e_rel = euler_class_from_complement(p.datum, p.sub.positive_h, p.sub.rho_h)
-        if multiply(e_step, e_rel) != e_big:
-            ok = False
-    out.append(
-        CheckResult("charring-euler-multiplicative", ok, "e(G/T) = e(G/H) e(H/T)")
+check_denominator_factorization = _fixed(
+    "charring-denominator-factorization {}", 21,
+    lambda case: multiply(dualize(case.p.euler), case.p.d_h) == case.p.d_g,
+    detail="e(D)^* d_H = d_G",
+)
+
+
+def _euler_multiplicative(case) -> bool:
+    datum, sub = case.p.datum, case.p.sub
+    e_big = euler_class_from_complement(datum, datum.positive_roots, datum.rho)
+    e_rel = euler_class_from_complement(datum, sub.positive_h, sub.rho_h)
+    return multiply(euler_class(sub), e_rel) == e_big
+
+
+check_euler_multiplicative = _fixed(
+    "charring-euler-multiplicative T<H<{}", 22, _euler_multiplicative,
+    setup=lambda p, t: SimpleNamespace(p=p),
+    cases=lambda: chain_triples(),
+    detail="e(G/T) = e(G/H) e(H/T)",
+)
+
+
+def _rank_at_most_3() -> List[tuple]:
+    return [(label, p) for label, p in zoo_problems() if p.datum.rank <= 3]
+
+
+def _rg_linearity_draw(case, rng):
+    p = case.p
+    b = GroupElement.from_weights(
+        p.datum, {random_dominant_weight(p.datum, rng, dim_cap=60): rng.randint(1, 3)}
     )
-    return out
+    return b, random_wh_invariant(p, rng, twist=p.sigma_rho_m, max_support=2, dim_cap=60)
 
 
-def check_induction_invariants(seed: int = 0) -> List[CheckResult]:
-    rng = random.Random(seed + 41)
-    out = []
-    # R(G)-linearity: i_*(j^*(b) a) = b i_*(a)
-    ok = True
-    for (g, h) in ZOO_PAIRS:
-        p = zoo_problem(g, h)
-        if p.datum.rank > 3:
-            continue
-        for _ in range(5):
-            b = GroupElement.from_weights(
-                p.datum, {random_dominant_weight(p.datum, rng, dim_cap=60): rng.randint(1, 3)}
-            )
-            a = random_wh_invariant(p, rng, twist=p.sigma_rho_m, max_support=2, dim_cap=60)
-            lhs = induce_twisted_spinc(p, multiply(b.to_torus(), a))
-            rhs = group_multiply(b, induce_twisted_spinc(p, a))
-            if lhs != rhs:
-                ok = False
-    out.append(CheckResult("induction-rg-linearity", ok, "i_*(j^*(b) a) = b i_*(a)"))
-    # pairing gram transpose symmetry
-    p = zoo_problem("A1", "t")
+def _rg_linearity_test(case, x):
+    b, a = x
+    lhs = induce_twisted_spinc(case.p, multiply(b.to_torus(), a))
+    return lhs == group_multiply(b, induce_twisted_spinc(case.p, a)), not lhs.is_zero()
+
+
+check_rg_linearity = Row(
+    "induction-rg-linearity {}", 41, 5, _rg_linearity_test,
+    cases=_rank_at_most_3,
+    draw=_rg_linearity_draw,
+    show=lambda x: f"b = {x[0].terms()}, a = {torus_to_text(x[1])}",
+    detail="i_*(j^*(b) a) = b i_*(a)",
+)
+
+
+def _pairing_symmetry(case) -> bool:
+    p = case.p
     ba, bb, tau0 = steinberg_pairing_bases(p, "0")
     r1 = pairing_report(p, tau0, ba, bb)
     r2 = pairing_report(p, p.rho_m.residue_mod_one(), bb, ba)
-    ok = all(
-        r1.gram[i][j] == r2.gram[j][i] for i in range(len(ba)) for j in range(len(bb))
-    )
-    out.append(CheckResult("induction-pairing-symmetry", ok, "gram transposes"))
-    # the de Rham operator's induction: restriction of i_D(a) equals the
-    # plain orbit sum of a over the coset representatives, and the
-    # projection formula i_D(i^*(b)) = i_D(1) b holds
-    ok = True
-    for (g, h) in ZOO_PAIRS:
-        p = zoo_problem(g, h)
-        if p.datum.rank > 3:
-            continue
-        n = len(p.reps.reps)
-        a_d = dualize(p.euler)
-        for _ in range(4):
-            a = random_wh_invariant(p, rng, max_support=2, dim_cap=80)
-            ind = induce_between(p.datum, p.sub, multiply(a_d, a))
-            reps = p.reps.reps
-            orbit = a.replace_coeffs(apply_weyl_sum(reps, [1] * len(reps), a.shift, a.coeffs))
-            if ind.to_torus() != orbit:
-                ok = False
-        lam = random_dominant_weight(p.datum, rng, dim_cap=80)
-        b = GroupElement.from_weights(p.datum, {lam: 1})
-        lhs = induce_between(p.datum, p.sub, multiply(a_d, branch(p, b).to_torus()))
-        rhs = b.scale(n)
-        if lhs != rhs:
-            ok = False
-    out.append(
-        CheckResult(
-            "induction-de-rham",
-            ok,
-            "restriction is the W^H orbit sum; i_D(i^*(b)) = |W^H| b",
-        )
-    )
-    return out
+    return all(r1.gram[i][j] == r2.gram[j][i] for i in range(len(ba)) for j in range(len(bb)))
 
 
-def check_multiplet_invariants(seed: int = 0) -> List[CheckResult]:
-    out = []
-    # the vanishing mechanism: augmentation of the dual Euler class is zero
-    ok = True
-    for (g, h) in ZOO_PAIRS:
-        p = zoo_problem(g, h)
-        if not p.sub.complement_positive:
-            continue
-        if sum(multiply(p.euler, dualize(p.euler)).coeffs.values()) != 0:
-            ok = False
-        if sum(dualize(p.euler).coeffs.values()) != 0:
-            ok = False
-    out.append(CheckResult("multiplet-euler-augmentation", ok, "f^* of the Euler class is 0"))
-    return out
+check_pairing_symmetry = _fixed(
+    "induction-pairing-symmetry", 42, _pairing_symmetry,
+    cases=lambda: [("", zoo_problem("A1", "t"))], detail="gram transposes",
+)
+
+
+def _de_rham_draw(case, rng):
+    a = random_wh_invariant(case.p, rng, max_support=2, dim_cap=80)
+    return a, random_dominant_weight(case.p.datum, rng, dim_cap=80)
+
+
+def _de_rham_test(case, x):
+    """The de Rham operator's induction: the restriction of i_D(a) is the
+    plain orbit sum of a over the coset representatives, and the projection
+    formula i_D(i^*(b)) = |W^H| b holds."""
+    a, lam = x
+    p, reps = case.p, case.p.reps.reps
+    a_d = dualize(p.euler)
+    ind = induce_between(p.datum, p.sub, multiply(a_d, a))
+    orbit = a.replace_coeffs(apply_weyl_sum(reps, [1] * len(reps), a.shift, a.coeffs))
+    b = GroupElement.from_weights(p.datum, {lam: 1})
+    lhs = induce_between(p.datum, p.sub, multiply(a_d, branch(p, b).to_torus()))
+    return ind.to_torus() == orbit and lhs == b.scale(len(reps)), not ind.is_zero()
+
+
+check_de_rham = Row(
+    "induction-de-rham {}", 43, 4, _de_rham_test,
+    cases=_rank_at_most_3,
+    draw=_de_rham_draw,
+    show=lambda x: f"a = {torus_to_text(x[0])}, lambda = {x[1]!r}",
+    detail="restriction is the W^H orbit sum; i_D(i^*(b)) = |W^H| b",
+)
+
+
+# the vanishing mechanism: the augmentation of the dual Euler class is zero
+check_euler_augmentation = _fixed(
+    "multiplet-euler-augmentation {}", 61,
+    lambda case: sum(multiply(case.p.euler, dualize(case.p.euler)).coeffs.values()) == 0
+    and sum(dualize(case.p.euler).coeffs.values()) == 0,
+    cases=lambda: [(label, p) for label, p in zoo_problems() if p.sub.complement_positive],
+    detail="f^* of the Euler class is 0",
+)
 
 
 # --- registry ---------------------------------------------------------------------
@@ -634,20 +612,22 @@ def check_multiplet_invariants(seed: int = 0) -> List[CheckResult]:
 
 SUITES: Dict[str, List[Callable[[int], List[CheckResult]]]] = {
     "weyl": [check_antisymmetrizers],
-    "charring": [check_charring_invariants, check_wcf_selfcheck],
+    "charring": [check_denominator_factorization, check_euler_multiplicative, check_wcf_selfcheck],
     "induction": [
         check_euler_characteristic,
         check_unit_induction,
         check_bwb_agreement,
         check_functoriality,
-        check_induction_invariants,
+        check_rg_linearity,
+        check_pairing_symmetry,
+        check_de_rham,
         check_pairing,
         check_lefschetz,
     ],
     "multiplets": [
         check_gkrs_dimension_sum,
         check_gkrs_identity,
-        check_multiplet_invariants,
+        check_euler_augmentation,
     ],
     "spinc": [check_spinc],
     "appendixB": [check_appendix_b],

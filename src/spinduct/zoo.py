@@ -108,6 +108,14 @@ def zoo_problems() -> List[Tuple[str, InductionProblem]]:
     return [(f"{g}/{h}", zoo_problem(g, h)) for g, h in ZOO_PAIRS]
 
 
+def zoo_groups() -> List[Tuple[str, InductionProblem]]:
+    """The first zoo pair of each group, labelled G."""
+    firsts: Dict[str, str] = {}
+    for g, h in ZOO_PAIRS:
+        firsts.setdefault(g, h)
+    return [(g, zoo_problem(g, h)) for g, h in firsts.items()]
+
+
 # --- seeded random generators -------------------------------------------------
 
 # expansion caps keep Freudenthal runs desk-scale on the rank-4 data

@@ -40,9 +40,9 @@ from spinduct.rootdata import (
 from spinduct.serialize import torus_from_json, torus_to_json, torus_to_text
 from spinduct.weyl import antisymmetrize, apply_antisymmetrizer, generate_weyl
 from spinduct.zoo import (
-    ZOO_PAIRS,
     random_dominant_weight,
     random_torus_element,
+    zoo_groups,
     zoo_problem,
     zoo_problems,
 )
@@ -497,13 +497,9 @@ def _collect_then_divide(a):
     return out
 
 
-def _zoo_groups():
-    return [zoo_problem(g, h) for g, h in dict(ZOO_PAIRS).items()]
-
-
 def test_anti_invariant_decompose_matches_collect_then_divide():
     rng = random.Random(5)
-    for p in _zoo_groups():
+    for _, p in zoo_groups():
         twist = p.datum.rho.residue_mod_one()
         for _ in range(4):
             ja = apply_antisymmetrizer("J_G", random_torus_element(p, rng, twist=twist))
@@ -538,7 +534,7 @@ def _decomposition(fn, a, scope):
 def _seeded_anti_invariants(rng, count):
     """(scope, J(a)) for `count` random a with J(a) != 0 per zoo group, for
     the group and for its subgroup (J_H), each in the scope's [rho] class."""
-    for p in _zoo_groups():
+    for _, p in zoo_groups():
         for scope, kind in ((p.datum, "J_G"), (p.sub, "J_H")):
             found = 0
             while found < count:
@@ -619,7 +615,7 @@ def test_orbit_peeling_and_filter_then_rebuild_refuse_the_same_perturbations(cha
 @pytest.mark.parametrize("where", ["dominant", "antidominant", "reflected"])
 def test_anti_invariant_decompose_rejects_one_extra_monomial(where):
     rng = random.Random(6)
-    for p in _zoo_groups():
+    for _, p in zoo_groups():
         d = p.datum
         ja = apply_antisymmetrizer(
             "J_G", random_torus_element(p, rng, twist=d.rho.residue_mod_one())

@@ -127,6 +127,17 @@ def test_verify_suite(capsys):
     assert all(c["passed"] for c in doc["checks"])
 
 
+def test_spinc_induction_refuses_a_gamma_outside_xh(capsys):
+    """gamma = (2, 1) does not annihilate the coroot of levi1, so it is not
+    a character of H; that is the refusal, before nu(gamma) is looked at."""
+    code, out = run_cli(
+        capsys, "induce", "--group", "A2", "--subgroup", "levi1", "--kind", "spinc",
+        "--gamma", "2,1", "--input", "1",
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "not-in-xh"
+
+
 def test_domain_error_exit_code(capsys):
     code, out = run_cli(capsys, "info", "--group", "Z9")
     assert code == 1

@@ -9,12 +9,20 @@ import sys
 
 import pytest
 
-from spinduct import induction, multiplets, verify
-from spinduct.errors import NotCSpinorial, NotDominant
-from spinduct.induction import induce_between, make_problem
+from spinduct import induction, multiplets, verify, zoo
+from spinduct.charring import TorusElement, dualize, irreducible_restriction, multiply
+from spinduct.errors import NotCSpinorial, NotDominant, UnknownSeries
+from spinduct.induction import induce_between, lefschetz_check, make_problem
 from spinduct.multiplets import multiplet
 from spinduct.weyl import apply_antisymmetrizer
-from spinduct.zoo import ZOO_PAIRS, chain_triples, random_torus_element, zoo_problem
+from spinduct.zoo import (
+    ZOO_PAIRS,
+    chain_triples,
+    random_torus_element,
+    zoo_groups,
+    zoo_problem,
+    zoo_problems,
+)
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -107,8 +115,33 @@ def test_lefschetz_catches_a_doubled_induction(monkeypatch):
     monkeypatch.setattr(induction, "induce_twisted_spinc", lambda *args: real(*args).scale(2))
     results = verify.check_lefschetz(0)
     assert _failed(results) == {f"lefschetz {g}/{h}" for g, h in ZOO_PAIRS}
+    # a row stops at its first mismatch, and the spinor and Hodge operators
+    # both have one at the first point
+    assert all(r.detail.startswith("mismatches 1, 1, ") for r in results)
     # the spinor's left side is 1 and Hodge's |W^H|: doubled, neither agrees anywhere
-    assert all(r.detail.startswith("mismatches 20, 20, ") for r in results)
+    for _, p in zoo_problems():
+        spinor = irreducible_restriction(p.sub, p.rho_m)
+        hodge = multiply(p.euler, dualize(p.euler))
+        assert lefschetz_check(p, p.euler, spinor).mismatches == 20
+        assert lefschetz_check(p, hodge, TorusElement.unit(p.datum)).mismatches == 20
+
+
+def test_lefschetz_and_spinc_rows_keep_their_work_counts(monkeypatch):
+    """Three inductions per pair in the lefschetz rows, one for each
+    operator's symbolic side, whatever the number of points; one
+    classification per spinc record."""
+    calls = []
+
+    def counting(real):
+        return lambda *args: calls.append(real) or real(*args)
+
+    monkeypatch.setattr(induction, "induce_twisted_spinc", counting(induction.induce_twisted_spinc))
+    assert not _failed(verify.check_lefschetz(0, trials=2))
+    assert len(calls) == 3 * len(ZOO_PAIRS)
+    calls.clear()
+    monkeypatch.setattr(verify, "classify", counting(verify.classify))
+    results = verify.check_spinc(0)
+    assert not _failed(results) and len(calls) == len(results) == 15
 
 
 def test_dimension_sum_control_catches_a_constant_sum(monkeypatch):
@@ -162,17 +195,22 @@ def _rows():
     return {name: v for name, v in vars(verify).items() if isinstance(v, verify.Row)}
 
 
+def _short_rows(monkeypatch):
+    """Every Row, in the module and in SUITES, at no more than two trials."""
+    short = {id(row): row._replace(trials=min(row.trials, 2)) for row in _rows().values()}
+    for name, row in _rows().items():
+        monkeypatch.setattr(verify, name, short[id(row)])
+    for key, fns in verify.SUITES.items():
+        monkeypatch.setitem(verify.SUITES, key, [short.get(id(fn), fn) for fn in fns])
+
+
 def test_every_check_sits_in_one_suite(monkeypatch):
     listed = [fn for fns in verify.SUITES.values() for fn in fns]
     checks = [v for name, v in vars(verify).items() if name.startswith("check_")]
     assert all(listed.count(fn) == 1 for fn in checks)
     assert len(listed) == len(checks)
-    # the rows are all there is to the sampled checks; run them at two trials
-    short = {id(row): row._replace(trials=2) for row in _rows().values()}
-    for name, row in _rows().items():
-        monkeypatch.setattr(verify, name, short[id(row)])
-    for key, fns in verify.SUITES.items():
-        monkeypatch.setitem(verify.SUITES, key, [short.get(id(fn), fn) for fn in fns])
+    # the rows are all there is to the checks but two; run them at two trials at most
+    _short_rows(monkeypatch)
     results = verify.run_suite("all")
     names = [r.name for r in results]
     assert len(names) == len(set(names))
@@ -199,20 +237,74 @@ def test_an_error_fails_its_case_alone(monkeypatch):
     assert bad.counterexample == "not-dominant: raised on F4"
     assert bad.detail == "raised after 1 of 2 inputs"
 
+    # the same on a fixed check, where the error comes from a case's setup
+    real_classify = verify.classify
+
+    def classify(p):
+        if p.datum.cartan_label == "F4":
+            raise NotCSpinorial("raised on F4")
+        return real_classify(p)
+
+    want = verify.check_spinc(0)
+    monkeypatch.setattr(verify, "classify", classify)
+    got = verify.check_spinc(0)
+    assert _failed(got) == {"spinc-torsor-law F4/b4"}
+    assert [r for r in got if r.passed] == [r for r in want if r.name != "spinc-torsor-law F4/b4"]
+    (bad,) = [r for r in got if not r.passed]
+    assert bad.counterexample == "not-c-spinorial: raised on F4"
+    assert bad.detail == "raised after 0 of 1 inputs"
+
 
 def test_an_error_in_a_check_gives_one_failing_record(monkeypatch):
-    """run_suite records a SpinductError raised by a hand-written check as
-    one failing record and goes on with the suite."""
+    """A check raising on every case fails each of its records, and the
+    suite goes on; run_suite records an error raised outside a Row as one
+    failing record named after the check."""
     def classify(p):
         raise NotCSpinorial("raised by classify")
 
+    names = [r.name for r in verify.check_spinc(0)]
     monkeypatch.setattr(verify, "classify", classify)
     results = verify.run_suite("spinc")
-    assert [(r.name, r.passed, r.counterexample) for r in results] == [
-        ("check_spinc", False, "not-c-spinorial: raised by classify"),
-    ]
+    assert [r.name for r in results] == names and len(names) == 15
+    assert {(r.passed, r.detail, r.counterexample) for r in results} == {
+        (False, "raised after 0 of 1 inputs", "not-c-spinorial: raised by classify"),
+    }
     monkeypatch.setitem(verify.SUITES, "spinc", [verify.check_spinc, verify.check_appendix_b])
-    assert [r.passed for r in verify.run_suite("spinc")] == [False, True, True]
+    assert [r.passed for r in verify.run_suite("spinc")] == [False] * 15 + [True, True]
+
+    def build_root_datum(label, lattice):
+        raise UnknownSeries("raised by build_root_datum")
+
+    monkeypatch.setattr(verify, "build_root_datum", build_root_datum)
+    assert [(r.name, r.passed, r.counterexample) for r in verify.run_suite("appendixB")] == [
+        ("check_appendix_b", False, "unknown-series: raised by build_root_datum"),
+    ]
+
+
+def test_a_pair_added_to_the_zoo_reaches_every_check(monkeypatch):
+    """The adjoint pair A1:root/t, added to the zoo's pair table alone,
+    gets a record in every check that walks the pairs, and its group one in
+    every check that walks the groups; every record passes."""
+    labels = {label for label, _ in zoo_problems()}
+    groups = {g for g, _ in zoo_groups()}
+    monkeypatch.setattr(zoo, "ZOO_PAIRS", ZOO_PAIRS + (("A1:root", "t"),))
+    _short_rows(monkeypatch)
+    results = verify.run_suite("all")
+    assert not _failed(results)
+    cases = {}
+    for r in results:
+        check, _, case = r.name.rpartition(" ")
+        cases.setdefault(check, set()).add(case)
+    # a fixed record such as `gkrs-h-equals-g A2` names one case; a walk names them all
+    walk_pairs = {check for check, seen in cases.items() if len(seen & labels) > 1}
+    walk_groups = {check for check, seen in cases.items() if len(seen & groups) > 1}
+    assert len(walk_pairs) == 13 and len(walk_groups) == 2
+    assert all("A1:root/t" in cases[check] for check in walk_pairs)
+    assert all("A1:root" in cases[check] for check in walk_groups)
+
+
+def test_verify_walks_no_pair_list_of_its_own():
+    assert "ZOO_PAIRS" not in vars(verify)
 
 
 ROW_LINES = """
