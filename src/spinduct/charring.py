@@ -17,7 +17,6 @@ Coefficients are exact integers throughout.
 from __future__ import annotations
 
 import math
-from functools import cache
 from itertools import repeat
 from operator import mul, ne
 from types import MappingProxyType
@@ -42,6 +41,7 @@ from .rootdata import (
     ratio_text,
     rescale,
     scaled,
+    scope_state,
     vneg,
 )
 from .weyl import check_stable, generate_weyl
@@ -248,18 +248,23 @@ def euler_class_from_complement(
     )
 
 
-@cache
 def euler_class(sub: SubgroupDatum) -> TorusElement:
     """Euler class of the twisted Dirac operator of G/H, restricted to T."""
-    return euler_class_from_complement(sub.parent, sub.complement_positive, sub.rho_m)
+    state = scope_state(sub)
+    if state.euler is None:
+        state.euler = euler_class_from_complement(sub.parent, sub.complement_positive, sub.rho_m)
+    return state.euler
 
 
-@cache
 def weyl_denominator(scope: Scope) -> TorusElement:
     """d = e^rho * prod over positive roots of (1 - e^(-alpha)): the dual of
     euler_class_from_complement over the scope's own positive roots and rho.
     Anti-invariant under the scope's Weyl group; twist class [rho]."""
-    return dualize(euler_class_from_complement(scope.datum, scope.positive, scope.rho_vec))
+    state = scope_state(scope)
+    if state.denominator is None:
+        product = euler_class_from_complement(scope.datum, scope.positive, scope.rho_vec)
+        state.denominator = dualize(product)
+    return state.denominator
 
 
 # --- highest-weight elements -------------------------------------------------
@@ -409,15 +414,17 @@ def _freudenthal(
     return mult
 
 
-@cache
 def irreducible_restriction(scope: Scope, lam: RationalWeight) -> TorusElement:
     """Full T-character of the irreducible with highest weight lam: the
     dominant weights by positive-root search, their multiplicities by the
     Freudenthal recursion, then the Weyl orbits; exact multiplicities.
 
     The result is Weyl-invariant for the scope and has coefficient 1 at
-    lam.  Results are cached per (scope, weight).
+    lam.  Results are kept per weight in the scope's scope_state.
     """
+    characters = scope_state(scope).characters
+    if lam in characters:
+        return characters[lam]
     _scope_pairings_ok(scope, lam)
     # everything is scaled by a common denominator D, so weights are integral
     den = math.lcm(lam.den, scope.rho_vec.den)
@@ -425,7 +432,8 @@ def irreducible_restriction(scope: Scope, lam: RationalWeight) -> TorusElement:
     expanded = kernels.orbit_expand(
         list(mult.items()), scope.basis, scope.basis_coroots, generate_weyl(scope).orbit_trees
     )
-    return TorusElement(scope.datum, lam, rescale(expanded, den, lam.den))
+    characters[lam] = TorusElement(scope.datum, lam, rescale(expanded, den, lam.den))
+    return characters[lam]
 
 
 # --- anti-invariants ------------------------------------------------------------

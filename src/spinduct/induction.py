@@ -42,6 +42,7 @@ from .rootdata import (
     dot,
     rescale,
     scaled,
+    scope_state,
 )
 from .spinc import nu
 from .weyl import (
@@ -55,18 +56,17 @@ from .weyl import (
 
 class InductionProblem:
     """The standing data of a pair (G, H) with a G-side twist sigma: the
-    Weyl groups and the minimal coset representatives, built once and
-    shared, and the two twist classes its operations check, as canonical
-    residues: `sigma` (zero by default), `sigma_rho_m` = sigma + [rho_M]
-    for inputs of twisted induction and weights of BWB, and `sigma_rho_g` =
-    sigma + [rho_G] for multiplet sources.  W itself, the denominators and
-    the Euler class are built only when first read."""
+    Weyl groups and W^H, read from the scopes' scope_state entries, and the
+    two twist classes its operations check, as canonical residues: `sigma`
+    (zero by default), `sigma_rho_m` = sigma + [rho_M] for inputs of
+    twisted induction and weights of BWB, and `sigma_rho_g` = sigma +
+    [rho_G] for multiplet sources.  W's elements, the denominators and the
+    Euler class are built only when first read.  make_problem keeps the
+    problem in the subgroup's entry, so forget_scopes drops it with them."""
 
     def __init__(
         self, datum: RootDatum, sub: SubgroupDatum, sigma: Optional[RationalWeight] = None
     ):
-        if sub.parent != datum:
-            raise DatumMismatch("subgroup belongs to a different datum")
         self.datum = datum
         self.sub = sub
         self.sigma = datum.zero_twist if sigma is None else sigma.residue_mod_one()
@@ -98,32 +98,37 @@ class InductionProblem:
 def make_problem(
     datum: RootDatum, sub: SubgroupDatum, sigma: Optional[RationalWeight] = None
 ) -> InductionProblem:
-    """The InductionProblem of (datum, sub, sigma), one object per equal
-    arguments however they are passed; no sigma is the zero twist."""
-    return _cached_problem(datum, sub, datum.zero_twist if sigma is None else sigma)
-
-
-_cached_problem = cache(InductionProblem)
+    """The InductionProblem of (datum, sub, sigma), one per sigma in the
+    subgroup's scope_state, however the arguments are passed; no sigma is
+    the zero twist."""
+    if sub.parent != datum:
+        raise DatumMismatch("subgroup belongs to a different datum")
+    sigma = datum.zero_twist if sigma is None else sigma
+    problems = scope_state(sub).problems
+    if sigma not in problems:
+        problems[sigma] = InductionProblem(datum, sub, sigma)
+    return problems[sigma]
 
 
 # --- chamber collection (the partial / boundary operators) -----------------
 
 
-@cache
 def _check_partial_twist(scope: Scope, shift: RationalWeight) -> None:
     """The shifted-module typing: the shift must be stable under the scope
-    group and pair integrally with scope coroots.  Passing (scope, shift)
-    pairs are remembered; a failing pair raises on every call."""
+    group and pair integrally with scope coroots.  Passing shifts are kept
+    in the scope's scope_state; a failing shift raises on every call."""
+    chambered = scope_state(scope).chambered
+    if shift in chambered:
+        return
     try:
         check_stable(scope, shift)
     except ShiftNotStable as exc:
         raise BadTwist(str(exc))
-    for cv in scope.basis_coroots:
-        if dot(cv, shift.nums) % shift.den:
-            raise BadTwist(
-                "shift pairs non-integrally with a scope coroot; "
-                "the module has no chamber structure"
-            )
+    if any(dot(cv, shift.nums) % shift.den for cv in scope.basis_coroots):
+        raise BadTwist(
+            "shift pairs non-integrally with a scope coroot; the module has no chamber structure"
+        )
+    chambered.add(shift)
 
 
 def collect_to_chamber(scope: Scope, a: TorusElement) -> GroupElement:

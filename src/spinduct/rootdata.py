@@ -357,13 +357,16 @@ def _order_from_heights(positive: Sequence[Weight], basis: Sequence[Weight]) -> 
 
 
 class _ScopeConstants:
-    """Per-scope constants, computed on first read and kept on the (cached)
-    scope object: the Weyl group's order, rho, those of the Weyl dimension
+    """Per-scope constants, computed on first read and kept on the scope
+    object: the Weyl group's order, rho, those of the Weyl dimension
     formula and the zero twist.  They are tuples, ints and immutable
-    RationalWeights, so no reader can change them.
+    RationalWeights, so no reader can change them.  Every value built from
+    a scope (its Weyl group, W^H, denominators, characters, problems)
+    lives in the scope's one `scope_state` entry instead.
 
-    Two scopes are equal, and hash alike, when their scope_key()s agree;
-    every cache keyed by a scope relies on this."""
+    Two scopes are equal, and hash alike, when their scope_key()s agree,
+    and then share one entry.  Every attribute is a function of the key,
+    `lattice_choice` too, as the lattice is named from the key."""
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -430,6 +433,10 @@ class RootDatum(_ScopeConstants):
         self.lattice_choice = lattice_choice
         self._generate_roots()
         self.key = (cartan_label, self.simple_roots, self.simple_coroots)
+        # the scope protocol, shared with SubgroupDatum
+        self.datum, self.basis, self.basis_coroots = self, self.simple_roots, self.simple_coroots
+        self.positive = self.positive_roots
+        self.rho = self.rho_vec
 
     def _generate_roots(self) -> None:
         """Reflection closure of the simple roots, carrying coroots, squared
@@ -494,28 +501,6 @@ class RootDatum(_ScopeConstants):
         if v not in self.root_set:
             raise NotARoot(f"simple coordinates {tuple(sc)} do not name a root")
         return v
-
-    # --- scope protocol (shared with SubgroupDatum) ----------------------
-
-    @property
-    def datum(self) -> "RootDatum":
-        return self
-
-    @property
-    def basis(self) -> Tuple[Weight, ...]:
-        return self.simple_roots
-
-    @property
-    def basis_coroots(self) -> Tuple[Covector, ...]:
-        return self.simple_coroots
-
-    @property
-    def positive(self) -> Tuple[Weight, ...]:
-        return self.positive_roots
-
-    @property
-    def rho(self) -> RationalWeight:
-        return self.rho_vec
 
     def scope_key(self):
         return (self.key, "G")
@@ -592,45 +577,34 @@ def _build_root_datum(blocks, rank: int, lattice_choice) -> RootDatum:
             len2s.append(2 * d[j])
         offset += n
 
-    # lattice basis matrix B (columns in fundamental-weight coordinates)
-    if isinstance(lattice_choice, str):
-        lc = lattice_choice.lower()
-        if lc in ("weight", "spin", "sc"):
-            basis_cols = [
-                [1 if i == j else 0 for i in range(rank)] for j in range(rank)
-            ]
-            choice_name = "weight"
-        elif lc == "root":
-            if len(simple_cols) == rank:
-                basis_cols = [list(c) for c in simple_cols]
-            else:
-                # pad torus coordinates with unit vectors
-                basis_cols = [list(c) for c in simple_cols]
-                seen = {next(i for i, x in enumerate(cv) if x) for cv in simple_covs}
-                for i in range(rank):
-                    if i not in seen:
-                        basis_cols.append([1 if k == i else 0 for k in range(rank)])
-            choice_name = "root"
-        else:
-            raise LatticeNotIntermediate(f"unknown lattice choice {lattice_choice!r}")
-    else:
+    # lattice basis matrix B (columns in fundamental-weight coordinates); the
+    # root lattice's basis pads the torus coordinates with unit vectors
+    weight = [[int(i == j) for i in range(rank)] for j in range(rank)]
+    seen = {next(i for i, x in enumerate(cv) if x) for cv in simple_covs}
+    root = simple_cols + [weight[i] for i in range(rank) if i not in seen]
+    if not isinstance(lattice_choice, str):
         basis_cols = [list(map(int, v)) for v in lattice_choice]
-        choice_name = "custom"
+    elif lattice_choice.lower() in ("weight", "spin", "sc", "root"):
+        basis_cols = root if lattice_choice.lower() == "root" else weight
+    else:
+        raise LatticeNotIntermediate(f"unknown lattice choice {lattice_choice!r}")
     if len(basis_cols) != rank:
         raise LatticeNotIntermediate("lattice basis must have full rank")
     b_mat = intlinalg.transpose(basis_cols)  # rows = weight coordinates
-
     # rebase: roots must stay integral (root lattice inside the new lattice)
-    new_simples: List[Weight] = []
-    for col in simple_cols:
-        sol = intlinalg.solve_integer(b_mat, col)
-        if sol is None:
-            raise LatticeNotIntermediate(
-                "chosen lattice does not contain the root lattice"
-            )
-        new_simples.append(tuple(sol))
-    bt = intlinalg.transpose(b_mat)
-    new_covs = [intlinalg.matvec(bt, cov) for cov in simple_covs]
+    sols = [intlinalg.solve_integer(b_mat, col) for col in simple_cols]
+    if None in sols:
+        raise LatticeNotIntermediate("chosen lattice does not contain the root lattice")
+
+    def over(cols, simples):
+        """The simple roots and coroots over a basis: the datum's key."""
+        return [tuple(x) for x in simples], [intlinalg.matvec(cols, cv) for cv in simple_covs]
+
+    new_simples, new_covs = over(basis_cols, sols)
+    # the lattice is named from the key, so equal data carry one name; over
+    # the root basis the simple roots are unit vectors
+    named = {"weight": over(weight, simple_cols), "root": over(root, weight[: len(simple_cols)])}
+    choice_name = next((n for n, key in named.items() if key == (new_simples, new_covs)), "custom")
 
     datum = RootDatum(
         canonical_label(blocks), rank, new_simples, new_covs, len2s, choice_name
@@ -659,19 +633,18 @@ class SubgroupDatum(_ScopeConstants):
         root_set = {tuple(a) for a in roots}
         self.roots_h = frozenset(root_set)
         self.positive_h = tuple(a for a in parent.positive_roots if a in root_set)
-        self.complement_positive = tuple(
-            a for a in parent.positive_roots if a not in root_set
-        )
+        self.complement_positive = tuple(a for a in parent.positive_roots if a not in root_set)
         if len(root_set) != 2 * len(self.positive_h):
             raise InternalInconsistency("subsystem is not symmetric")
         # basis = indecomposable positive elements
-        basis = []
         pos_h = set(self.positive_h)
-        for a in self.positive_h:
-            if not any(vsub(a, b) in pos_h for b in self.positive_h if b != a):
-                basis.append(a)
-        self.basis_h = tuple(basis)
+        self.basis_h = tuple(a for a in self.positive_h
+                             if not any(vsub(a, b) in pos_h for b in self.positive_h if b != a))
         self.basis_h_coroots = tuple(parent.coroot(a) for a in self.basis_h)
+        # the scope protocol, shared with RootDatum
+        self.datum, self.basis, self.basis_coroots = parent, self.basis_h, self.basis_h_coroots
+        self.positive = self.positive_h
+        self.rho_h = self.rho_vec
         self.rho_m = parent.rho - self.rho_h
         self.is_levi = self._levi_test()
         self.key = (parent.key, tuple(sorted(self.positive_h)))
@@ -690,28 +663,6 @@ class SubgroupDatum(_ScopeConstants):
             if g not in own
         )
 
-    # --- scope protocol ---------------------------------------------------
-
-    @property
-    def datum(self) -> RootDatum:
-        return self.parent
-
-    @property
-    def basis(self) -> Tuple[Weight, ...]:
-        return self.basis_h
-
-    @property
-    def basis_coroots(self) -> Tuple[Covector, ...]:
-        return self.basis_h_coroots
-
-    @property
-    def positive(self) -> Tuple[Weight, ...]:
-        return self.positive_h
-
-    @property
-    def rho_h(self) -> RationalWeight:
-        return self.rho_vec
-
     def scope_key(self):
         return (self.key, "H")
 
@@ -729,6 +680,38 @@ class SubgroupDatum(_ScopeConstants):
 
 
 Scope = Union[RootDatum, SubgroupDatum]
+
+
+class ScopeState:
+    """The values built for one scope and kept for the process: its Weyl
+    group, denominator, characters by highest weight and the twists that
+    passed `check_stable` and the chamber-structure check; for a subgroup
+    also W^H, the Euler class and the problems by sigma.  The function that
+    returns a value stores it here on its first call; a raising call, never."""
+
+    __slots__ = ("weyl", "cosets", "denominator", "euler", "characters", "problems", "stable", "chambered")
+
+    def __init__(self):
+        self.weyl = self.cosets = self.denominator = self.euler = None
+        self.characters, self.problems, self.stable, self.chambered = {}, {}, set(), set()
+
+
+_SCOPES: Dict[Scope, ScopeState] = {}
+
+
+def scope_state(scope: Scope) -> ScopeState:
+    """The scope's entry in the one registry of per-scope values, made on
+    first use; equal scopes (one scope_key()) share it."""
+    state = _SCOPES.get(scope)
+    return state if state is not None else _SCOPES.setdefault(scope, ScopeState())
+
+
+def forget_scopes() -> None:
+    """Drop every scope's entry, and the cached root data and subgroups that
+    scopes are built from, so that every value is built again on next use."""
+    _SCOPES.clear()
+    _named_root_datum.cache_clear()
+    _subgroup_closure.cache_clear()
 
 
 SUBGROUP_CACHE_SIZE = 256

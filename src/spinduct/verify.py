@@ -551,7 +551,7 @@ check_rg_linearity = Row(
     cases=_rank_at_most_3,
     draw=_rg_linearity_draw,
     show=lambda x: f"b = {x[0].terms()}, a = {torus_to_text(x[1])}",
-    detail="i_*(j^*(b) a) = b i_*(a)",
+    detail=NONTRIVIAL,
 )
 
 
@@ -593,7 +593,7 @@ check_de_rham = Row(
     cases=_rank_at_most_3,
     draw=_de_rham_draw,
     show=lambda x: f"a = {torus_to_text(x[0])}, lambda = {x[1]!r}",
-    detail="restriction is the W^H orbit sum; i_D(i^*(b)) = |W^H| b",
+    detail=NONTRIVIAL,
 )
 
 

@@ -3,13 +3,13 @@ reduction, and the antisymmetrizer operators."""
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Dict, FrozenSet, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import kernels, rootdata
 from .errors import DatumMismatch, InternalInconsistency, OrderCapExceeded, ShiftNotStable
 from .intlinalg import identity, matvec
-from .rootdata import RationalWeight, Scope, SubgroupDatum, Weight
+from .rootdata import RationalWeight, Scope, SubgroupDatum, Weight, scope_state
 
 Matrix = Tuple[Tuple[int, ...], ...]
 
@@ -87,16 +87,10 @@ class WeylGroup:
     def __init__(self, scope: Scope):
         self.scope = scope
         self.datum = scope.datum
-
-    @property
-    def order(self) -> int:
-        return self.scope.weyl_order
-
-    @cached_property
-    def orbit_trees(self) -> Dict[Tuple[int, ...], kernels.OrbitTree]:
-        """The orbit walk's tree per stabilizer type (the walls of a dominant
-        weight), filled by orbit_expand and signed_orbit as types appear."""
-        return {}
+        self.order = scope.weyl_order
+        # the orbit walk's tree per stabilizer type (the walls of a dominant
+        # weight), filled by orbit_expand and signed_orbit as types appear
+        self.orbit_trees: Dict[Tuple[int, ...], kernels.OrbitTree] = {}
 
     @cached_property
     def packed_orbit(self) -> Optional[kernels.PackedOrbit]:
@@ -124,11 +118,13 @@ class WeylGroup:
         return self._walk[1]
 
 
-@cache
 def generate_weyl(scope: Scope) -> WeylGroup:
-    """The Weyl group of a RootDatum or SubgroupDatum (cached); its elements
-    are enumerated only when first read."""
-    return WeylGroup(scope)
+    """The Weyl group of a RootDatum or SubgroupDatum, one per scope (kept in
+    its scope_state); its elements are enumerated only when first read."""
+    state = scope_state(scope)
+    if state.weyl is None:
+        state.weyl = WeylGroup(scope)
+    return state.weyl
 
 
 class _Cosets(NamedTuple):
@@ -149,20 +145,23 @@ class CosetReps(_Cosets):
         return kernels.pack_matrices([e.matrix for e in self.inverses], self.subgroup.basis_coroots)
 
 
-@cache
 def coset_representatives(w: WeylGroup, sub: SubgroupDatum) -> CosetReps:
-    """W^H by the descent walk of `_closure` with R_H^+ avoided (cached per
-    pair; a mismatched pair, or one over the order cap, raises and is never
-    stored).  Each coset w W_H has one element in W^H, as W_H acts simply
-    transitively on the positive systems of R_H (Humphreys 1.8).  If w is
-    in W^H and l(s w) < l(w), then w^{-1}(alpha_s) < 0 is not in R_H^+, so
-    s w is in W^H too: the walk reaches all of W^H, each element once."""
-    if sub.parent != w.datum:
+    """W^H by the descent walk of `_closure` with R_H^+ avoided, kept in the
+    subgroup's scope_state (w must be W of its parent; a mismatched pair,
+    or one over the order cap, raises and stores nothing).  Each coset w W_H
+    has one element in W^H, as W_H acts simply transitively on the positive
+    systems of R_H (Humphreys 1.8).  If w is in W^H and l(s w) < l(w), then
+    w^{-1}(alpha_s) < 0 is not in R_H^+, so s w is in W^H too: the walk
+    reaches all of W^H, each element once."""
+    if w.scope != sub.parent:
         raise DatumMismatch("subgroup does not belong to this Weyl group")
-    reps, inverses = _closure(w.scope, sub.roots_h)
-    if len(reps) * generate_weyl(sub).order != w.order:
-        raise InternalInconsistency("coset count mismatch")
-    return CosetReps(reps, sub, inverses)
+    state = scope_state(sub)
+    if state.cosets is None:
+        reps, inverses = _closure(w.scope, sub.roots_h)
+        if len(reps) * generate_weyl(sub).order != w.order:
+            raise InternalInconsistency("coset count mismatch")
+        state.cosets = CosetReps(reps, sub, inverses)
+    return state.cosets
 
 
 class Regular(NamedTuple):
@@ -188,17 +187,19 @@ def to_dominant_chamber(scope: Scope, mu: RationalWeight) -> Optional[Regular]:
     return Regular(WeylElement(mat, len(path)), RationalWeight(image, mu.den))
 
 
-@cache
 def check_stable(scope: Scope, shift: RationalWeight) -> None:
     """Raise ShiftNotStable unless the scope's Weyl group keeps the class
     shift + X(T): s_i(delta) - delta = -<delta, alpha_i^vee> alpha_i must
     lie in X(T) for every simple root alpha_i (stable under the simple
-    reflections iff under W).  Passing pairs are remembered; a failing pair
-    raises on every call."""
-    for a, av in zip(scope.basis, scope.basis_coroots):
-        p = rootdata.dot(av, shift.nums)
-        if any(p * x % shift.den for x in a):
-            raise _not_stable(shift)
+    reflections iff under W).  Passing shifts are remembered in the scope's
+    scope_state; a failing shift raises on every call."""
+    stable = scope_state(scope).stable
+    if shift not in stable:
+        for a, av in zip(scope.basis, scope.basis_coroots):
+            p = rootdata.dot(av, shift.nums)
+            if any(p * x % shift.den for x in a):
+                raise _not_stable(shift)
+        stable.add(shift)
 
 
 def _not_stable(shift: RationalWeight) -> ShiftNotStable:

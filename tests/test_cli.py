@@ -274,6 +274,26 @@ def test_failed_self_check_is_one_json_record(argv):
         assert doc["error"] == {"code": "internal-inconsistency", "message": "coset count mismatch"}
 
 
+def test_an_explicit_weight_basis_changes_no_later_answer():
+    """info on A2 with the identity lattice basis names the lattice "weight",
+    and a pairing asked next in the same process answers with the bytes of
+    a fresh process: the two data are equal, so they share one problem."""
+    import subprocess
+
+    doc = {"command": "info", "group": {"label": "A2", "lattice": [[1, 0], [0, 1]]}}
+    pairing = ["pairing", "--group", "A2", "--subgroup", "t"]
+    code = ("import io, sys; from spinduct import cli; "
+            f"sys.stdin = io.StringIO({json.dumps(doc)!r}); "
+            "cli.main(['info', '--problem', '-']); "
+            f"sys.exit(cli.main({pairing!r}))")
+    proc = _python("-c", code, stdout=subprocess.PIPE)
+    fresh = _python("-m", "spinduct.cli", *pairing, stdout=subprocess.PIPE)
+    assert (proc.returncode, fresh.returncode) == (0, 0)
+    info, answer = proc.stdout.decode().splitlines()
+    assert json.loads(info)["diagnostics"]["lattice"] == "weight"
+    assert answer + "\n" == fresh.stdout.decode()
+
+
 @pytest.mark.parametrize("patch, status", [
     ("", 0),
     ("verify.nu = lambda *a: verify.RationalWeight([1, 1]); ", 1),
@@ -562,8 +582,7 @@ def test_e6_queries_build_the_root_datum_once(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(rd.RootDatum, "__init__", counting_init)
-    rd._named_root_datum.cache_clear()
-    rd._subgroup_closure.cache_clear()
+    rd.forget_scopes()
     a2_cubed = json.dumps([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
                            [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1], [1, 2, 2, 3, 2, 1]])
     for argv in (("info",), ("bwb", "--mu", "1,0,0,0,0,1")):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinduct import kernels
-from spinduct.rootdata import build_root_datum
+from spinduct.rootdata import build_root_datum, forget_scopes
 from spinduct.weyl import generate_weyl
 
 
@@ -409,11 +409,9 @@ def test_f4_packed_orbit_table_is_built_once(monkeypatch):
     from spinduct.charring import TorusElement
     from spinduct.weyl import apply_antisymmetrizer
 
+    # a fresh F4 group, without the tables earlier tests left on it
+    forget_scopes()
     f4 = build_root_datum("F4")
-    # forget the tables earlier tests left on F4's group; clearing the whole
-    # generate_weyl cache would leave cached problems holding stale groups
-    for name in ("orbit_trees", "packed_orbit"):
-        vars(generate_weyl(f4)).pop(name, None)
     builds = []
     pack = kernels.pack_orbit
 

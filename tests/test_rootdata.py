@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -418,6 +420,23 @@ def test_explicit_lattices_are_built_afresh():
     assert build_root_datum("A2", gens) is not build_root_datum("A2", gens)
 
 
+@pytest.mark.parametrize("label, lattice, name", [
+    ("A2", [[1, 0], [0, 1]], "weight"),
+    ("A2", [[2, -1], [-1, 2]], "root"),
+    ("A2", [[1, 0], [1, 1]], "custom"),
+    # another basis of the weight lattice that gives the same roots and coroots
+    ("A1xT1", [[1, 0], [0, -1]], "weight"),
+    ("A1xT1", "root", "root"),
+    # a torus's root lattice basis is the identity
+    ("T1", "root", "weight"),
+])
+def test_equal_data_carry_one_lattice_name(label, lattice, name):
+    d = build_root_datum(label, lattice)
+    assert d.lattice_choice == name
+    if name != "custom":
+        assert d == build_root_datum(label, name)
+
+
 def test_cached_data_are_immutable():
     d = build_root_datum("A2")
     with pytest.raises(AttributeError):
@@ -425,34 +444,44 @@ def test_cached_data_are_immutable():
     assert d.is_root(d.simple_roots[0]) and not d.is_root((9, 9))
 
 
-def test_subgroup_cache_is_keyed_and_bounded():
+def test_subgroup_cache_is_keyed_and_bounded(monkeypatch):
     import spinduct.rootdata as rd
 
-    closure = rd._subgroup_closure
     d = build_root_datum("B3")
     a, b = d.positive_roots[0], d.positive_roots[1]
     assert subgroup_from_roots(d, [a]) is subgroup_from_roots(d, (a,))
     assert subgroup_from_roots(d, [a]) is not subgroup_from_roots(d, [a, b])
-    assert closure.cache_info().maxsize == rd.SUBGROUP_CACHE_SIZE == 256
-    closure.cache_clear()
+    assert rd.SUBGROUP_CACHE_SIZE == 256
+    rd.forget_scopes()
+    d = build_root_datum("B3")
+    # every closure that runs (a miss) checks that its generators are roots
+    misses = []
+    is_root = rd.RootDatum.is_root
+    monkeypatch.setattr(
+        rd.RootDatum, "is_root", lambda self, g: misses.append(g) or is_root(self, g)
+    )
     gens = list(itertools.product(d.roots, repeat=2))[: rd.SUBGROUP_CACHE_SIZE + 1]
     for g in gens[:-1]:
         subgroup_from_roots(d, g)
+    assert len(misses) == 2 * 256
     first = subgroup_from_roots(d, gens[0])
     # a full cache drops the least recently used entry, gens[1], not gens[0]
     subgroup_from_roots(d, gens[-1])
-    assert closure.cache_info().currsize == 256
     assert subgroup_from_roots(d, gens[0]) is first
-    misses = closure.cache_info().misses
+    assert len(misses) == 2 * 257
     subgroup_from_roots(d, gens[1])
-    assert closure.cache_info().misses == misses + 1
+    assert len(misses) == 2 * 258
+    # so it held 256 entries: gens[0], gens[2:] and gens[-1], and now gens[1]
+    # in place of gens[2], while gens[0] and gens[-1] stay
+    assert subgroup_from_roots(d, gens[0]) is first
+    subgroup_from_roots(d, gens[-1])
+    assert len(misses) == 2 * 258
     with pytest.raises(NotASubsetOfRoots):
         subgroup_from_roots(d, [(9, 9, 9)])
-    assert closure.cache_info().misses == misses + 2
-    assert closure.cache_info().currsize == 256
+    assert len(misses) == 2 * 258 + 1
     with pytest.raises(NotASubsetOfRoots):
         subgroup_from_roots(d, [(9, 9, 9)])
-    assert closure.cache_info().misses == misses + 3
+    assert len(misses) == 2 * 258 + 2
 
 
 def test_scopes_compare_by_key():
@@ -469,6 +498,52 @@ def test_scopes_compare_by_key():
     full = subgroup_from_roots(ds[0], ds[0].roots)
     assert ds[0] != full and full != ds[0]
     assert full == subgroup_from_roots(ds[1], list(reversed(ds[1].roots)))
+
+
+def _functools_caches(tree):
+    """The names a module binds, at its top level, to a functools cache or
+    lru_cache, by decorator or by assignment, under any imported alias."""
+    caches = {"cache", "lru_cache"}
+    aliases = {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+               and node.module == "functools" for a in node.names if a.name in caches}
+    found = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound = [(node.name, d) for d in node.decorator_list]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [(t.id, node.value) for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name, expr in bound:
+            for sub in ast.walk(expr):
+                if (isinstance(sub, ast.Name) and sub.id in aliases) or (
+                    isinstance(sub, ast.Attribute) and sub.attr in caches
+                ):
+                    found.add(name)
+    return found
+
+
+def test_per_scope_values_have_no_module_level_cache():
+    """Every value built from a scope lives in its scope_state entry; the
+    only functools caches left at module level build scopes (root data,
+    subgroups) or hold what no scope owns (the torsion field, the parser)."""
+    import spinduct
+
+    found = set()
+    for path in pathlib.Path(spinduct.__file__).parent.glob("*.py"):
+        found |= _functools_caches(ast.parse(path.read_text(encoding="utf-8")))
+    assert found == {"_named_root_datum", "_subgroup_closure", "_torsion_field", "build_parser"}
+
+
+def test_the_guard_sees_each_way_of_binding_a_cache():
+    tree = ast.parse(
+        "import functools\nfrom functools import cache as memo, lru_cache\n"
+        "@memo\ndef a(): pass\n@functools.lru_cache(maxsize=2)\ndef b(): pass\n"
+        "c = lru_cache(maxsize=None)(len)\nd: object = functools.cache(len)\n"
+        "@staticmethod\ndef e(): pass\nf = len\n"
+    )
+    assert _functools_caches(tree) == {"a", "b", "c", "d"}
 
 
 # E6 > A2xA2xA2: the extended Dynkin diagram of E6 minus its centre, in
@@ -557,12 +632,13 @@ def test_additive_closure_matches_fixpoint_oracle():
 def test_additive_closure_visits_each_pair_once(monkeypatch):
     import spinduct.rootdata as rd
 
+    rd.forget_scopes()  # so the closure runs, not a cached subgroup
     sums = []
     monkeypatch.setattr(rd, "vadd", lambda a, b: sums.append((a, b)) or vadd(a, b))
     f4 = build_root_datum("F4")
     gens = [f4.root_from_simple_coordinates(sc)
             for sc in [(0, 1, 2, 2), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]]
-    sub = rd._subgroup_closure.__wrapped__(f4, tuple(gens))
+    sub = subgroup_from_roots(f4, gens)
     n = len(sub.roots_h)
     assert n == 32 and len(sums) == n * (n - 1) // 2
     assert len({frozenset(p) for p in sums}) == len(sums)

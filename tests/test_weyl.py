@@ -6,8 +6,14 @@ from spinduct.errors import DatumMismatch, OrderCapExceeded, ShiftNotStable
 from spinduct.charring import TorusElement, is_scope_invariant, weyl_denominator
 from spinduct.induction import make_problem
 from spinduct.intlinalg import determinant, identity, matmul, matvec
-from spinduct import kernels
-from spinduct.rootdata import RationalWeight, build_root_datum, dot, subgroup_from_roots
+from spinduct import kernels, weyl
+from spinduct.rootdata import (
+    RationalWeight,
+    build_root_datum,
+    dot,
+    forget_scopes,
+    subgroup_from_roots,
+)
 from spinduct.weyl import (
     Regular,
     WeylElement,
@@ -133,8 +139,9 @@ def test_coset_unique_factorization():
 
 
 def test_mismatched_datum():
-    """A mismatched pair raises even once the matching pair is cached, as
-    the check runs on every cache miss and a raising call is never stored."""
+    """A mismatched pair raises even once the matching pair is stored, as
+    the check runs before the subgroup's entry is read, and a raising call
+    stores nothing."""
     a2 = build_root_datum("A2")
     w = generate_weyl(a2)
     own = subgroup_from_roots(a2, [])
@@ -337,20 +344,51 @@ def test_e6_problem_does_not_enumerate_w():
     assert "elements" not in vars(p.weyl)
 
 
-def test_antisymmetrizer_check_searches_each_pair_once():
+def _count_coset_walks(monkeypatch):
+    """The W^H walks from now on, one (G scope key, R_H) entry each: the
+    descent walk given roots to avoid, which only coset_representatives
+    asks for."""
+    walks = []
+    closure = weyl._closure
+
+    def counting(scope, *avoid):
+        if avoid:
+            walks.append((scope.scope_key(), avoid[0]))
+        return closure(scope, *avoid)
+
+    monkeypatch.setattr(weyl, "_closure", counting)
+    return walks
+
+
+def test_antisymmetrizer_check_searches_each_pair_once(monkeypatch):
     from spinduct.verify import check_antisymmetrizers
     from spinduct.zoo import ZOO_PAIRS
 
-    from spinduct import induction
-
-    # the cached problems hold W^H from the cache being cleared; they go too,
-    # so no later problem of a pair holds a stale W^H beside a fresh one
-    coset_representatives.cache_clear()
-    induction._cached_problem.cache_clear()
+    forget_scopes()
+    walks = _count_coset_walks(monkeypatch)
     # every trial applies J_M and J_M_op; a few trials per pair suffice
     assert all(r.passed for r in check_antisymmetrizers(0, trials=3))
-    info = coset_representatives.cache_info()
-    assert info.misses == info.currsize == len(ZOO_PAIRS)
+    assert len(walks) == len(set(walks)) == len(ZOO_PAIRS)
+
+
+def test_forgotten_scopes_leave_no_stale_owner(monkeypatch):
+    """After forget_scopes a problem holds the very Weyl groups and W^H that
+    generate_weyl and coset_representatives return, and each pair's W^H is
+    walked once, whether the problem or the cosets are asked for first."""
+    from spinduct.zoo import ZOO_PAIRS, parse_group_spec, subgroup_by_name
+
+    walks = _count_coset_walks(monkeypatch)
+    for problem_first in (True, False):
+        forget_scopes()
+        for g, h in ZOO_PAIRS:
+            d = parse_group_spec(g)
+            sub = subgroup_by_name(d, h)
+            reps = None if problem_first else coset_representatives(generate_weyl(d), sub)
+            p = make_problem(d, sub)
+            assert p.weyl is generate_weyl(d) and p.weyl_h is generate_weyl(sub)
+            assert p.reps is coset_representatives(generate_weyl(d), sub)
+            assert problem_first or p.reps is reps
+    assert len(walks) == 2 * len(set(walks)) == 2 * len(ZOO_PAIRS)
 
 
 def _simple_reflections(scope):
@@ -446,13 +484,20 @@ def test_coset_search_over_the_cap_raises_and_stores_nothing(monkeypatch):
 
     p = _e6_a2_cubed()
     assert len(p.reps.reps) == 240
-    size = coset_representatives.cache_info().currsize
-    # a fresh Weyl group is a new cache key, so the search runs again
+    # the pair again from nothing; the datum is built under the real cap
+    forget_scopes()
+    d = build_root_datum("E6")
+    sub = subgroup_from_roots(d, p.sub.positive_h)
+    walks = _count_coset_walks(monkeypatch)
     monkeypatch.setattr(rd, "WEYL_ORDER_CAP", 239)
-    with pytest.raises(OrderCapExceeded):
-        coset_representatives(WeylGroup(p.datum), p.sub)
-    assert coset_representatives.cache_info().currsize == size
+    for _ in range(2):
+        with pytest.raises(OrderCapExceeded):
+            coset_representatives(generate_weyl(d), sub)
+    # each refused search walked, and stored nothing for a later call to find
+    assert len(walks) == 2
     monkeypatch.setattr(rd, "WEYL_ORDER_CAP", 240)
-    assert coset_representatives(WeylGroup(p.datum), p.sub) == p.reps
+    reps = coset_representatives(generate_weyl(d), sub)
+    assert reps == p.reps and len(walks) == 3
+    assert coset_representatives(generate_weyl(d), sub) is reps and len(walks) == 3
     monkeypatch.undo()
     assert rd.WEYL_ORDER_CAP == 1 << 21
