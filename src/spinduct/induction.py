@@ -55,14 +55,15 @@ from .weyl import (
 
 
 class InductionProblem:
-    """The standing data of a pair (G, H) with a G-side twist sigma: the
-    Weyl groups and W^H, read from the scopes' scope_state entries, and the
-    two twist classes its operations check, as canonical residues: `sigma`
-    (zero by default), `sigma_rho_m` = sigma + [rho_M] for inputs of
-    twisted induction and weights of BWB, and `sigma_rho_g` = sigma +
-    [rho_G] for multiplet sources.  W's elements, the denominators and the
-    Euler class are built only when first read.  make_problem keeps the
-    problem in the subgroup's entry, so forget_scopes drops it with them."""
+    """The standing data of a pair (G, H) with a G-side twist sigma whose
+    class W keeps (BadTwist otherwise): the Weyl groups and W^H, read from
+    the scopes' scope_state entries, and the two twist classes its
+    operations check, as canonical residues: `sigma` (zero by default),
+    `sigma_rho_m` = sigma + [rho_M] for inputs of twisted induction and
+    weights of BWB, and `sigma_rho_g` = sigma + [rho_G] for multiplet
+    sources.  W's elements, the denominators and the Euler class are built
+    only when first read.  make_problem keeps the problem in the subgroup's
+    entry, so forget_scopes drops it with them."""
 
     def __init__(
         self, datum: RootDatum, sub: SubgroupDatum, sigma: Optional[RationalWeight] = None
@@ -70,6 +71,10 @@ class InductionProblem:
         self.datum = datum
         self.sub = sub
         self.sigma = datum.zero_twist if sigma is None else sigma.residue_mod_one()
+        try:
+            check_stable(datum, self.sigma)
+        except ShiftNotStable as exc:
+            raise BadTwist(str(exc))
         self.sigma_rho_m = (self.sigma + sub.rho_m).residue_mod_one()
         self.sigma_rho_g = (self.sigma + datum.rho).residue_mod_one()
         self.weyl = generate_weyl(datum)

@@ -24,7 +24,7 @@ from .induction import (
     partial,
 )
 from .rootdata import rescale, scaled
-from .weyl import WeylElement, apply_weyl_sum, check_stable
+from .weyl import WeylElement, apply_antisymmetrizer
 
 
 class Multiplet:
@@ -70,18 +70,15 @@ def multiplet(problem: InductionProblem, a: TorusElement) -> Multiplet:
     """The multiplet generated by a: member at w is the H-side boundary
     image of w^{-1}(a).
 
-    One pass over W^H: the twist checks run once (the shift must be stable
-    under W), the source's keys are brought once to the denominator of
-    rho_H, and kernels.collect_images takes each key to all its images at
-    once through the pair's packed table of inverses, walking only images
-    outside the H chamber.  Each member is read as highest weights; every
-    zero member is one shared element."""
+    One pass over W^H: the twist checks run once, the source's keys are
+    brought once to the denominator of rho_H, and kernels.collect_images
+    takes each key to all its images at once through the pair's packed
+    table of inverses, walking only images outside the H chamber.  Each
+    member is read as highest weights; every zero member is one shared
+    element."""
     _check_source_twist(problem, a)
     sub = problem.sub
-    # H before G: a shift that fails both raises bad-twist, as collecting the
-    # w = 1 member does before any other w is applied
     _check_partial_twist(sub, a.shift)
-    check_stable(problem.datum, a.shift)
     rho = sub.rho_h
     den = math.lcm(a.shift.den, rho.den)
     keys = list(rescale(a.coeffs, a.shift.den, den).items())
@@ -117,9 +114,5 @@ def gkrs_identity_sides(
     _check_source_twist(problem, a)
     dual_euler = dualize(problem.euler)
     lhs = multiply(dual_euler, partial(problem, "G", a).to_torus())
-    inverses = problem.reps.inverses
-    jmop = a.replace_coeffs(
-        apply_weyl_sum(inverses, [e.det for e in inverses], a.shift, a.coeffs)
-    )
-    rhs = partial(problem, "H", jmop).to_torus()
+    rhs = partial(problem, "H", apply_antisymmetrizer("J_M_OP", a, problem.sub)).to_torus()
     return lhs, rhs

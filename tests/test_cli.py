@@ -4,7 +4,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinduct.cli import main, parse_problem
+from spinduct.cli import COMMANDS, main, parse_problem
 from spinduct.errors import SchemaViolation
 from spinduct.induction import TORSION_ORDER
 
@@ -516,6 +516,17 @@ def test_every_default_a_command_reads_is_echoed(capsys, command):
         if command in readers:
             flags += ["--" + field, value]
     assert run_cli(capsys, *argv, *flags) == (code, out)
+
+
+def test_an_unstable_twist_is_one_refusal_on_every_command(capsys):
+    """sigma = (1, 0)/3 on A2 is moved by W: the problem refuses it when it
+    is built, so every command that builds one gives the same record."""
+    argv = ("--group", "A2", "--twist", "1,0/3")
+    outs = {run_cli(capsys, c, *argv, *(("--mu", "1,0/3") if c == "bwb" else ()))
+            for c in COMMANDS if c != "verify"}
+    assert len(outs) == 1
+    code, out = outs.pop()
+    assert code == 1 and json.loads(out)["error"]["code"] == "bad-twist"
 
 
 def test_tau_flag_answers_as_the_document_does(capsys, monkeypatch):

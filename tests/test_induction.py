@@ -223,10 +223,6 @@ def test_make_problem_is_one_object_per_arguments():
     assert make_problem(d, sub, None) is p
     assert make_problem(d, sub, sigma=None) is p
     assert make_problem(build_root_datum("B3", "spin"), sub) is p
-    sigma = RationalWeight([0, 0, 1], 2)
-    q = make_problem(d, sub, sigma)
-    assert q is not p and q.sigma == sigma
-    assert make_problem(d, sub, sigma=RationalWeight([0, 0, 1], 2)) is q
     # the zero twist passed as a weight is the default's problem; rho_G is
     # a weight of B3's weight lattice, so [rho_G] is that zero twist
     assert p.sigma == RationalWeight.zero(3)
@@ -237,6 +233,13 @@ def test_make_problem_is_one_object_per_arguments():
     t = subgroup_from_roots(a2, [])
     assert make_problem(a2, t, RationalWeight.zero(2)) is make_problem(a2, t)
     assert make_problem(a2, t, sigma=RationalWeight.zero(2)) is make_problem(a2, t, None)
+    # a nonzero twist W keeps: half the central character of A2xT1
+    a2t1 = build_root_datum("A2xT1")
+    levi = subgroup_from_roots(a2t1, [a2t1.simple_roots[0]])
+    sigma = RationalWeight([0, 0, 1], 2)
+    q = make_problem(a2t1, levi, sigma)
+    assert q is not make_problem(a2t1, levi) and q.sigma == sigma
+    assert make_problem(a2t1, levi, sigma=RationalWeight([0, 0, 1], 2)) is q
 
 
 def test_extraction_of_bare_orbit_sum():

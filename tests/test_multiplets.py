@@ -15,8 +15,10 @@ from spinduct.rootdata import (
     dot,
     forget_scopes,
     scaled,
+    scope_state,
     subgroup_from_roots,
 )
+from spinduct.weyl import check_stable
 from spinduct.zoo import random_torus_element, zoo_problem, zoo_problems
 
 
@@ -225,20 +227,26 @@ def test_sources_outside_the_rho_class_raise_on_both():
                 _per_member_multiplet(p, a)
 
 
-def test_unstable_shifts_raise_alike_on_both():
-    """A twist sigma outside the W-stable classes: the one pass raises the
-    error the per-member algorithm raises, with the same message."""
-    checked = 0
+def test_unstable_sigma_is_refused_when_the_problem_is_built():
+    """A twist sigma outside the W-stable classes makes no problem: it is
+    refused with check_stable's message, and nothing is stored.  A stable
+    one gives a problem whose multiplets match the per-member algorithm."""
+    refused = 0
     for group, sub in (("A2", "levi1"), ("A2", "t"), ("B2", "t"), ("G2", "a2long")):
-        datum = zoo_problem(group, sub).datum
+        datum, h = zoo_problem(group, sub).datum, zoo_problem(group, sub).sub
         for nums in ([1, 0], [0, 1], [1, 1]):
             sigma = RationalWeight(nums, 2).residue_mod_one()
-            p = make_problem(datum, zoo_problem(group, sub).sub, sigma)
-            a = TorusElement.monomial(datum, datum.rho + sigma)
-            expect = _raised(_per_member_multiplet, p, a)
-            assert _raised(multiplet, p, a) == expect, (group, sub, nums)
-            checked += expect is not None
-    assert checked > 0
+            unstable = _raised(check_stable, datum, sigma)
+            if unstable is None:
+                p = make_problem(datum, h, sigma)
+                _assert_matches_oracle(group, p, TorusElement.monomial(datum, datum.rho + sigma))
+                continue
+            for _ in range(2):  # a refusal is not remembered as a problem
+                assert _raised(make_problem, datum, h, sigma) == (BadTwist, unstable[1])
+            assert sigma not in scope_state(h).problems, (group, sub, nums)
+            assert sigma not in scope_state(datum).stable, (group, sub, nums)
+            refused += 1
+    assert refused == 11  # all but B2 at nums [1, 0], whose class W keeps
 
 
 # --- the packed W^H table --------------------------------------------------------

@@ -6,18 +6,27 @@ import random
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from spinduct import induction, multiplets, verify, zoo
-from spinduct.charring import TorusElement, dualize, irreducible_restriction, multiply
+from spinduct import charring, induction, kernels, verify, weyl, zoo
+from spinduct.charring import (
+    TorusElement,
+    dualize,
+    irreducible_restriction,
+    multiply,
+    weyl_denominator,
+)
 from spinduct.errors import NotCSpinorial, NotDominant, UnknownSeries
 from spinduct.induction import induce_between, lefschetz_check, make_problem
 from spinduct.multiplets import multiplet
+from spinduct.rootdata import forget_scopes
 from spinduct.weyl import apply_antisymmetrizer
 from spinduct.zoo import (
     ZOO_PAIRS,
     chain_triples,
+    random_dominant_weight,
     random_torus_element,
     zoo_groups,
     zoo_problem,
@@ -184,9 +193,9 @@ def test_gkrs_identity_compares_values(monkeypatch):
         m.setattr(verify, "gkrs_identity_sides", one_more_monomial)
         assert_nontrivial_rows_fail()
     # the right side's own path: J_M^op a doubled before the H-side boundary
-    real_sum = multiplets.apply_weyl_sum
+    real_sum = weyl.apply_weyl_sum
     monkeypatch.setattr(
-        multiplets, "apply_weyl_sum", lambda *args: {k: 2 * c for k, c in real_sum(*args).items()}
+        weyl, "apply_weyl_sum", lambda *args: {k: 2 * c for k, c in real_sum(*args).items()}
     )
     assert_nontrivial_rows_fail()
 
@@ -202,6 +211,67 @@ def _short_rows(monkeypatch):
         monkeypatch.setattr(verify, name, short[id(row)])
     for key, fns in verify.SUITES.items():
         monkeypatch.setitem(verify.SUITES, key, [short.get(id(fn), fn) for fn in fns])
+
+
+# --- criterion 13 in the chamber, against Weyl's formula over T ------------------
+
+
+def _wcf_verdicts(datum, lam):
+    """Criterion 13's chamber test, and its oracle: Weyl's formula over T,
+    d chi_lam = J_G(e^{lam+rho}), a product of |W| terms by the character."""
+    product = multiply(weyl_denominator(datum), irreducible_restriction(datum, lam))
+    oracle = product == apply_antisymmetrizer("J_G", TorusElement.monomial(datum, lam + datum.rho))
+    return verify._wcf_test(SimpleNamespace(datum=datum), lam)[0], oracle
+
+
+def _wcf_draws(per_group=3):
+    rng = random.Random(13)
+    return [(label, p.datum, random_dominant_weight(p.datum, rng))
+            for label, p in zoo_groups() for _ in range(per_group)]
+
+
+def test_wcf_chamber_test_agrees_with_the_product_oracle():
+    """The oracle also exercises d = J(e^rho) on every zoo group."""
+    for label, datum, lam in _wcf_draws():
+        assert _wcf_verdicts(datum, lam) == (True, True), (label, lam)
+
+
+@pytest.fixture
+def freudenthal_off_by_one(monkeypatch):
+    """Freudenthal with 1 added at the lowest of two or more dominant
+    weights, on characters built afresh, and none kept afterwards."""
+    real = charring._freudenthal
+
+    def off_by_one(scope, dominants, den):
+        mult = real(scope, dominants, den)
+        if len(mult) > 1:
+            mult[list(mult)[-1]] += 1
+        return mult
+
+    forget_scopes()
+    monkeypatch.setattr(charring, "_freudenthal", off_by_one)
+    yield
+    monkeypatch.undo()
+    forget_scopes()
+
+
+def test_criterion_13_catches_a_wrong_multiplicity(freudenthal_off_by_one):
+    results = verify.check_wcf_selfcheck(0)
+    assert _failed(results) == {f"wcf-selfcheck {g}" for g, _ in zoo_groups()}
+    # the oracle gives the chamber test's verdict on every weight, failing too
+    verdicts = [_wcf_verdicts(datum, lam) for _, datum, lam in _wcf_draws()]
+    assert all(chamber == oracle for chamber, oracle in verdicts)
+    assert not all(chamber for chamber, _ in verdicts)
+
+
+def test_criterion_13_multiplies_only_by_e_rho(monkeypatch):
+    """One product per weight, e^rho chi_lam: no factor of |W| terms."""
+    products = []
+    real = kernels.convolve
+    monkeypatch.setattr(kernels, "convolve", lambda a, b: products.append((a, b)) or real(a, b))
+    assert not _failed(verify.check_wcf_selfcheck(0))
+    assert len(products) == 50 * len(zoo_groups())
+    assert all(len(a) == 1 for a, _ in products)
 
 
 def test_every_check_sits_in_one_suite(monkeypatch):
